@@ -14,11 +14,20 @@ recorded) and are therefore not represented.
 
 Moves never connect the open component's two ends: adjacency is linear on the
 open component and cyclic on closed ones.
+
+Enumeration is driven by one index of adjacent passage pairs keyed by their
+chord pair {x, y}: poke deletions pair up two entries of one key, triangle
+slides join the keys {x,y}, {x,z}, {y,z}. The insert families are not scanned
+but counted in closed form and decoded by index in the (rule, sites, variant)
+order, so `random_walk` samples a move without listing the O(n) kink and O(n^2)
+poke inserts. A family that does not match the code's chords (classical moves
+on flat arrows or the reverse) is a ValidityError.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -81,13 +90,17 @@ def r3_signature(sites) -> str:
 
 
 def _family(code: KnotoidCode, family: str | None) -> str:
-    if family is not None:
-        if family not in ("classical", "flat"):
-            raise ValidityError(f"unknown move family {family!r}")
-        return family
-    if code.flat_chords() or (code.singular_chords() and not code.classical_chords()):
-        return "flat"
-    return "classical"
+    if family is None:
+        if code.flat_chords() or (code.singular_chords() and not code.classical_chords()):
+            return "flat"
+        return "classical"
+    if family not in ("classical", "flat"):
+        raise ValidityError(f"unknown move family {family!r}")
+    other = code.classical_chords() if family == "flat" else code.flat_chords()
+    if other:
+        kind = "classical" if family == "flat" else "flat"
+        raise ValidityError(f"{family} moves do not apply to a code with {kind} chords")
+    return family
 
 
 def _adjacent_pairs(code: KnotoidCode):
@@ -115,25 +128,50 @@ def _movable(p: Passage, fam: str) -> bool:
     return p.role.is_flat or p.role.is_singular
 
 
+def _pair_index(code: KnotoidCode, fam: str) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    """Adjacent pairs (comp, i, j) of two different movable chords, keyed by the
+    sorted chord pair (x, y); each key's pairs come in adjacency order.
+
+    A chord has two passages, so a key holds at most four pairs."""
+    index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for k, i, j in _adjacent_pairs(code):
+        a, b = code.components[k][i], code.components[k][j]
+        if a.chord == b.chord or not (_movable(a, fam) and _movable(b, fam)):
+            continue
+        key = (a.chord, b.chord) if a.chord < b.chord else (b.chord, a.chord)
+        index.setdefault(key, []).append((k, i, j))
+    return index
+
+
 # -- enumeration ------------------------------------------------------------
+
+# families listed by scanning the diagram; the insert families are counted in
+# closed form and decoded by index instead
+_LISTED = ("PreferredSwitch", "R1_delete", "R2_delete", "R3")
+
 
 def enumerate_moves(code: KnotoidCode, family: str | None = None,
                     rules: tuple[str, ...] | None = None) -> list[MoveInstance]:
-    """All applicable moves, deterministically ordered.
+    """All applicable moves, sorted by (rule, sites, variant).
 
-    `rules` restricts which rule families are generated (all by default)."""
+    `rules` restricts which rule families are generated (all by default).
+    Poke deletions and triangle slides are found through one index of adjacent
+    passage pairs keyed by chord pair: a poke pair is two disjoint pairs with the
+    same key, a triangle three disjoint pairs with keys {x,y}, {x,z}, {y,z}.
+    Raises ValidityError when `family` does not match the code's chords."""
     fam = _family(code, family)
 
     def want(rule):
         return rules is None or rule in rules
 
+    index = _pair_index(code, fam) if want("R2_delete") or want("R3") else None
     out = []
     if want("R1_delete"):
         out += _r1_deletes(code, fam)
     if want("R2_delete"):
-        out += _r2_deletes(code, fam)
+        out += _r2_deletes(code, fam, index)
     if want("R3"):
-        out += _r3_moves(code, fam)
+        out += _r3_moves(code, fam, index)
     if want("R1_insert"):
         out += _r1_inserts(code, fam)
     if want("R2_insert"):
@@ -161,18 +199,6 @@ def _r1_deletes(code, fam):
     return moves
 
 
-_R1_VARIANTS = {"classical": ("O+", "O-", "U+", "U-"), "flat": ("AB", "BA")}
-
-
-def _r1_inserts(code, fam):
-    moves = []
-    for k, comp in enumerate(code.components):
-        for gap in range(len(comp) + 1):
-            for v in _R1_VARIANTS[fam]:
-                moves.append(MoveInstance("R1_insert", ((k, gap),), v))
-    return moves
-
-
 def _r2_pair_ok(a1, a2, b1, b2, fam) -> bool:
     """Do passages (a1,a2) at one site and (b1,b2) at the other form a poke pair?"""
     x, y = a1.chord, a2.chord
@@ -195,17 +221,49 @@ def _r2_pair_ok(a1, a2, b1, b2, fam) -> bool:
     return a1.role != a2.role and b1.role != b2.role
 
 
-def _r2_deletes(code, fam):
+def _r2_deletes(code, fam, index):
     moves = []
-    pairs = list(_adjacent_pairs(code))
-    for (ka, ia, ja), (kb, ib, jb) in itertools.combinations(pairs, 2):
-        if ka == kb and {ia, ja} & {ib, jb}:
-            continue
-        a1, a2 = code.components[ka][ia], code.components[ka][ja]
-        b1, b2 = code.components[kb][ib], code.components[kb][jb]
-        if _r2_pair_ok(a1, a2, b1, b2, fam):
-            moves.append(MoveInstance("R2_delete", ((ka, ia), (kb, ib))))
+    for pairs in index.values():
+        for (ka, ia, ja), (kb, ib, jb) in itertools.combinations(pairs, 2):
+            if ka == kb and {ia, ja} & {ib, jb}:
+                continue
+            a1, a2 = code.components[ka][ia], code.components[ka][ja]
+            b1, b2 = code.components[kb][ib], code.components[kb][jb]
+            if _r2_pair_ok(a1, a2, b1, b2, fam):
+                moves.append(MoveInstance("R2_delete", ((ka, ia), (kb, ib))))
     return moves
+
+
+# -- inserts: counted in closed form, decoded by index in sort order ----------
+
+_R1_VARIANTS = {"classical": ("O+", "O-", "U+", "U-"), "flat": ("AB", "BA")}
+
+
+def _gap_count(code) -> int:
+    return len(code.components) + sum(map(len, code.components))
+
+
+def _gap(code, g: int) -> tuple[int, int]:
+    """The g-th (component, gap) in sort order."""
+    for k, comp in enumerate(code.components):
+        if g <= len(comp):
+            return k, g
+        g -= len(comp) + 1
+    raise IndexError("gap index out of range")
+
+
+def _r1_insert_count(code, fam) -> int:
+    return _gap_count(code) * len(_R1_VARIANTS[fam])
+
+
+def _r1_insert_at(code, fam, idx: int) -> MoveInstance:
+    variants = _R1_VARIANTS[fam]
+    g, v = divmod(idx, len(variants))
+    return MoveInstance("R1_insert", (_gap(code, g),), variants[v])
+
+
+def _r1_inserts(code, fam):
+    return [_r1_insert_at(code, fam, i) for i in range(_r1_insert_count(code, fam))]
 
 
 # variant -> (site1 pattern, site2 pattern); entries are (which_chord, role, sign_factor)
@@ -230,52 +288,55 @@ for _tail_first, _rev in itertools.product((True, False), (False, True)):
         _site2 = (_site2[1], _site2[0])
     _R2_FLAT[f"{'AB' if _tail_first else 'BA'}{'r' if _rev else 'f'}"] = (_site1, _site2)
 
+_R2_VARIANTS = {"classical": tuple(sorted(_R2_CLASSICAL)), "flat": tuple(sorted(_R2_FLAT))}
+
+
+def _r2_insert_count(code, fam) -> int:
+    g = _gap_count(code)
+    return g * (g + 1) // 2 * len(_R2_VARIANTS[fam])
+
+
+def _r2_insert_at(code, fam, idx: int) -> MoveInstance:
+    """The idx-th poke insert: gap pairs g1 <= g2 in lexicographic order, then variants.
+
+    Row g1 holds the m = g - g1 pairs (g1, g1..g-1), so counting from the last
+    pair, `rest` pairs end inside the last m rows for the least m with
+    m(m+1)/2 >= rest."""
+    variants = _R2_VARIANTS[fam]
+    pair, v = divmod(idx, len(variants))
+    g = _gap_count(code)
+    rest = g * (g + 1) // 2 - pair
+    m = (math.isqrt(8 * rest - 7) + 1) // 2
+    g1 = g - m
+    g2 = g1 + m * (m + 1) // 2 - rest
+    return MoveInstance("R2_insert", (_gap(code, g1), _gap(code, g2)), variants[v])
+
 
 def _r2_inserts(code, fam):
-    table = _R2_CLASSICAL if fam == "classical" else _R2_FLAT
-    gaps = [(k, g) for k, comp in enumerate(code.components) for g in range(len(comp) + 1)]
-    moves = []
-    for (k1, g1), (k2, g2) in itertools.combinations_with_replacement(gaps, 2):
-        for v in table:
-            moves.append(MoveInstance("R2_insert", ((k1, g1), (k2, g2)), v))
-    return moves
+    return [_r2_insert_at(code, fam, i) for i in range(_r2_insert_count(code, fam))]
 
 
-def _r3_moves(code, fam):
-    pairs = []
-    for k, i, j in _adjacent_pairs(code):
-        a, b = code.components[k][i], code.components[k][j]
-        if a.chord == b.chord:
-            continue
-        if fam == "classical":
-            if not (a.role.is_classical and b.role.is_classical):
-                continue
-        else:
-            if a.role.is_classical or b.role.is_classical:
-                continue
-        pairs.append((k, i, j))
+def _r3_moves(code, fam, index):
+    """Triangle slides: for chords x < y < z, one pair from each of the keys
+    (x, y), (x, z), (y, z), on six distinct positions."""
     table = _r3_table()[fam]
+    partners: dict[int, set[int]] = {}
+    for x, y in index:
+        partners.setdefault(x, set()).add(y)
+        partners.setdefault(y, set()).add(x)
     moves = []
-    for trip in itertools.combinations(pairs, 3):
-        positions = set()
-        ok = True
-        for (k, i, j) in trip:
-            for pos in ((k, i), (k, j)):
-                if pos in positions:
-                    ok = False
-                positions.add(pos)
-        if not ok:
-            continue
-        chords: dict[int, int] = {}
-        for (k, i, j) in trip:
-            for pos in (i, j):
-                c = code.components[k][pos].chord
-                chords[c] = chords.get(c, 0) + 1
-        if len(chords) != 3 or set(chords.values()) != {2}:
-            continue
-        sig = r3_signature(tuple(_site_tuple(code, k, i, j) for (k, i, j) in trip))
-        if sig in table:
-            moves.append(MoveInstance("R3", tuple((k, i) for (k, i, j) in trip), sig))
+    for (x, y), xy in index.items():
+        for z in partners[x] & partners[y]:
+            if z < y:
+                continue
+            for trip in itertools.product(xy, index[(x, z)], index[(y, z)]):
+                trip = sorted(trip)
+                positions = {(k, pos) for (k, i, j) in trip for pos in (i, j)}
+                if len(positions) != 6:
+                    continue
+                sig = r3_signature(tuple(_site_tuple(code, k, i, j) for (k, i, j) in trip))
+                if sig in table:
+                    moves.append(MoveInstance("R3", tuple((k, i) for (k, i, j) in trip), sig))
     return moves
 
 
@@ -461,13 +522,32 @@ def _apply_switch(code, move):
 
 def random_walk(code: KnotoidCode, steps: int, seed: int,
                 family: str | None = None) -> KnotoidCode:
-    """Apply `steps` uniformly chosen applicable moves; deterministic in `seed`."""
+    """Apply `steps` uniformly chosen applicable moves; deterministic in `seed`.
+
+    Each step is `rng.choice(enumerate_moves(code, family))` without building
+    that list: the families of `_LISTED` are enumerated, the kink and poke
+    inserts (O(n) and O(n^2) instances) are counted in closed form, and the
+    drawn index is decoded at its place in the (rule, sites, variant) order."""
     rng = random.Random(seed)
     for _ in range(steps):
-        moves = enumerate_moves(code, family)
-        if not moves:
-            break
-        code = apply_move(code, rng.choice(moves))
+        fam = _family(code, family)
+        listed = enumerate_moves(code, fam, _LISTED)
+        n1, n2 = _r1_insert_count(code, fam), _r2_insert_count(code, fam)
+        # full order: listed[:c1], R1 inserts, listed[c1:c2], R2 inserts, listed[c2:]
+        c1 = sum(m.rule < "R1_insert" for m in listed)
+        c2 = sum(m.rule < "R2_insert" for m in listed)
+        idx = rng.randrange(len(listed) + n1 + n2)  # the draw rng.choice makes
+        if idx < c1:
+            move = listed[idx]
+        elif idx < c1 + n1:
+            move = _r1_insert_at(code, fam, idx - c1)
+        elif idx < n1 + c2:
+            move = listed[idx - n1]
+        elif idx < n1 + c2 + n2:
+            move = _r2_insert_at(code, fam, idx - n1 - c2)
+        else:
+            move = listed[idx - n1 - n2]
+        code = apply_move(code, move)
     return code
 
 
@@ -477,8 +557,7 @@ def simplify(code: KnotoidCode) -> KnotoidCode:
     Always applies the first deletion in (rule, sites) order, so results are
     reproducible; no canonical-form claim is made."""
     while True:
-        dels = [m for m in enumerate_moves(code)
-                if m.rule in ("R1_delete", "R2_delete")]
+        dels = enumerate_moves(code, rules=("R1_delete", "R2_delete"))
         if not dels:
             return code
         code = apply_move(code, dels[0])

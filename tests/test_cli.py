@@ -104,6 +104,20 @@ def test_walk_deterministic(run, codefile):
     assert out1 == out2
 
 
+def test_walk_family_mismatch(run, codefile):
+    f = codefile(VK4)
+    rc, out = run("walk", "--steps", "3", "--seed", "1", "--family", "flat", f)
+    assert rc == 1
+    assert out["error"] == "ValidityError"
+    rc, out = run("walk", "--steps", "3", "--seed", "1", "--family", "classical",
+                  codefile("A1 B2 A2 B1", "flat.gauss"))
+    assert rc == 1
+    assert out["error"] == "ValidityError"
+    rc, out = run("walk", "--steps", "0", "--seed", "1", "--family", "flat", f)
+    assert rc == 0
+    assert out == {"code": VK4}
+
+
 def test_output_byte_stable(codefile, capsys):
     f = codefile(VK4)
     cli.main(["invariant", "report", f])

@@ -1,12 +1,16 @@
 """Move enumeration, application, walks, and the greedy normalizer."""
+import itertools
 import random
 
 import pytest
 
 import knotoids as K
-from knotoids.errors import StaleMoveError
+from knotoids import moves as M
+from knotoids.codes import Passage, Role
+from knotoids.errors import StaleMoveError, ValidityError
 from knotoids.moves import MoveInstance, enumerate_moves
-from knotoids.vassiliev import random_classical_code, random_flat_code
+from knotoids.vassiliev import (random_classical_code, random_flat_code,
+                                random_singular_code, random_two_component_flat)
 
 from conftest import VK4
 
@@ -166,3 +170,154 @@ def test_move_instance_fields():
     assert mv.rule == "R1_insert"
     assert mv.sites == ((0, 0),)
     assert mv.variant == "AB"
+
+
+def test_family_mismatch_raises(vk4):
+    flat = K.flatten(vk4)
+    with pytest.raises(ValidityError):
+        enumerate_moves(vk4, "flat")
+    with pytest.raises(ValidityError):
+        enumerate_moves(flat, "classical")
+    with pytest.raises(ValidityError):
+        K.random_walk(vk4, 3, 1, "flat")
+    with pytest.raises(ValidityError):
+        K.random_walk(flat, 3, 1, "classical")
+    assert K.random_walk(vk4, 0, 1, "flat") == vk4
+    # singular chords go with either family
+    sing = K.parse("O2+ SA1 U2+ SB1")
+    assert enumerate_moves(sing, "classical")
+    assert enumerate_moves(K.parse("SA1 SB1"), "flat")
+
+
+# -- oracle: the brute-force scans the pair index and the insert decoders replace
+
+def _ref_r2_deletes(code, fam):
+    pairs = list(M._adjacent_pairs(code))
+    out = []
+    for (ka, ia, ja), (kb, ib, jb) in itertools.combinations(pairs, 2):
+        if ka == kb and {ia, ja} & {ib, jb}:
+            continue
+        a1, a2 = code.components[ka][ia], code.components[ka][ja]
+        b1, b2 = code.components[kb][ib], code.components[kb][jb]
+        if M._r2_pair_ok(a1, a2, b1, b2, fam):
+            out.append(MoveInstance("R2_delete", ((ka, ia), (kb, ib))))
+    return out
+
+
+def _ref_r3(code, fam):
+    pairs = [(k, i, j) for k, i, j in M._adjacent_pairs(code)
+             if code.components[k][i].chord != code.components[k][j].chord
+             and M._movable(code.components[k][i], fam)
+             and M._movable(code.components[k][j], fam)]
+    out = []
+    for trip in itertools.combinations(pairs, 3):
+        positions = [(k, p) for (k, i, j) in trip for p in (i, j)]
+        if len(set(positions)) != 6:
+            continue
+        chords = {}
+        for (k, p) in positions:
+            c = code.components[k][p].chord
+            chords[c] = chords.get(c, 0) + 1
+        if len(chords) != 3 or set(chords.values()) != {2}:
+            continue
+        sig = M.r3_signature(tuple(M._site_tuple(code, k, i, j) for (k, i, j) in trip))
+        if sig in M._r3_table()[fam]:
+            out.append(MoveInstance("R3", tuple((k, i) for (k, i, j) in trip), sig))
+    return out
+
+
+def _ref_inserts(code, fam):
+    gaps = [(k, g) for k, comp in enumerate(code.components) for g in range(len(comp) + 1)]
+    out = [MoveInstance("R1_insert", (gap,), v) for gap in gaps for v in M._R1_VARIANTS[fam]]
+    table = M._R2_CLASSICAL if fam == "classical" else M._R2_FLAT
+    out += [MoveInstance("R2_insert", pair, v)
+            for pair in itertools.combinations_with_replacement(gaps, 2) for v in table]
+    return out
+
+
+def _ref_enumerate(code, fam):
+    out = M._r1_deletes(code, fam) + _ref_r2_deletes(code, fam) + _ref_r3(code, fam)
+    out += _ref_inserts(code, fam)
+    if fam == "flat" and code.preferred_chord() is not None:
+        out += M._preferred_switches(code)
+    return sorted(out, key=MoveInstance.sort_key)
+
+
+def _with_preferred(code, rng):
+    """Make one chord of a flat code singular and preferred, maybe another singular."""
+    chords = code.chord_ids()
+    marked = rng.sample(chords, min(len(chords), rng.randrange(1, 3)))
+
+    def conv(p):
+        if p.chord not in marked:
+            return p
+        return Passage(p.chord, Role.STAIL if p.role.is_tail else Role.SHEAD,
+                       None, p.chord == marked[0])
+    return K.KnotoidCode(tuple(tuple(conv(p) for p in c) for c in code.components))
+
+
+def _oracle_codes(count, seed):
+    """Seeded codes of 0-14 chords in every family, walked a little so that
+    deletions and triangles appear (a step adds at most two chords)."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randrange(0, 11)
+        kind = t % 5
+        if kind == 0:
+            code, fam = random_classical_code(n, rng), "classical"
+        elif kind == 1:
+            code, fam = random_singular_code(max(n - 2, 0), rng.randrange(0, 3), rng), "classical"
+        elif kind == 2:
+            code, fam = random_flat_code(n, rng), "flat"
+        elif kind == 3:
+            code, fam = random_two_component_flat(n, rng), "flat"
+        else:
+            code, fam = _with_preferred(random_flat_code(max(n, 1), rng), rng), "flat"
+        yield K.random_walk(code, rng.randrange(0, 3), rng.randrange(10**6), fam), fam
+
+
+def test_enumerate_matches_brute_force():
+    seen = set()
+    for code, fam in _oracle_codes(300, 41):
+        assert enumerate_moves(code, fam) == _ref_enumerate(code, fam), K.serialize(code)
+        listed = enumerate_moves(code, fam, ("R2_delete", "R3", "PreferredSwitch"))
+        seen.update(m.rule for m in listed)
+    assert seen == {"R2_delete", "R3", "PreferredSwitch"}
+
+
+def test_insert_counts_closed_form():
+    for code, fam in _oracle_codes(60, 43):
+        for code in (code, K.add_unknot(code)):
+            assert M._r1_insert_count(code, fam) == \
+                len(enumerate_moves(code, fam, ("R1_insert",)))
+            assert M._r2_insert_count(code, fam) == \
+                len(enumerate_moves(code, fam, ("R2_insert",)))
+
+
+def test_random_walk_matches_choice_over_enumeration():
+    starts = [(c, f) for c, f in _oracle_codes(60, 47) if c.chord_count() <= 4]
+    for seed in range(1000):
+        code, fam = starts[seed % len(starts)]
+        family = None if seed % 7 == 0 else fam
+        steps = 1 + seed % 2
+        rng = random.Random(seed)
+        ref = code
+        for _ in range(steps):
+            ref = K.apply_move(ref, rng.choice(enumerate_moves(ref, family)))
+        assert K.random_walk(code, steps, seed, family) == ref, (K.serialize(code), seed)
+
+
+def test_long_walks_keep_p_q_and_index():
+    # 25-step walks from 10-20-chord codes
+    rng = random.Random(53)
+    for _ in range(4):
+        code = random_classical_code(rng.randrange(10, 21), rng)
+        walked = K.random_walk(code, 25, rng.randrange(10**6))
+        assert K.affine_index_polynomial(walked) == K.affine_index_polynomial(code)
+        flat = random_flat_code(rng.randrange(10, 21), rng)
+        fwalked = K.random_walk(flat, 25, rng.randrange(10**6), "flat")
+        assert K.flat_affine_polynomial(fwalked) == K.flat_affine_polynomial(flat)
+        two = random_two_component_flat(rng.randrange(10, 21), rng)
+        twalked = K.random_walk(two, 25, rng.randrange(10**6), "flat")
+        assert abs(K.intersection_index(K.OrderedTwoComponent(twalked, 0, 1))) == \
+            abs(K.intersection_index(K.OrderedTwoComponent(two, 0, 1)))
