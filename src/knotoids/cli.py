@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import codes, invariants, moves, sbm, surgery, vassiliev
-from .errors import KnotoidError
+from .errors import KnotoidError, ParseError
 
 __all__ = ["main"]
 
@@ -34,7 +34,11 @@ def _read_sbm(path: str) -> sbm.SBM:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return sbm.SBM.from_json(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid SBM JSON: {exc}") from None
+        return sbm.SBM.from_json(data)
     return sbm.build_sbm(codes.parse(" ".join(text.split())))
 
 
@@ -98,9 +102,7 @@ def _cmd_vassiliev(args):
         if isinstance(value, invariants.LaurentPoly):
             return {"P": value.to_json()}
         return value.to_json()
-    fn = {"f": vassiliev.invariant_F, "l": vassiliev.invariant_L,
-          "g": vassiliev.invariant_G}[args.which]
-    return fn(code).to_json()
+    return vassiliev.INVARIANTS[args.which](code).to_json()
 
 
 def _cmd_sbm(args):

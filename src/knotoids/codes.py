@@ -26,10 +26,10 @@ Closed components serialize starting at their passage with the smallest
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ComponentCountError, ParseError, ValidityError
+from .errors import ComponentCountError, NotFoundError, ParseError, ValidityError
 
 __all__ = [
     "Role",
@@ -92,7 +92,7 @@ _ROLE_ORDER = {r: i for i, r in enumerate(
     (Role.OVER, Role.UNDER, Role.TAIL, Role.HEAD, Role.STAIL, Role.SHEAD))}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Passage:
     chord: int
     role: Role
@@ -131,7 +131,15 @@ def _rotate_canonical(comp: tuple[Passage, ...]) -> tuple[Passage, ...]:
 
 @dataclass(frozen=True)
 class KnotoidCode:
-    """One open component plus zero or more closed ones; validated on creation."""
+    """One open component plus zero or more closed ones; validated on creation.
+
+    Validation also builds the private chord table every chord query reads:
+    chord id -> (sign, tail component, tail position, head component, head
+    position), sorted by chord id, sign 0 on non-classical chords. A classical
+    chord's tail is its flattened tail: the Over passage when the sign is
+    positive, the Under passage otherwise. The sorted classical, flat and
+    singular chord ids and the preferred chord are kept beside it. Equality,
+    hashing and repr see `components` only."""
 
     components: tuple[tuple[Passage, ...], ...]
 
@@ -144,37 +152,48 @@ class KnotoidCode:
         self._validate()
 
     def _validate(self):
-        seen: dict[int, list[Passage]] = {}
-        for comp in self.components:
-            for p in comp:
-                seen.setdefault(p.chord, []).append(p)
-        has_classical = has_flat = False
-        preferred_chords = set()
+        seen: dict[int, list[tuple[Passage, int, int]]] = {}
+        for k, comp in enumerate(self.components):
+            for i, p in enumerate(comp):
+                seen.setdefault(p.chord, []).append((p, k, i))
+        table: dict[int, tuple[int, int, int, int, int]] = {}
+        classical, flat, singular, preferred = [], [], [], []
         for cid, ps in seen.items():
             if len(ps) != 2:
                 raise ValidityError(f"chord {cid} appears {len(ps)} times, expected 2")
-            a, b = ps
+            (a, ka, ia), (b, kb, ib) = ps
             if a.role.is_classical:
                 if not b.role.is_classical or a.role == b.role:
                     raise ValidityError(f"chord {cid} must pair Over with Under")
                 if a.sign != b.sign:
                     raise ValidityError(f"chord {cid} has mismatched signs")
-                has_classical = True
+                classical.append(cid)
+                a_is_tail = (a.sign > 0) == (a.role == Role.OVER)
             elif a.role.is_flat:
                 if not b.role.is_flat or a.role == b.role:
                     raise ValidityError(f"chord {cid} must pair ArrowTail with ArrowHead")
-                has_flat = True
+                flat.append(cid)
+                a_is_tail = a.role == Role.TAIL
             else:
                 if not b.role.is_singular or a.role == b.role:
                     raise ValidityError(f"chord {cid} must pair SingTail with SingHead")
                 if a.preferred != b.preferred:
                     raise ValidityError(f"chord {cid} must be starred on both passages or neither")
                 if a.preferred:
-                    preferred_chords.add(cid)
-        if has_classical and has_flat:
+                    preferred.append(cid)
+                singular.append(cid)
+                a_is_tail = a.role == Role.STAIL
+            sign = a.sign or 0
+            table[cid] = (sign, ka, ia, kb, ib) if a_is_tail else (sign, kb, ib, ka, ia)
+        if classical and flat:
             raise ValidityError("classical and flat chords cannot coexist")
-        if len(preferred_chords) > 1:
+        if len(preferred) > 1:
             raise ValidityError("at most one singular chord may be preferred")
+        object.__setattr__(self, "_chords", {cid: table[cid] for cid in sorted(table)})
+        object.__setattr__(self, "_classical", tuple(sorted(classical)))
+        object.__setattr__(self, "_flat", tuple(sorted(flat)))
+        object.__setattr__(self, "_singular", tuple(sorted(singular)))
+        object.__setattr__(self, "_preferred", preferred[0] if preferred else None)
 
     # -- structure ---------------------------------------------------------
 
@@ -187,62 +206,56 @@ class KnotoidCode:
         return self.components[1:]
 
     def chord_ids(self) -> list[int]:
-        return sorted({p.chord for comp in self.components for p in comp})
+        return list(self._chords)
 
     def chord_count(self) -> int:
-        return len(self.chord_ids())
+        return len(self._chords)
 
-    def passages_of(self, cid: int) -> list[tuple[int, int]]:
-        """(component index, position) of the chord's two passages, in order."""
-        out = [(k, i) for k, comp in enumerate(self.components)
-               for i, p in enumerate(comp) if p.chord == cid]
-        return out
-
-    def passage_at(self, comp: int, pos: int) -> Passage:
-        return self.components[comp][pos]
+    def ends(self, cid: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(component, position) of the chord's tail passage and of its head
+        passage; a classical chord's tail is the tail of its flattening."""
+        try:
+            _, tk, ti, hk, hi = self._chords[cid]
+        except KeyError:
+            raise NotFoundError(f"chord {cid} not found") from None
+        return (tk, ti), (hk, hi)
 
     def classical_chords(self) -> list[int]:
-        return sorted({p.chord for c in self.components for p in c if p.role.is_classical})
+        return list(self._classical)
 
     def flat_chords(self) -> list[int]:
-        return sorted({p.chord for c in self.components for p in c if p.role.is_flat})
+        return list(self._flat)
 
     def singular_chords(self) -> list[int]:
-        return sorted({p.chord for c in self.components for p in c if p.role.is_singular})
+        return list(self._singular)
 
     def preferred_chord(self) -> int | None:
-        for comp in self.components:
-            for p in comp:
-                if p.preferred:
-                    return p.chord
-        return None
+        return self._preferred
 
     def sign_of(self, cid: int) -> int:
-        for comp in self.components:
-            for p in comp:
-                if p.chord == cid and p.sign is not None:
-                    return p.sign
-        raise ValidityError(f"chord {cid} has no sign")
+        sign = self._chords[cid][0] if cid in self._chords else 0
+        if not sign:
+            raise ValidityError(f"chord {cid} has no sign")
+        return sign
 
     @property
     def kind(self) -> str:
-        sing = bool(self.singular_chords())
-        if self.classical_chords():
+        sing = bool(self._singular)
+        if self._classical:
             return "ClassicalSingular" if sing else "Classical"
         return "FlatSingular" if sing else "Flat"
 
     @property
     def is_classical_kind(self) -> bool:
         """No flat arrows (classical chords and/or singular chords only)."""
-        return not self.flat_chords()
+        return not self._flat
 
     @property
     def is_flat_kind(self) -> bool:
-        return not self.classical_chords()
+        return not self._classical
 
     def fresh_chord_id(self) -> int:
-        ids = self.chord_ids()
-        return (ids[-1] + 1) if ids else 1
+        return next(reversed(self._chords), 0) + 1
 
     def __str__(self) -> str:
         return serialize(self)

@@ -17,10 +17,6 @@ from .errors import KnotoidError
 __all__ = ["run_case", "run_directory"]
 
 
-def _poly_json(p) -> dict:
-    return p.to_json()
-
-
 def _fp(text: str):
     return vassiliev.fingerprint(parse(text))
 
@@ -31,9 +27,7 @@ def _combination(case):
     if handle.startswith("d"):
         value = vassiliev.derivative(handle[1:], code)
     else:
-        fn = {"f": vassiliev.invariant_F, "l": vassiliev.invariant_L,
-              "g": vassiliev.invariant_G}[handle]
-        value = fn(code)
+        value = vassiliev.INVARIANTS[handle](code)
     expected = vassiliev.FormalSum.zero()
     for term in case["terms"]:
         expected = expected + vassiliev.FormalSum.term(_fp(term["code"]), term["coef"])
@@ -94,14 +88,14 @@ def _c_flat_weights(case):
 
 @_check("flat_affine")
 def _c_flat_affine(case):
-    got = _poly_json(invariants.flat_affine_polynomial(parse(case["input"])))
+    got = invariants.flat_affine_polynomial(parse(case["input"])).to_json()
     return got == case["q"], got
 
 
 @_check("flatten_flat_affine")
 def _c_flatten_q(case):
     flat = codes.flatten(parse(case["input"]))
-    got = _poly_json(invariants.flat_affine_polynomial(flat))
+    got = invariants.flat_affine_polynomial(flat).to_json()
     return got == case["q"], got
 
 
@@ -120,7 +114,7 @@ def _c_affine(case):
 @_check("zero_smooth_q")
 def _c_zero_smooth_q(case):
     out = surgery.zero_smooth(parse(case["input"]), case["at"])
-    got = _poly_json(invariants.flat_affine_polynomial(out))
+    got = invariants.flat_affine_polynomial(out).to_json()
     return got == case["q"], {"code": serialize(out), "q": got}
 
 
@@ -201,8 +195,7 @@ def _c_sbm_hom(case):
 
 @_check("invariant_equal")
 def _c_inv_equal(case):
-    fn = {"f": vassiliev.invariant_F, "l": vassiliev.invariant_L,
-          "g": vassiliev.invariant_G}[case["invariant"]]
+    fn = vassiliev.INVARIANTS[case["invariant"]]
     va, vb = fn(parse(case["a"])), fn(parse(case["b"]))
     got = va == vb
     return got == case["equal"], {"equal": got, "a": va.to_json(), "b": vb.to_json()}
@@ -210,8 +203,7 @@ def _c_inv_equal(case):
 
 @_check("difference_coefficients")
 def _c_diff_coeffs(case):
-    fn = {"f": vassiliev.invariant_F, "l": vassiliev.invariant_L,
-          "g": vassiliev.invariant_G}[case["invariant"]]
+    fn = vassiliev.INVARIANTS[case["invariant"]]
     diff = fn(parse(case["a"])) - fn(parse(case["b"]))
     got = diff.coefficients()
     return got == case["coefficients"], {"coefficients": got}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import KnotoidCode, OrderedTwoComponent, flatten
+from .codes import KnotoidCode, OrderedTwoComponent
 from .errors import ComponentCountError, LabelingError, ValidityError
 
 __all__ = [
@@ -168,18 +168,13 @@ def label_arcs(code: KnotoidCode) -> ArcLabeling:
         incoming[k] = inc
 
     fill(0, 0, 0)
-    # propagate into closed components via shared chords
+    # propagate into closed components via shared chords, visiting chords in the
+    # order of their first passage and each chord's passages in traversal order
+    places = sorted(sorted(code.ends(cid)) for cid in code.chord_ids()) if len(comps) > 1 else []
     changed = True
     while changed:
         changed = False
-        chord_pos: dict[int, list[tuple[int, int]]] = {}
-        for k, comp in enumerate(comps):
-            for i, p in enumerate(comp):
-                chord_pos.setdefault(p.chord, []).append((k, i))
-        for cid, places in chord_pos.items():
-            if len(places) != 2:
-                continue
-            (k1, i1), (k2, i2) = places
+        for (k1, i1), (k2, i2) in places:
             if (incoming[k1] is None) == (incoming[k2] is None):
                 continue
             if incoming[k1] is None:
@@ -205,15 +200,11 @@ def flat_weights(code: KnotoidCode) -> dict[int, int]:
     """W+ of every flat (or flattened classical) chord, single open component."""
     if len(code.components) != 1:
         raise ComponentCountError("flat weights need a single open component")
-    work = flatten(code) if code.classical_chords() else code
-    inc = label_arcs(work).incoming[0]
-    pos: dict[int, dict[str, int]] = {}
-    for i, p in enumerate(work.open_component):
-        pos.setdefault(p.chord, {})["tail" if p.role.is_tail else "head"] = i
+    inc = label_arcs(code).incoming[0]
     out = {}
-    for cid, d in pos.items():
-        if "tail" in d and "head" in d:
-            out[cid] = inc[d["tail"]] - (inc[d["head"]] + 1)
+    for cid in code.chord_ids():
+        (_, tail), (_, head) = code.ends(cid)
+        out[cid] = inc[tail] - (inc[head] + 1)
     return out
 
 
@@ -296,14 +287,9 @@ def intersection_index(view: OrderedTwoComponent) -> int:
     A joining chord counts +1 when its arrow tail lies on the first component
     and -1 otherwise; swapping the ordering negates the result."""
     code = view.code
-    if code.classical_chords():
-        code = flatten(code)
-    comp_of: dict[int, dict[str, int]] = {}
-    for k, comp in enumerate(code.components):
-        for p in comp:
-            comp_of.setdefault(p.chord, {})["tail" if p.role.is_tail else "head"] = k
     total = 0
-    for cid, d in comp_of.items():
-        if d["tail"] != d["head"]:
-            total += 1 if d["tail"] == view.ell1 else -1
+    for cid in code.chord_ids():
+        (tail, _), (head, _) = code.ends(cid)
+        if tail != head:
+            total += 1 if tail == view.ell1 else -1
     return total

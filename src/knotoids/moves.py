@@ -350,21 +350,18 @@ def _site_tuple(code, k, i, j):
 def _preferred_switches(code):
     comp = code.open_component
     pref = code.preferred_chord()
-    pos = {}
-    for i, p in enumerate(comp):
-        pos.setdefault(p.chord, {})["tail" if p.role.is_tail else "head"] = i
-    if pref not in pos or len(pos[pref]) != 2:
+    if pref is None:
+        return []
+    (ptk, pt), (phk, ph) = code.ends(pref)
+    if ptk or phk:
         return []
     moves = []
-    for cid, d in pos.items():
-        if cid == pref or len(d) != 2:
+    for cid in code.chord_ids():
+        (tk, t), (hk, h) = code.ends(cid)
+        if cid == pref or tk or hk or comp[t].role.is_singular:
             continue
-        if code.components[0][d["tail"]].role.is_singular:
-            continue
-        if _arc_empty(comp, pos[pref]["tail"], d["head"]) and \
-           _arc_empty(comp, d["tail"], pos[pref]["head"]):
-            moves.append(MoveInstance("PreferredSwitch", ((0, pos[pref]["tail"]), (0, d["tail"])),
-                                      f"{pref}->{cid}"))
+        if _arc_empty(comp, pt, h) and _arc_empty(comp, t, ph):
+            moves.append(MoveInstance("PreferredSwitch", ((0, pt), (0, t)), f"{pref}->{cid}"))
     return moves
 
 

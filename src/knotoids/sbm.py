@@ -100,14 +100,30 @@ class SBM:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "SBM":
-        elements = [str(e) for e in data["elements"]]
-        matrix = [[int(v) for v in row] for row in data["matrix"]]
-        s, d = int(data.get("s", 0)), int(data.get("d", len(elements) - 1))
-        order = [s] + [i for i in range(len(elements)) if i not in (s, d)] + [d]
-        elems = tuple(elements[i] for i in order)
-        mat = tuple(tuple(matrix[i][j] for j in order) for i in order)
-        return cls(elems, mat)
+    def from_json(cls, data) -> "SBM":
+        """Load the `to_json` form; `s` and `d` default to the first and last index.
+
+        Missing keys, non-integer entries and marked indices that are out of
+        range or equal raise ValidityError."""
+        if not isinstance(data, dict) or not isinstance(data.get("elements"), list) \
+                or not isinstance(data.get("matrix"), list) \
+                or not all(isinstance(row, list) for row in data["matrix"]):
+            raise ValidityError("SBM JSON needs an 'elements' list and a 'matrix' of rows")
+        n = len(data["elements"])
+        s, d = _json_int(data.get("s", 0)), _json_int(data.get("d", n - 1))
+        given = cls(tuple(str(e) for e in data["elements"]),
+                    tuple(tuple(_json_int(v) for v in row) for row in data["matrix"]))
+        if not (0 <= s < n and 0 <= d < n) or s == d:
+            raise ValidityError(f"s={s} and d={d} must be two different indices below {n}")
+        order = [s] + [i for i in range(n) if i not in (s, d)] + [d]
+        return cls(tuple(given.elements[i] for i in order),
+                   tuple(tuple(given.matrix[i][j] for j in order) for i in order))
+
+
+def _json_int(v) -> int:
+    if type(v) is not int:  # rejects floats, strings and booleans
+        raise ValidityError(f"SBM entries and indices must be integers, got {v!r}")
+    return v
 
 
 def _fresh_label(taken, base="g"):
@@ -128,12 +144,12 @@ def build_sbm(code: KnotoidCode) -> SBM:
     pref = code.preferred_chord()
     if pref is None:
         raise NoPreferredError("exactly one preferred chord is required")
-    comp = code.open_component
-    pos: dict[int, dict[str, int]] = {}
-    for i, p in enumerate(comp):
-        pos.setdefault(p.chord, {})["tail" if p.role.is_tail else "head"] = i
-    chords = sorted(pos)
-    n = len(comp)
+    chords = code.chord_ids()
+    pos = {}  # chord -> (tail position, head position)
+    for c in chords:
+        (_, tail), (_, head) = code.ends(c)
+        pos[c] = (tail, head)
+    n = len(code.open_component)
 
     def arc_interior(a: int, b: int) -> set[int]:
         if a < b:
@@ -141,13 +157,13 @@ def build_sbm(code: KnotoidCode) -> SBM:
         return set(range(a + 1, n)) | set(range(0, b))
 
     def rule2(e: int, f: int) -> int:
-        te, he = pos[e]["tail"], pos[e]["head"]
-        tf, hf = pos[f]["tail"], pos[f]["head"]
+        te, he = pos[e]
+        tf, hf = pos[f]
         arc_e, arc_f = arc_interior(te, he), arc_interior(tf, hf)
         c1 = sum(1 for g in chords if g not in (e, f)
-                 and pos[g]["tail"] in arc_e and pos[g]["head"] in arc_f)
+                 and pos[g][0] in arc_e and pos[g][1] in arc_f)
         c2 = sum(1 for g in chords if g not in (e, f)
-                 and pos[g]["tail"] in arc_f and pos[g]["head"] in arc_e)
+                 and pos[g][0] in arc_f and pos[g][1] in arc_e)
         order = sorted([(te, "te"), (he, "he"), (tf, "tf"), (hf, "hf")])
         seq = [tag for (_, tag) in order]
         eps = 0
@@ -231,12 +247,6 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
     kind = move[0]
     if kind in ("M1", "M2"):
         label = _fresh_label(set(m.elements))
-        if kind == "M1":
-            newrow = {e: 0 for e in m.elements}
-            cross_s = 0
-        else:
-            newrow = {e: m.matrix[m.s][j] for j, e in enumerate(m.elements)}
-            cross_s = 0  # b(g, g) inside the row map is ignored
         elems = m.elements[:-1] + (label, m.elements[-1])
         k = len(elems) - 2
         n = len(elems)
@@ -246,10 +256,9 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
             for b, j in enumerate(old_idx):
                 mat[i][j] = m.matrix[a][b]
         for a, i in enumerate(old_idx):
-            v = newrow[m.elements[a]] if kind == "M2" else 0
+            v = m.matrix[m.s][a] if kind == "M2" else 0  # a copy of row s, or zeros
             mat[k][i] = v
             mat[i][k] = -v
-        del cross_s
         out = SBM(tuple(elems), tuple(tuple(r) for r in mat))
         if kind == "M2":
             # row of the new element must equal row s on the extended set

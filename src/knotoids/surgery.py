@@ -25,7 +25,10 @@ __all__ = ["zero_smooth", "one_smooth", "glue", "singular_kink", "resolve"]
 
 
 def _open_positions(code: KnotoidCode, cid: int) -> tuple[int, int]:
-    pos = [i for i, p in enumerate(code.open_component) if p.chord == cid]
+    try:
+        pos = sorted(i for k, i in code.ends(cid) if k == 0)
+    except NotFoundError:
+        pos = []
     if not pos:
         raise NotFoundError(f"chord {cid} not found in the open component")
     if len(pos) != 2:

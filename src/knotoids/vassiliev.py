@@ -26,11 +26,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .codes import KnotoidCode, OrderedTwoComponent, Passage, Role, add_unknot, flatten, reverse
+from .codes import (KnotoidCode, OrderedTwoComponent, Passage, Role, add_unknot, flatten, reverse,
+                    serialize)
 from .errors import UnsupportedError, ValidityError
-from .invariants import LaurentPoly, flat_affine_polynomial, intersection_index, writhe
+from .invariants import (LaurentPoly, affine_index_polynomial, flat_affine_polynomial,
+                         intersection_index, writhe)
 from .moves import apply_move, enumerate_moves
-from .sbm import build_sbm, canonical_form, reduce_to_primitive, _special_closure
+from .sbm import build_sbm, reduce_to_primitive, _special_closure
 from .surgery import glue, one_smooth, resolve, singular_kink, zero_smooth
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "invariant_F",
     "invariant_L",
     "invariant_G",
+    "INVARIANTS",
     "derivative",
     "order_check",
     "random_classical_code",
@@ -129,8 +132,6 @@ def _minimized(code: KnotoidCode, orbit_cap: int = 400) -> KnotoidCode:
     Deletions are applied greedily; when none applies, the (size-preserving)
     triangle-slide orbit is searched for a member that unlocks one. The orbit
     search is capped, so this is a normalization, not a canonical form."""
-    from .codes import serialize
-
     def greedy(c):
         while True:
             dels = enumerate_moves(c, "flat", rules=("R1_delete", "R2_delete"))
@@ -162,13 +163,10 @@ def _minimized(code: KnotoidCode, orbit_cap: int = 400) -> KnotoidCode:
 
 
 def _profile(code: KnotoidCode) -> tuple:
-    where: dict[int, set[int]] = {}
-    for k, comp in enumerate(code.components):
-        for p in comp:
-            where.setdefault(p.chord, set()).add(k)
-    both0 = sum(1 for v in where.values() if v == {0})
-    both1 = sum(1 for v in where.values() if v == {1})
-    inter = sum(1 for v in where.values() if len(v) == 2)
+    sides = [(tail, head) for (tail, _), (head, _) in map(code.ends, code.chord_ids())]
+    both0 = sum(1 for t, h in sides if t == h == 0)
+    both1 = sum(1 for t, h in sides if t == h == 1)
+    inter = sum(1 for t, h in sides if t != h)
     return (both0, both1, inter)
 
 
@@ -237,21 +235,17 @@ def invariant_G(code: KnotoidCode) -> FormalSum:
     return acc - FormalSum.term(fingerprint(singular_kink(code)), writhe(code))
 
 
-def _affine_handle(code: KnotoidCode) -> LaurentPoly:
-    from .invariants import affine_index_polynomial
-
-    return affine_index_polynomial(code)
-
-
-_INVARIANTS = {"f": invariant_F, "l": invariant_L, "g": invariant_G, "p": _affine_handle}
+# the invariant handles of the CLI and the fixture corpus
+INVARIANTS = {"f": invariant_F, "l": invariant_L, "g": invariant_G}
 
 
 def derivative(inv, code: KnotoidCode):
     """Alternating sum of `inv` over all resolutions of the singular crossings.
 
-    `inv` is a callable on classical codes or one of the handles "f", "l", "g";
-    the result does not depend on the resolution order."""
-    fn = _INVARIANTS.get(inv, inv)
+    `inv` is a callable on classical codes, one of the handles "f", "l", "g"
+    of INVARIANTS, or "p" for the affine index polynomial; the result does not
+    depend on the resolution order."""
+    fn = affine_index_polynomial if inv == "p" else INVARIANTS.get(inv, inv)
     sing = code.singular_chords()
     if not sing:
         return fn(code)
@@ -282,7 +276,6 @@ def order_check(inv, n: int, samples: int, seed: int) -> dict:
         code = random_singular_code(rng.randrange(0, 4), n + 1, rng)
         val = derivative(inv, code)
         if not val.is_zero():
-            from .codes import serialize
             counterexamples.append(serialize(code))
     return {
         "samples": samples,

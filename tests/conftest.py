@@ -1,7 +1,13 @@
-"""Shared fixture codes: the validated reference diagrams used across the suite."""
+"""Shared fixture codes: the validated reference diagrams used across the suite,
+and the seeded code families the oracle tests compare against."""
+import random
+
 import pytest
 
 import knotoids as K
+from knotoids.codes import Passage, Role
+from knotoids.vassiliev import (random_classical_code, random_flat_code,
+                                random_singular_code, random_two_component_flat)
 
 # four-crossing virtual knotoid with signs (-1,-1,-1,+1); its 0-smoothing at
 # crossing 1 is the labelled three-crossing flat knotoid FLAT3
@@ -72,3 +78,38 @@ def flat3():
 @pytest.fixture
 def sing1():
     return K.parse(SING1)
+
+
+def with_preferred(code, rng):
+    """Make one chord of a flat code singular and preferred, maybe another singular."""
+    chords = code.chord_ids()
+    marked = rng.sample(chords, min(len(chords), rng.randrange(1, 3)))
+
+    def conv(p):
+        if p.chord not in marked:
+            return p
+        return Passage(p.chord, Role.STAIL if p.role.is_tail else Role.SHEAD,
+                       None, p.chord == marked[0])
+    return K.KnotoidCode(tuple(tuple(conv(p) for p in c) for c in code.components))
+
+
+def oracle_codes(count, seed):
+    """Seeded (code, move family) pairs of 0-14 chords, cycling through classical,
+    classical-singular, flat, two-component flat and flat-singular codes with a
+    preferred chord, walked a little so that deletions and triangles appear (a
+    step adds at most two chords)."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randrange(0, 11)
+        kind = t % 5
+        if kind == 0:
+            code, fam = random_classical_code(n, rng), "classical"
+        elif kind == 1:
+            code, fam = random_singular_code(max(n - 2, 0), rng.randrange(0, 3), rng), "classical"
+        elif kind == 2:
+            code, fam = random_flat_code(n, rng), "flat"
+        elif kind == 3:
+            code, fam = random_two_component_flat(n, rng), "flat"
+        else:
+            code, fam = with_preferred(random_flat_code(max(n, 1), rng), rng), "flat"
+        yield K.random_walk(code, rng.randrange(0, 3), rng.randrange(10**6), fam), fam

@@ -96,6 +96,20 @@ def test_sbm_commands(run, codefile, tmp_path):
     assert out == {"certificate": "none", "homologous": False}
 
 
+@pytest.mark.parametrize("text, kind", [
+    ('{"elements":["s","a","d"],"matrix":[[0,1,0],[-1,0,0],[0,0,0]],"s":5}', "ValidityError"),
+    ('{"elements":["s","d"]}', "ValidityError"),
+    ("{not json", "SyntaxError"),
+], ids=("s-out-of-range", "missing-matrix", "invalid-json"))
+def test_sbm_malformed_json(run, tmp_path, text, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for argv in (("primitive", str(bad)), ("compare", str(bad), str(bad))):
+        rc, out = run("sbm", *argv)
+        assert rc == 1
+        assert out["error"] == kind and out["detail"]
+
+
 def test_walk_deterministic(run, codefile):
     f = codefile(VK4)
     rc1, out1 = run("walk", "--steps", "5", "--seed", "9", f)
@@ -136,9 +150,15 @@ def test_corpus_shipped(run):
 def test_corpus_detects_mismatch(run, tmp_path):
     bad = [{"name": "broken", "check": "writhe_signs", "source": "trivial",
             "input": "O1+ U1+", "w": -7, "signs": {"1": 1}}]
+    # an unknown invariant handle is a broken fixture
+    bad += [{"name": f"handle-{check}", "check": check, "source": "trivial", "invariant": "x",
+             "input": "O1+ U1+", "a": "O1+ U1+", "b": "O1+ U1+", "terms": [],
+             "equal": True, "coefficients": []}
+            for check in ("combination", "invariant_equal", "difference_coefficients")]
     d = tmp_path / "fixtures"
     d.mkdir()
     (d / "bad.json").write_text(json.dumps(bad))
     rc, out = run("corpus", str(d))
     assert rc == 1
-    assert not out["ok"] and out["failures"]
+    assert not out["ok"] and len(out["failures"]) == 4
+    assert [f["detail"].get("error") for f in out["failures"][1:]] == ["BadFixture"] * 3

@@ -1,13 +1,16 @@
 """Data model: parsing, serialization, validation, structural transforms."""
+import dataclasses
 import random
 
 import pytest
 
 import knotoids as K
-from knotoids.errors import ParseError, ValidityError
-from knotoids.vassiliev import random_classical_code, random_flat_code
+from knotoids.codes import Passage, Role
+from knotoids.errors import LabelingError, NotFoundError, ParseError, ValidityError
+from knotoids.invariants import _flat_step
+from knotoids.vassiliev import random_classical_code, random_flat_code, random_two_component_flat
 
-from conftest import VK4
+from conftest import VK4, oracle_codes
 
 
 def test_parse_trivial():
@@ -128,3 +131,165 @@ def test_ordered_view_requires_two_components():
 
     with pytest.raises(ComponentCountError):
         K.OrderedTwoComponent(K.parse("A1 B1"), 0, 1)
+
+
+# -- oracle: the passage scans the chord table replaces ---------------------------
+
+def _ref_chords(code, keep=lambda p: True):
+    return sorted({p.chord for comp in code.components for p in comp if keep(p)})
+
+
+def _ref_sign_of(code, cid):
+    for comp in code.components:
+        for p in comp:
+            if p.chord == cid and p.sign is not None:
+                return p.sign
+    return None
+
+
+def _ref_preferred(code):
+    for comp in code.components:
+        for p in comp:
+            if p.preferred:
+                return p.chord
+    return None
+
+
+def _ref_ends(code, cid):
+    sites = {}
+    for k, comp in enumerate(K.flatten(code).components):
+        for i, p in enumerate(comp):
+            if p.chord == cid:
+                sites["tail" if p.role.is_tail else "head"] = (k, i)
+    return sites["tail"], sites["head"]
+
+
+def test_chord_table_matches_passage_scans():
+    seen = set()
+    for code, _ in oracle_codes(300, 61):
+        ids = _ref_chords(code)
+        assert code.chord_ids() == ids
+        assert code.chord_count() == len(ids)
+        assert code.classical_chords() == _ref_chords(code, lambda p: p.role.is_classical)
+        assert code.flat_chords() == _ref_chords(code, lambda p: p.role.is_flat)
+        assert code.singular_chords() == _ref_chords(code, lambda p: p.role.is_singular)
+        assert code.preferred_chord() == _ref_preferred(code)
+        assert code.fresh_chord_id() == (ids[-1] + 1 if ids else 1)
+        for cid in ids:
+            assert code.ends(cid) == _ref_ends(code, cid), (K.serialize(code), cid)
+            sign = _ref_sign_of(code, cid)
+            if sign is None:
+                with pytest.raises(ValidityError, match=f"chord {cid} has no sign"):
+                    code.sign_of(cid)
+            else:
+                assert code.sign_of(cid) == sign
+        with pytest.raises(NotFoundError):
+            code.ends(code.fresh_chord_id())
+        seen.add((code.kind, len(code.components), code.preferred_chord() is not None))
+    assert {k for k, _, _ in seen} == {"Classical", "ClassicalSingular", "Flat", "FlatSingular"}
+    assert (("Flat", 2, False) in seen) and (("FlatSingular", 1, True) in seen)
+
+
+def _ref_label_arcs(code):
+    """The labeling as it was: the chord map rebuilt on every propagation pass."""
+    comps = code.components
+    incoming = [None] * len(comps)
+
+    def fill(k, start_pos, start_label):
+        comp = comps[k]
+        n = len(comp)
+        inc = [0] * n
+        lab = start_label
+        for off in range(n):
+            i = (start_pos + off) % n
+            inc[i] = lab
+            lab += _flat_step(comp[i])
+        if k > 0 and lab != start_label:
+            raise LabelingError(
+                f"component {k} labels drift by {lab - start_label} around the cycle")
+        incoming[k] = inc
+
+    fill(0, 0, 0)
+    changed = True
+    while changed:
+        changed = False
+        chord_pos = {}
+        for k, comp in enumerate(comps):
+            for i, p in enumerate(comp):
+                chord_pos.setdefault(p.chord, []).append((k, i))
+        for places in chord_pos.values():
+            (k1, i1), (k2, i2) = places
+            if (incoming[k1] is None) == (incoming[k2] is None):
+                continue
+            if incoming[k1] is None:
+                (k1, i1), (k2, i2) = (k2, i2), (k1, i1)
+            fill(k2, i2, incoming[k1][i1])
+            changed = True
+    for k, inc in enumerate(incoming):
+        if inc is None:
+            fill(k, 0, 0)
+    return tuple(tuple(x) for x in incoming)
+
+
+def _classical_of(code, rng):
+    """A classical code whose flattening is the flat code `code`."""
+    signs = {cid: rng.choice((1, -1)) for cid in code.chord_ids()}
+
+    def conv(p):
+        s = signs[p.chord]
+        return Passage(p.chord, Role.OVER if p.role.is_tail == (s > 0) else Role.UNDER, s)
+    return K.KnotoidCode(tuple(tuple(conv(p) for p in c) for c in code.components))
+
+
+def _labels_or_error(fn, code):
+    try:
+        return fn(code)
+    except LabelingError as exc:
+        return str(exc)
+
+
+def test_label_arcs_matches_per_pass_chord_scan():
+    rng = random.Random(67)
+    outcomes = set()
+    for _ in range(300):
+        two = random_two_component_flat(rng.randrange(0, 12), rng)
+        for code in (two, K.add_unknot(two), _classical_of(two, rng)):
+            want = _labels_or_error(_ref_label_arcs, code)
+            got = _labels_or_error(lambda c: K.label_arcs(c).incoming, code)
+            assert got == want, K.serialize(code)
+            outcomes.add(type(want))
+    assert outcomes == {tuple, str}
+
+
+def test_flat_queries_match_flattened_scans():
+    # flat weights and intersection indices read classical tails off the table
+    # instead of flattening first
+    rng = random.Random(71)
+    for _ in range(200):
+        code = random_classical_code(rng.randrange(0, 9), rng)
+        flat = K.flatten(code)
+        inc = K.label_arcs(flat).incoming[0]
+        pos = {}
+        for i, p in enumerate(flat.open_component):
+            pos.setdefault(p.chord, {})["tail" if p.role.is_tail else "head"] = i
+        assert K.flat_weights(code) == {c: inc[d["tail"]] - (inc[d["head"]] + 1)
+                                        for c, d in pos.items()}
+        two = _classical_of(random_two_component_flat(rng.randrange(0, 9), rng), rng)
+        comp_of = {}
+        for k, comp in enumerate(K.flatten(two).components):
+            for p in comp:
+                comp_of.setdefault(p.chord, {})["tail" if p.role.is_tail else "head"] = k
+        for ell1 in (0, 1):
+            ref = sum(1 if d["tail"] == ell1 else -1
+                      for d in comp_of.values() if d["tail"] != d["head"])
+            assert K.intersection_index(K.OrderedTwoComponent(two, ell1, 1 - ell1)) == ref
+
+
+def test_chord_table_outside_equality_hash_repr():
+    a = K.parse("E / B2 A1 B1 A2")
+    b = K.parse("E / B1 A2 B2 A1")
+    object.__setattr__(b, "_chords", {})
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert repr(a) == f"KnotoidCode(components={a.components!r})"
+    assert [f.name for f in dataclasses.fields(K.KnotoidCode)] == ["components"]
+    assert not hasattr(Passage(1, Role.TAIL), "__dict__")

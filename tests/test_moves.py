@@ -6,13 +6,11 @@ import pytest
 
 import knotoids as K
 from knotoids import moves as M
-from knotoids.codes import Passage, Role
 from knotoids.errors import StaleMoveError, ValidityError
 from knotoids.moves import MoveInstance, enumerate_moves
-from knotoids.vassiliev import (random_classical_code, random_flat_code,
-                                random_singular_code, random_two_component_flat)
+from knotoids.vassiliev import random_classical_code, random_flat_code, random_two_component_flat
 
-from conftest import VK4
+from conftest import VK4, oracle_codes
 
 
 def test_trivial_code_has_only_insertions():
@@ -243,42 +241,9 @@ def _ref_enumerate(code, fam):
     return sorted(out, key=MoveInstance.sort_key)
 
 
-def _with_preferred(code, rng):
-    """Make one chord of a flat code singular and preferred, maybe another singular."""
-    chords = code.chord_ids()
-    marked = rng.sample(chords, min(len(chords), rng.randrange(1, 3)))
-
-    def conv(p):
-        if p.chord not in marked:
-            return p
-        return Passage(p.chord, Role.STAIL if p.role.is_tail else Role.SHEAD,
-                       None, p.chord == marked[0])
-    return K.KnotoidCode(tuple(tuple(conv(p) for p in c) for c in code.components))
-
-
-def _oracle_codes(count, seed):
-    """Seeded codes of 0-14 chords in every family, walked a little so that
-    deletions and triangles appear (a step adds at most two chords)."""
-    rng = random.Random(seed)
-    for t in range(count):
-        n = rng.randrange(0, 11)
-        kind = t % 5
-        if kind == 0:
-            code, fam = random_classical_code(n, rng), "classical"
-        elif kind == 1:
-            code, fam = random_singular_code(max(n - 2, 0), rng.randrange(0, 3), rng), "classical"
-        elif kind == 2:
-            code, fam = random_flat_code(n, rng), "flat"
-        elif kind == 3:
-            code, fam = random_two_component_flat(n, rng), "flat"
-        else:
-            code, fam = _with_preferred(random_flat_code(max(n, 1), rng), rng), "flat"
-        yield K.random_walk(code, rng.randrange(0, 3), rng.randrange(10**6), fam), fam
-
-
 def test_enumerate_matches_brute_force():
     seen = set()
-    for code, fam in _oracle_codes(300, 41):
+    for code, fam in oracle_codes(300, 41):
         assert enumerate_moves(code, fam) == _ref_enumerate(code, fam), K.serialize(code)
         listed = enumerate_moves(code, fam, ("R2_delete", "R3", "PreferredSwitch"))
         seen.update(m.rule for m in listed)
@@ -286,7 +251,7 @@ def test_enumerate_matches_brute_force():
 
 
 def test_insert_counts_closed_form():
-    for code, fam in _oracle_codes(60, 43):
+    for code, fam in oracle_codes(60, 43):
         for code in (code, K.add_unknot(code)):
             assert M._r1_insert_count(code, fam) == \
                 len(enumerate_moves(code, fam, ("R1_insert",)))
@@ -295,7 +260,7 @@ def test_insert_counts_closed_form():
 
 
 def test_random_walk_matches_choice_over_enumeration():
-    starts = [(c, f) for c, f in _oracle_codes(60, 47) if c.chord_count() <= 4]
+    starts = [(c, f) for c, f in oracle_codes(60, 47) if c.chord_count() <= 4]
     for seed in range(1000):
         code, fam = starts[seed % len(starts)]
         family = None if seed % 7 == 0 else fam
