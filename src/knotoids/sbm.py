@@ -6,7 +6,8 @@ one preferred chord:
 
 * Rule 1: b(e, s) is the intersection index of the ordered two-component code
   obtained by 1-smoothing at e, taking first the component carrying the arc that
-  leaves e's tail passage.
+  leaves e's tail passage. It equals e's flat weight W+(e) (see
+  `invariants.flat_weights`), which is how it is computed.
 * Rule 2: b(e, f) counts arrows with tails interior to e's arc and heads
   interior to f's arc, minus the opposite count, plus a linking sign: +1 when
   the endpoints interleave as (tail e, tail f, head e, head f) cyclically, -1
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 from .codes import KnotoidCode
 from .errors import (NoPreferredError, NotApplicableError, NotFlatSingularError,
                      SizeLimitError, ValidityError)
-from .invariants import intersection_index
-from .surgery import one_smooth
+from .invariants import flat_weights
 
 __all__ = [
     "SBM",
@@ -115,9 +115,7 @@ class SBM:
                     tuple(tuple(_json_int(v) for v in row) for row in data["matrix"]))
         if not (0 <= s < n and 0 <= d < n) or s == d:
             raise ValidityError(f"s={s} and d={d} must be two different indices below {n}")
-        order = [s] + [i for i in range(n) if i not in (s, d)] + [d]
-        return cls(tuple(given.elements[i] for i in order),
-                   tuple(tuple(given.matrix[i][j] for j in order) for i in order))
+        return _take(given, [s] + [i for i in range(n) if i not in (s, d)] + [d])
 
 
 def _json_int(v) -> int:
@@ -126,11 +124,17 @@ def _json_int(v) -> int:
     return v
 
 
-def _fresh_label(taken, base="g"):
+def _take(m: SBM, order) -> SBM:
+    """The elements of m at the given indices, in that order, with their pairing."""
+    return SBM(tuple(m.elements[i] for i in order),
+               tuple(tuple(m.matrix[i][j] for j in order) for i in order))
+
+
+def _fresh_label(taken):
     k = 0
-    while f"{base}{k}" in taken:
+    while f"g{k}" in taken:
         k += 1
-    return f"{base}{k}"
+    return f"g{k}"
 
 
 def build_sbm(code: KnotoidCode) -> SBM:
@@ -144,97 +148,75 @@ def build_sbm(code: KnotoidCode) -> SBM:
     pref = code.preferred_chord()
     if pref is None:
         raise NoPreferredError("exactly one preferred chord is required")
-    chords = code.chord_ids()
-    pos = {}  # chord -> (tail position, head position)
+    chords = [c for c in code.chord_ids() if c != pref] + [pref]
+    wplus = flat_weights(code)
+    comp = code.open_component
+    index = {c: k for k, c in enumerate(chords, 1)}  # chord -> element index
+    # tails[k] / heads[k]: bitmasks (by element index) of the chords whose tail /
+    # head passage lies inside the arc of element k
+    tails, heads = [0], [0]
     for c in chords:
-        (_, tail), (_, head) = code.ends(c)
-        pos[c] = (tail, head)
-    n = len(code.open_component)
-
-    def arc_interior(a: int, b: int) -> set[int]:
-        if a < b:
-            return set(range(a + 1, b))
-        return set(range(a + 1, n)) | set(range(0, b))
-
-    def rule2(e: int, f: int) -> int:
-        te, he = pos[e]
-        tf, hf = pos[f]
-        arc_e, arc_f = arc_interior(te, he), arc_interior(tf, hf)
-        c1 = sum(1 for g in chords if g not in (e, f)
-                 and pos[g][0] in arc_e and pos[g][1] in arc_f)
-        c2 = sum(1 for g in chords if g not in (e, f)
-                 and pos[g][0] in arc_f and pos[g][1] in arc_e)
-        order = sorted([(te, "te"), (he, "he"), (tf, "tf"), (hf, "hf")])
-        seq = [tag for (_, tag) in order]
-        eps = 0
-        if [t[1] for t in seq] == ["e", "f", "e", "f"] or [t[1] for t in seq] == ["f", "e", "f", "e"]:
-            rot = seq[seq.index("te"):] + seq[:seq.index("te")]
-            if rot == ["te", "tf", "he", "hf"]:
-                eps = 1
-            elif rot == ["te", "hf", "he", "tf"]:
-                eps = -1
-        return c1 - c2 + eps
-
-    def rule1(e: int) -> int:
-        _, view = one_smooth(code, e)
-        # rule 1 orders the components opposite to the standalone smoothing view
-        return intersection_index(view.swapped())
-
-    elements = ["s"] + [str(c) for c in chords if c != pref] + [str(pref)]
-    order = [None] + [c for c in chords if c != pref] + [pref]
-    m = len(elements)
-    mat = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if i == 0:
-                mat[i][j] = -rule1(order[j])
-            elif j == 0:
-                mat[i][j] = rule1(order[i])
+        (_, t), (_, h) = code.ends(c)
+        inside = range(t + 1, h) if t < h else itertools.chain(range(t + 1, len(comp)), range(h))
+        tm = hm = 0
+        for i in inside:
+            if comp[i].role.is_tail:
+                tm |= 1 << index[comp[i].chord]
             else:
-                mat[i][j] = rule2(order[i], order[j])
-    return SBM(tuple(elements), tuple(tuple(r) for r in mat))
+                hm |= 1 << index[comp[i].chord]
+        tails.append(tm)
+        heads.append(hm)
+    size = len(chords) + 1
+    mat = [[0] * size for _ in range(size)]
+    for i in range(1, size):
+        mat[i][0] = wplus[chords[i - 1]]
+        mat[0][i] = -mat[i][0]
+        for j in range(i + 1, size):
+            # an arc holds neither end of its own chord, so e and f drop out of
+            # the counts; the linking sign is which end of f lies inside arc(e)
+            b = ((tails[i] & heads[j]).bit_count() - (tails[j] & heads[i]).bit_count()
+                 + (tails[i] >> j & 1) - (heads[i] >> j & 1))
+            mat[i][j], mat[j][i] = b, -b
+    return SBM(("s",) + tuple(str(c) for c in chords), tuple(tuple(r) for r in mat))
 
 
 # -- element classification ---------------------------------------------------
 
+def _sums_to_s(m: SBM, g1: int, g2: int) -> bool:
+    return tuple(a + b for a, b in zip(m.row(g1), m.row(g2))) == m.row(m.s)
+
+
+def _classes(m: SBM):
+    """Unmarked indices with a zero row, unmarked copies of row s, and unmarked
+    index pairs whose rows sum to row s (an index may fall in several)."""
+    zero = (0,) * m.size
+    inner = m.unmarked()
+    return ([g for g in inner if m.row(g) == zero],
+            [g for g in inner if m.row(g) == m.row(m.s)],
+            [(g1, g2) for g1, g2 in itertools.combinations(inner, 2) if _sums_to_s(m, g1, g2)])
+
+
 def classify(m: SBM) -> dict:
     """Exact linear classifications of unmarked elements and of d."""
-    zero = tuple(0 for _ in m.elements)
-    srow = m.row(m.s)
-    out = {"annihilating": [], "core": [], "complementary_pairs": [],
-           "d_annihilating_like": m.row(m.d) == zero,
-           "d_core_like": m.row(m.d) == srow}
-    for g in m.unmarked():
-        if m.row(g) == zero:
-            out["annihilating"].append(m.elements[g])
-        if m.row(g) == srow:
-            out["core"].append(m.elements[g])
-    for g1, g2 in itertools.combinations(m.unmarked(), 2):
-        if tuple(a + b for a, b in zip(m.row(g1), m.row(g2))) == srow:
-            out["complementary_pairs"].append((m.elements[g1], m.elements[g2]))
-    return out
+    ann, core, pairs = _classes(m)
+    e = m.elements
+    return {"annihilating": [e[g] for g in ann], "core": [e[g] for g in core],
+            "complementary_pairs": [(e[g1], e[g2]) for g1, g2 in pairs],
+            "d_annihilating_like": m.row(m.d) == (0,) * m.size,
+            "d_core_like": m.row(m.d) == m.row(m.s)}
 
 
 def _complementary_to_d(m: SBM) -> list[int]:
-    srow = m.row(m.s)
-    drow = m.row(m.d)
-    return [g for g in m.unmarked()
-            if tuple(a + b for a, b in zip(m.row(g), drow)) == srow]
+    return [g for g in m.unmarked() if _sums_to_s(m, g, m.d)]
 
 
 def _drop(m: SBM, dead: set[int]) -> SBM:
-    keep = [i for i in range(m.size) if i not in dead]
-    return SBM(tuple(m.elements[i] for i in keep),
-               tuple(tuple(m.matrix[i][j] for j in keep) for i in keep))
+    return _take(m, [i for i in range(m.size) if i not in dead])
 
 
 def _remark(m: SBM, g: int) -> SBM:
     """Singularity switch: element g becomes d; the old d becomes unmarked."""
-    order = [m.s] + [i for i in range(1, m.size - 1) if i != g] + [m.d, g]
-    return SBM(tuple(m.elements[i] for i in order),
-               tuple(tuple(m.matrix[i][j] for j in order) for i in order))
+    return _take(m, [m.s] + [i for i in range(1, m.size - 1) if i != g] + [m.d, g])
 
 
 def apply_ext(m: SBM, move: tuple) -> SBM:
@@ -245,53 +227,22 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
     (label -> value); the pairing between the two new elements is forced by the
     row-sum constraint."""
     kind = move[0]
+    taken = set(m.elements)
+    # each new row holds its pairing with the old elements, then with the new ones
     if kind in ("M1", "M2"):
-        label = _fresh_label(set(m.elements))
-        elems = m.elements[:-1] + (label, m.elements[-1])
-        k = len(elems) - 2
-        n = len(elems)
-        mat = [[0] * n for _ in range(n)]
-        old_idx = [i for i in range(n) if i != k]
-        for a, i in enumerate(old_idx):
-            for b, j in enumerate(old_idx):
-                mat[i][j] = m.matrix[a][b]
-        for a, i in enumerate(old_idx):
-            v = m.matrix[m.s][a] if kind == "M2" else 0  # a copy of row s, or zeros
-            mat[k][i] = v
-            mat[i][k] = -v
-        out = SBM(tuple(elems), tuple(tuple(r) for r in mat))
-        if kind == "M2":
-            # row of the new element must equal row s on the extended set
-            if out.row(k) != out.row(out.s):
-                raise NotApplicableError("s-copy row broken by the extension")
-        return out
-    if kind == "M3":
+        # a zero row, or a copy of row s (which pairs to 0 with s, so stays a copy)
+        rows = [list(m.row(m.s) if kind == "M2" else (0,) * m.size) + [0]]
+        labels = [_fresh_label(taken)]
+    elif kind == "M3":
         _, row_i, row_j = move
         # the inter-pair entry is forced: at h = g_j the row-sum condition reads
         # b(g_i, g_j) = b(s, g_j) = -row_j[s], and rows must cancel at s
         cross = row_i[m.elements[0]]
-        li = _fresh_label(set(m.elements), "g")
-        lj = _fresh_label(set(m.elements) | {li}, "g")
-        elems = m.elements[:-1] + (li, lj, m.elements[-1])
-        n = len(elems)
-        ki, kj = n - 3, n - 2
-        mat = [[0] * n for _ in range(n)]
-        old_idx = [i for i in range(n) if i not in (ki, kj)]
-        for a, i in enumerate(old_idx):
-            for b, j in enumerate(old_idx):
-                mat[i][j] = m.matrix[a][b]
-        for a, i in enumerate(old_idx):
-            e = m.elements[a]
-            mat[ki][i], mat[i][ki] = row_i[e], -row_i[e]
-            mat[kj][i], mat[i][kj] = row_j[e], -row_j[e]
-        mat[ki][kj], mat[kj][ki] = cross, -cross
-        out = SBM(tuple(elems), tuple(tuple(r) for r in mat))
-        srow = out.row(out.s)
-        summed = tuple(a + b for a, b in zip(out.row(ki), out.row(kj)))
-        if summed != srow:
-            raise NotApplicableError("the two new rows must sum to row s")
-        return out
-    if kind == "N":
+        li = _fresh_label(taken)
+        labels = [li, _fresh_label(taken | {li})]
+        given = [(row_i[e], row_j[e]) for e in m.elements]
+        rows = [[v for v, _ in given] + [0, cross], [v for _, v in given] + [-cross, 0]]
+    elif kind == "N":
         label = str(move[1])
         try:
             g = m.elements.index(label)
@@ -300,7 +251,16 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
         if g in (m.s, m.d) or g not in _complementary_to_d(m):
             raise NotApplicableError(f"element {label!r} is not complementary to d")
         return _remark(m, g)
-    raise NotApplicableError(f"unknown move {kind!r}")
+    else:
+        raise NotApplicableError(f"unknown move {kind!r}")
+    # append the new rows after d, then move d back to last
+    n = m.size
+    mat = [list(r) + [-row[i] for row in rows] for i, r in enumerate(m.matrix)] + rows
+    out = _take(SBM(m.elements + tuple(labels), tuple(tuple(r) for r in mat)),
+                [*range(n - 1), *range(n, n + len(rows)), n - 1])
+    if kind == "M3" and not _sums_to_s(out, n - 1, n):
+        raise NotApplicableError("the two new rows must sum to row s")
+    return out
 
 
 def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
@@ -346,44 +306,31 @@ def _markings(m: SBM):
     return list(seen.values())
 
 
-def _has_reduction(m: SBM) -> bool:
-    cls = classify(m)
-    return bool(cls["annihilating"] or cls["core"] or cls["complementary_pairs"])
-
-
 def is_primitive(m: SBM) -> bool:
     """No elementary extension can be undone, even after singularity switches."""
-    return not any(_has_reduction(v) for v in _markings(m))
+    return not any(any(_classes(v)) for v in _markings(m))
+
+
+def _reductions(m: SBM):
+    """Every inverse extension of every marking of m, in a fixed order."""
+    for v in _markings(m):
+        ann, core, pairs = _classes(v)
+        for g in ann + core:
+            yield _drop(v, {g})
+        for pair in pairs:
+            yield _drop(v, set(pair))
 
 
 def reduce_to_primitive(m: SBM) -> SBM:
     """Shrink by inverse extensions (exploring switch markings) until primitive.
 
-    Breadth-first with deterministic expansion order, so the result is a
-    function of the input alone; a state with no reduction in any marking is
-    primitive by definition."""
-    start = m
-    seen = {start.matrix}
-    queue = [start]
-    while queue:
-        queue.sort(key=lambda x: (x.size, x.matrix, x.elements))
-        cur = queue.pop(0)
-        nxt = []
-        for v in _markings(cur):
-            cls = classify(v)
-            for lab in cls["annihilating"]:
-                nxt.append(_drop(v, {v.elements.index(lab)}))
-            for lab in cls["core"]:
-                nxt.append(_drop(v, {v.elements.index(lab)}))
-            for (la, lb) in cls["complementary_pairs"]:
-                nxt.append(_drop(v, {v.elements.index(la), v.elements.index(lb)}))
-        if not nxt:
-            return cur
-        for x in nxt:
-            if x.matrix not in seen:
-                seen.add(x.matrix)
-                queue.append(x)
-    return m  # unreachable: shrinking chains always end at a primitive state
+    Each step keeps the least reduction by (size, matrix), the first one
+    generated on ties, so the result is a function of the input alone; a state
+    with no reduction in any marking is primitive by definition."""
+    while (nxt := min(_reductions(m), key=lambda x: (x.size, x.matrix),
+                      default=None)) is not None:
+        m = nxt
+    return m
 
 
 # -- canonical form, isomorphism, homology -------------------------------------
@@ -419,18 +366,11 @@ def _special_closure(p: SBM):
     out = {canonical_form(p): "identity"}
     for g in _complementary_to_d(p):
         out.setdefault(canonical_form(_remark(p, g)), f"N({p.elements[g]})")
-    # add an s-copy, switch, then delete a zero row
-    grown = apply_ext(p, ("M2",))
-    for v in _markings(grown):
-        for lab in classify(v)["annihilating"]:
-            cand = _drop(v, {v.elements.index(lab)})
-            out.setdefault(canonical_form(cand), "M2;N;M1_inverse")
-    # add a zero row, switch, then delete an s-copy
-    grown = apply_ext(p, ("M1",))
-    for v in _markings(grown):
-        for lab in classify(v)["core"]:
-            cand = _drop(v, {v.elements.index(lab)})
-            out.setdefault(canonical_form(cand), "M1;N;M2_inverse")
+    # add an s-copy, switch, then delete a zero row; and the other way round
+    for ext, cls, name in (("M2", 0, "M2;N;M1_inverse"), ("M1", 1, "M1;N;M2_inverse")):
+        for v in _markings(apply_ext(p, (ext,))):
+            for g in _classes(v)[cls]:
+                out.setdefault(canonical_form(_drop(v, {g})), name)
     return out
 
 

@@ -6,7 +6,8 @@ import pytest
 import knotoids as K
 from knotoids.errors import LabelingError
 from knotoids.invariants import LaurentPoly
-from knotoids.vassiliev import random_classical_code, random_two_component_flat
+from knotoids.vassiliev import (random_classical_code, random_singular_code,
+                                random_two_component_flat)
 
 from conftest import FLAT3, SING1_PLUS, VK4
 
@@ -42,6 +43,19 @@ def test_label_telescoping_random():
             assert label == total
             total += 1 if p.role.is_head else -1
         assert total == inc[-1] + (1 if flat.open_component[-1].role.is_head else -1)
+
+
+def test_label_arcs_independent_of_resolution():
+    # singular passages step the label like arrow ends, so resolving a singular
+    # chord either way leaves every label in place
+    assert K.label_arcs(K.parse("SA1* SB1*")).incoming == ((0, -1),)
+    rng = random.Random(29)
+    for _ in range(150):
+        code = random_singular_code(rng.randrange(0, 6), rng.randrange(1, 3), rng)
+        for cid in code.singular_chords():
+            for sign in (1, -1):
+                assert K.label_arcs(K.resolve(code, cid, sign)) == K.label_arcs(code), \
+                    K.serialize(code)
 
 
 def test_label_closed_drift_raises():

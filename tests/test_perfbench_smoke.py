@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark harness: one short seeded walk run checks its outputs."""
+"""Smoke tests of the benchmark harness: short seeded walk and gluing runs check their outputs."""
 import json
 import subprocess
 import sys
@@ -7,13 +7,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_walk_workload_runs_and_checks_out():
+def _run(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "walk", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "1", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
+    return result
+
+
+def test_walk_workload_runs_and_checks_out():
+    result = _run("walk")
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_gluing_workload_runs_and_checks_out():
+    # the harness checks the published matrices B3-B6 and glued-string homology;
+    # three of every 24 operations are G calls refused with SizeLimitError
+    result = _run("gluing")
+    assert result["attempted"] > 0
+    assert result["failed"] <= result["attempted"] // 8

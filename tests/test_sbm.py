@@ -1,4 +1,5 @@
 """Singular based matrices: construction, classification, moves, homology."""
+import itertools
 import random
 
 import pytest
@@ -8,8 +9,9 @@ from knotoids.errors import NotApplicableError, SizeLimitError
 from knotoids.sbm import (SBM, apply_ext, apply_ext_inverse, build_sbm, canonical_form,
                           classify, homologous, is_primitive, isomorphic,
                           reduce_to_primitive)
+from knotoids.vassiliev import random_classical_code, random_flat_code
 
-from conftest import B3, B4, B5, B6, STRING_G3, STRING_G4, STRING_G5, STRING_G6
+from conftest import B3, B4, B5, B6, STRING_G3, STRING_G4, STRING_G5, STRING_G6, with_preferred
 
 
 def _matrix(m):
@@ -189,3 +191,314 @@ def test_json_roundtrip():
     m = build_sbm(K.parse(STRING_G4))
     again = SBM.from_json(m.to_json())
     assert again == m
+
+
+def test_overlapping_classes():
+    # with row s zero, a zero row is also a copy of row s and any two zero rows
+    # sum to row s: each unmarked element sits in all three classes at once
+    m = SBM(("s", "a", "b", "d"), ((0,) * 4,) * 4)
+    cls = classify(m)
+    assert cls["annihilating"] == ["a", "b"]
+    assert cls["core"] == ["a", "b"]
+    assert cls["complementary_pairs"] == [("a", "b")]
+    assert cls["d_annihilating_like"] and cls["d_core_like"]
+    assert not is_primitive(m)
+    assert reduce_to_primitive(m) == SBM(("s", "d"), ((0, 0), (0, 0)))
+
+
+# -- test-local references: the based-matrix layer as first written -----------
+# Rule 1 through the 1-smoothing's intersection index, Rule 2 by set scans, the
+# label-level classification, and the best-first reduction queue.
+
+def _ref_build_sbm(code):
+    chords = code.chord_ids()
+    pref = code.preferred_chord()
+    pos = {c: (code.ends(c)[0][1], code.ends(c)[1][1]) for c in chords}
+    n = len(code.open_component)
+
+    def arc_interior(a, b):
+        return set(range(a + 1, b)) if a < b else set(range(a + 1, n)) | set(range(0, b))
+
+    def rule2(e, f):
+        (te, he), (tf, hf) = pos[e], pos[f]
+        arc_e, arc_f = arc_interior(te, he), arc_interior(tf, hf)
+        c1 = sum(1 for g in chords if g not in (e, f)
+                 and pos[g][0] in arc_e and pos[g][1] in arc_f)
+        c2 = sum(1 for g in chords if g not in (e, f)
+                 and pos[g][0] in arc_f and pos[g][1] in arc_e)
+        seq = [tag for _, tag in sorted([(te, "te"), (he, "he"), (tf, "tf"), (hf, "hf")])]
+        eps = 0
+        if [t[1] for t in seq] in (["e", "f", "e", "f"], ["f", "e", "f", "e"]):
+            rot = seq[seq.index("te"):] + seq[:seq.index("te")]
+            if rot == ["te", "tf", "he", "hf"]:
+                eps = 1
+            elif rot == ["te", "hf", "he", "tf"]:
+                eps = -1
+        return c1 - c2 + eps
+
+    def rule1(e):
+        _, view = K.one_smooth(code, e)
+        return K.intersection_index(view.swapped())
+
+    order = [None] + [c for c in chords if c != pref] + [pref]
+    size = len(order)
+    mat = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            if i == j:
+                continue
+            if i == 0:
+                mat[i][j] = -rule1(order[j])
+            elif j == 0:
+                mat[i][j] = rule1(order[i])
+            else:
+                mat[i][j] = rule2(order[i], order[j])
+    return SBM(("s",) + tuple(str(c) for c in order[1:]), tuple(tuple(r) for r in mat))
+
+
+def _ref_classify(m):
+    zero = tuple(0 for _ in m.elements)
+    srow = m.row(m.s)
+    out = {"annihilating": [], "core": [], "complementary_pairs": [],
+           "d_annihilating_like": m.row(m.d) == zero, "d_core_like": m.row(m.d) == srow}
+    for g in m.unmarked():
+        if m.row(g) == zero:
+            out["annihilating"].append(m.elements[g])
+        if m.row(g) == srow:
+            out["core"].append(m.elements[g])
+    for g1, g2 in itertools.combinations(m.unmarked(), 2):
+        if tuple(a + b for a, b in zip(m.row(g1), m.row(g2))) == srow:
+            out["complementary_pairs"].append((m.elements[g1], m.elements[g2]))
+    return out
+
+
+def _ref_complementary_to_d(m):
+    return [g for g in m.unmarked()
+            if tuple(a + b for a, b in zip(m.row(g), m.row(m.d))) == m.row(m.s)]
+
+
+def _ref_drop(m, dead):
+    keep = [i for i in range(m.size) if i not in dead]
+    return SBM(tuple(m.elements[i] for i in keep),
+               tuple(tuple(m.matrix[i][j] for j in keep) for i in keep))
+
+
+def _ref_remark(m, g):
+    order = [m.s] + [i for i in range(1, m.size - 1) if i != g] + [m.d, g]
+    return SBM(tuple(m.elements[i] for i in order),
+               tuple(tuple(m.matrix[i][j] for j in order) for i in order))
+
+
+def _ref_fresh_label(taken):
+    k = 0
+    while f"g{k}" in taken:
+        k += 1
+    return f"g{k}"
+
+
+def _ref_apply_ext(m, move):
+    kind = move[0]
+    if kind in ("M1", "M2", "M3"):
+        if kind == "M3":
+            _, row_i, row_j = move
+            cross = row_i[m.elements[0]]
+            li = _ref_fresh_label(set(m.elements))
+            new = (li, _ref_fresh_label(set(m.elements) | {li}))
+        else:
+            new = (_ref_fresh_label(set(m.elements)),)
+        elems = m.elements[:-1] + new + (m.elements[-1],)
+        n = len(elems)
+        added = list(range(n - 1 - len(new), n - 1))
+        mat = [[0] * n for _ in range(n)]
+        old_idx = [i for i in range(n) if i not in added]
+        for a, i in enumerate(old_idx):
+            for b, j in enumerate(old_idx):
+                mat[i][j] = m.matrix[a][b]
+        for a, i in enumerate(old_idx):
+            if kind == "M3":
+                e = m.elements[a]
+                mat[added[0]][i], mat[i][added[0]] = row_i[e], -row_i[e]
+                mat[added[1]][i], mat[i][added[1]] = row_j[e], -row_j[e]
+            else:
+                v = m.matrix[m.s][a] if kind == "M2" else 0
+                mat[added[0]][i], mat[i][added[0]] = v, -v
+        if kind == "M3":
+            mat[added[0]][added[1]], mat[added[1]][added[0]] = cross, -cross
+        out = SBM(elems, tuple(tuple(r) for r in mat))
+        if kind == "M3" and tuple(a + b for a, b in zip(out.row(added[0]), out.row(added[1]))) \
+                != out.row(out.s):
+            raise NotApplicableError("the two new rows must sum to row s")
+        return out
+    if kind == "N":
+        label = str(move[1])
+        if label not in m.elements:
+            raise NotApplicableError(f"no element {label!r}")
+        g = m.elements.index(label)
+        if g in (m.s, m.d) or g not in _ref_complementary_to_d(m):
+            raise NotApplicableError(f"element {label!r} is not complementary to d")
+        return _ref_remark(m, g)
+    raise NotApplicableError(f"unknown move {kind!r}")
+
+
+def _ref_apply_ext_inverse(m, move):
+    kind = move[0]
+    if kind == "N":
+        return _ref_apply_ext(m, move)
+    cls = _ref_classify(m)
+    labels = [str(x) for x in move[1:]]
+    if kind == "M1" and labels[0] not in cls["annihilating"]:
+        raise NotApplicableError(f"{labels[0]!r} is not annihilating")
+    if kind == "M2" and labels[0] not in cls["core"]:
+        raise NotApplicableError(f"{labels[0]!r} is not a core element")
+    if kind == "M3" and tuple(labels) not in cls["complementary_pairs"] \
+            and tuple(labels[::-1]) not in cls["complementary_pairs"]:
+        raise NotApplicableError(f"({labels[0]!r}, {labels[1]!r}) is not a complementary pair")
+    if kind not in ("M1", "M2", "M3"):
+        raise NotApplicableError(f"unknown move {kind!r}")
+    return _ref_drop(m, {m.elements.index(label) for label in labels})
+
+
+def _ref_markings(m):
+    seen = {m.matrix: m}
+    frontier = [m]
+    while frontier:
+        cur = frontier.pop()
+        for g in _ref_complementary_to_d(cur):
+            nxt = _ref_remark(cur, g)
+            if nxt.matrix not in seen:
+                seen[nxt.matrix] = nxt
+                frontier.append(nxt)
+    return list(seen.values())
+
+
+def _ref_reductions(v):
+    cls = _ref_classify(v)
+    return ([_ref_drop(v, {v.elements.index(lab)}) for lab in cls["annihilating"] + cls["core"]]
+            + [_ref_drop(v, {v.elements.index(a), v.elements.index(b)})
+               for a, b in cls["complementary_pairs"]])
+
+
+def _ref_is_primitive(m):
+    return not any(_ref_reductions(v) for v in _ref_markings(m))
+
+
+def _ref_reduce_to_primitive(m):
+    seen = {m.matrix}
+    queue = [m]
+    while queue:
+        queue.sort(key=lambda x: (x.size, x.matrix, x.elements))
+        cur = queue.pop(0)
+        nxt = [x for v in _ref_markings(cur) for x in _ref_reductions(v)]
+        if not nxt:
+            return cur
+        for x in nxt:
+            if x.matrix not in seen:
+                seen.add(x.matrix)
+                queue.append(x)
+    raise AssertionError("a shrinking chain always ends at a primitive state")
+
+
+def _ref_homologous(m1, m2):
+    p1, p2 = _ref_reduce_to_primitive(m1), _ref_reduce_to_primitive(m2)
+    closure = {canonical_form(p1): "identity"}
+    for g in _ref_complementary_to_d(p1):
+        closure.setdefault(canonical_form(_ref_remark(p1, g)), f"N({p1.elements[g]})")
+    for ext, cls, name in (("M2", "annihilating", "M2;N;M1_inverse"),
+                           ("M1", "core", "M1;N;M2_inverse")):
+        for v in _ref_markings(_ref_apply_ext(p1, (ext,))):
+            for lab in _ref_classify(v)[cls]:
+                closure.setdefault(canonical_form(_ref_drop(v, {v.elements.index(lab)})), name)
+    via = closure.get(canonical_form(p2))
+    if via is None:
+        return False, "none"
+    return True, "isomorphism" if via == "identity" else via
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotApplicableError, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _reference_strings(count, seed):
+    """Glued classical and flat strings of 1-12 chords, flat walks of glued strings,
+    and flat strings with a preferred chord and maybe another singular one."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randrange(1, 13)
+        kind = t % 4
+        if kind == 3:
+            code = with_preferred(random_flat_code(n, rng), rng)
+        else:
+            base = random_classical_code(n, rng) if kind == 0 else random_flat_code(n, rng)
+            code = K.glue(base, rng.choice(base.chord_ids()))
+            if kind == 2:
+                code = K.random_walk(code, rng.randrange(1, 7), rng.randrange(10**6), "flat")
+        yield code
+
+
+def test_build_and_reduce_match_reference():
+    extra_singular = 0
+    for code in _reference_strings(320, 83):
+        extra_singular += len(code.singular_chords()) > 1
+        for orient in (code, K.reverse(code)):
+            m = build_sbm(orient)
+            assert m == _ref_build_sbm(orient), K.serialize(orient)
+            if m.size <= 9:
+                assert reduce_to_primitive(m) == _ref_reduce_to_primitive(m), K.serialize(orient)
+    assert extra_singular >= 20
+
+
+def _random_move(m, rng):
+    kind = rng.choice(("M1", "M2", "M3", "M3", "N", "N", "X"))
+    if kind == "M3":
+        row_i = {e: rng.randrange(-2, 3) for e in m.elements}
+        row_j = {e: v - row_i[e] for e, v in zip(m.elements, m.row(m.s))}
+        if rng.random() < 0.2:
+            row_j[rng.choice(m.elements)] += 1
+        if rng.random() < 0.05:
+            del row_i[rng.choice(m.elements)]
+        return (kind, row_i, row_j)
+    if kind == "N":
+        return (kind, rng.choice(m.elements + ("zz",)))
+    return (kind,)
+
+
+def _random_inverse(m, rng):
+    kind = rng.choice(("M1", "M2", "M3", "N", "X"))
+    pairs = _ref_classify(m)["complementary_pairs"]
+    if kind == "M3" and pairs and rng.random() < 0.5:
+        return (kind,) + rng.choice(pairs)
+    labels = m.elements + ("zz",)
+    return (kind,) + tuple(rng.choice(labels) for _ in range(2 if kind == "M3" else 1))
+
+
+def test_grown_matrices_match_reference():
+    rng = random.Random(89)
+    seeds = [m for m in map(build_sbm, _reference_strings(120, 97)) if m.size <= 6]
+    for n in range(2, 6):
+        for _ in range(15):
+            mat = [[0] * n for _ in range(n)]
+            for i, j in itertools.combinations(range(n), 2):
+                mat[i][j] = rng.choice((0, 0, 1, -1, 2))
+                mat[j][i] = -mat[i][j]
+            seeds.append(SBM(("s",) + tuple(f"e{i}" for i in range(n - 2)) + ("d",),
+                             tuple(tuple(r) for r in mat)))
+    for _ in range(320):
+        m = start = rng.choice(seeds)
+        for _ in range(rng.randrange(1, 5)):
+            move = _random_move(m, rng)
+            got = _outcome(apply_ext, m, move)
+            assert got == _outcome(_ref_apply_ext, m, move), (m, move)
+            if isinstance(got, SBM) and got.size <= 9:
+                m = got
+            move = _random_inverse(m, rng)
+            assert _outcome(apply_ext_inverse, m, move) == \
+                _outcome(_ref_apply_ext_inverse, m, move), (m, move)
+        assert classify(m) == _ref_classify(m)
+        assert is_primitive(m) == _ref_is_primitive(m)
+        assert reduce_to_primitive(m) == _ref_reduce_to_primitive(m)
+        for other in (start, rng.choice(seeds)):
+            assert homologous(m, other) == _ref_homologous(m, other)
+            assert homologous(other, m) == _ref_homologous(other, m)
