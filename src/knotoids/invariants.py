@@ -34,21 +34,55 @@ __all__ = [
 ]
 
 
-class LaurentPoly:
-    """Integer Laurent polynomial in one variable; immutable, exact."""
+class IntegerCombination:
+    """Immutable, finitely supported integer combination of hashable keys: the
+    free Z-module arithmetic of LaurentPoly (keyed by exponent) and of
+    vassiliev.FormalSum (keyed by fingerprint). Zero coefficients are dropped;
+    values of different types never compare equal or add."""
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        c = {int(e): int(v) for e, v in (coeffs or {}).items() if v != 0}
-        object.__setattr__(self, "_c", c)
+    def __init__(self, coeffs: dict | None = None):
+        object.__setattr__(self, "_c", {k: int(v) for k, v in (coeffs or {}).items() if v != 0})
 
     def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
+    def zero(cls):
         return cls()
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        c = dict(self._c)
+        for k, v in other._c.items():
+            c[k] = c.get(k, 0) + v
+        return type(self)(c)
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self._c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._c == other._c
+
+    def __hash__(self) -> int:
+        return hash(tuple(sorted(self._c.items())))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._c!r})"
+
+
+class LaurentPoly(IntegerCombination):
+    """Integer Laurent polynomial in one variable; immutable, exact."""
+
+    __slots__ = ()
 
     @classmethod
     def term(cls, coef: int, exp: int = 0) -> "LaurentPoly":
@@ -60,33 +94,12 @@ class LaurentPoly:
     def coeff(self, exp: int) -> int:
         return self._c.get(exp, 0)
 
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return LaurentPoly(c)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         c: dict[int, int] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
                 c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
         return LaurentPoly(c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
 
     def substituted_reciprocal(self) -> "LaurentPoly":
         """p(t) -> p(1/t)."""
@@ -110,9 +123,6 @@ class LaurentPoly:
         s = "".join(parts)
         return s[1:] if s.startswith("+") else s
 
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self._c!r})"
-
     def to_json(self) -> dict[str, int]:
         return {str(e): v for e, v in sorted(self._c.items())}
 
@@ -128,30 +138,20 @@ class ArcLabeling:
         return self.incoming[comp][pos]
 
 
-def _step(role) -> int:
-    if role.is_head:
-        return 1
-    if role.is_tail:
-        return -1
-    return 0
-
-
-def _flat_step(p) -> int:
-    # classical passages step through their flattened role
-    if p.role.is_classical:
-        return 1 if (p.sign > 0) != (p.role.value == "O") else -1
-    return _step(p.role)
-
-
 def label_arcs(code: KnotoidCode) -> ArcLabeling:
     """Incoming integer label at every passage.
 
     The open component starts at 0. Closed components are seeded by propagation
     from the first labelled passage of a chord they share with an already
     labelled component; a component whose labels fail to close up raises
-    LabelingError."""
+    LabelingError. Each passage steps by -1 at a tail and +1 at a head, read
+    off the chord table."""
     comps = code.components
     incoming: list[list[int] | None] = [None] * len(comps)
+    steps = [[1] * len(comp) for comp in comps]
+    for cid in code.chord_ids():
+        (k, i), _ = code.ends(cid)
+        steps[k][i] = -1
 
     def fill(k: int, start_pos: int, start_label: int):
         comp = comps[k]
@@ -161,7 +161,7 @@ def label_arcs(code: KnotoidCode) -> ArcLabeling:
         for off in range(n):
             i = (start_pos + off) % n
             inc[i] = lab
-            lab += _flat_step(comp[i])
+            lab += steps[k][i]
         if k > 0 and lab != start_label:
             raise LabelingError(
                 f"component {k} labels drift by {lab - start_label} around the cycle")

@@ -25,7 +25,6 @@ delete-s-copy . N . add-zero-row move; `homologous` decides that directly.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from .codes import KnotoidCode
@@ -46,11 +45,8 @@ __all__ = [
     "homologous",
 ]
 
-_DEFAULT_PERM_LIMIT = 9
-
-
-def _perm_limit() -> int:
-    return int(os.environ.get("KNOTOID_SBM_PERM_LIMIT", _DEFAULT_PERM_LIMIT))
+# most unmarked elements `canonical_form` permutes; larger inputs raise SizeLimitError
+_PERM_LIMIT = 9
 
 
 @dataclass(frozen=True)
@@ -224,8 +220,9 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
 
     move is ("M1",) | ("M2",) | ("M3", row_map_i, row_map_j) | ("N", label).
     M3's row maps give each new element's pairing against the existing elements
-    (label -> value); the pairing between the two new elements is forced by the
-    row-sum constraint."""
+    (label -> integer); the pairing between the two new elements is forced by
+    the row-sum constraint. A row map lacking a label raises NotApplicableError,
+    a non-integer value ValidityError."""
     kind = move[0]
     taken = set(m.elements)
     # each new row holds its pairing with the old elements, then with the new ones
@@ -235,12 +232,15 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
         labels = [_fresh_label(taken)]
     elif kind == "M3":
         _, row_i, row_j = move
+        try:
+            given = [(_json_int(row_i[e]), _json_int(row_j[e])) for e in m.elements]
+        except KeyError as exc:
+            raise NotApplicableError(f"the row maps lack element {exc.args[0]!r}") from None
         # the inter-pair entry is forced: at h = g_j the row-sum condition reads
         # b(g_i, g_j) = b(s, g_j) = -row_j[s], and rows must cancel at s
-        cross = row_i[m.elements[0]]
+        cross = given[0][0]
         li = _fresh_label(taken)
         labels = [li, _fresh_label(taken | {li})]
-        given = [(row_i[e], row_j[e]) for e in m.elements]
         rows = [[v for v, _ in given] + [0, cross], [v for _, v in given] + [-cross, 0]]
     elif kind == "N":
         label = str(move[1])
@@ -339,11 +339,10 @@ def canonical_form(m: SBM) -> bytes:
     """Serialized matrix minimized over permutations of unmarked elements.
 
     Labels are ignored (isomorphisms only fix s and d). Raises SizeLimitError
-    above the configured unmarked-element bound."""
+    above _PERM_LIMIT (9) unmarked elements."""
     unmarked = list(m.unmarked())
-    if len(unmarked) > _perm_limit():
-        raise SizeLimitError(
-            f"{len(unmarked)} unmarked elements exceed the bound {_perm_limit()}")
+    if len(unmarked) > _PERM_LIMIT:
+        raise SizeLimitError(f"{len(unmarked)} unmarked elements exceed the bound {_PERM_LIMIT}")
     best = None
     for perm in itertools.permutations(unmarked):
         order = (m.s,) + perm + (m.d,)

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from .codes import (KnotoidCode, OrderedTwoComponent, Passage, Role, add_unknot, flatten, reverse,
                     serialize)
 from .errors import UnsupportedError, ValidityError
-from .invariants import (LaurentPoly, affine_index_polynomial, flat_affine_polynomial,
-                         intersection_index, writhe)
-from .moves import apply_move, enumerate_moves
+from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomial,
+                         flat_affine_polynomial, intersection_index, writhe)
+from .moves import apply_move, enumerate_moves, simplify
 from .sbm import build_sbm, reduce_to_primitive, _special_closure
 from .surgery import glue, one_smooth, resolve, singular_kink, zero_smooth
 
@@ -62,61 +62,26 @@ class Fingerprint:
         return self.payload.hex()
 
 
-class FormalSum:
+class FormalSum(IntegerCombination):
     """Finitely supported integer combination of fingerprints."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[Fingerprint, int] | None = None):
-        t = {k: int(v) for k, v in (terms or {}).items() if v != 0}
-        object.__setattr__(self, "_terms", t)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FormalSum is immutable")
-
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def term(cls, fp: Fingerprint, coef: int = 1) -> "FormalSum":
         return cls({fp: coef})
 
     def terms(self) -> list[tuple[Fingerprint, int]]:
-        return sorted(self._terms.items())
+        return sorted(self._c.items())
 
     def coefficients(self) -> list[int]:
-        return sorted(self._terms.values())
+        return sorted(self._c.values())
 
     def coeff(self, fp: Fingerprint) -> int:
-        return self._terms.get(fp, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        t = dict(self._terms)
-        for k, v in other._terms.items():
-            t[k] = t.get(k, 0) + v
-        return FormalSum(t)
-
-    def __neg__(self) -> "FormalSum":
-        return FormalSum({k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-other)
+        return self._c.get(fp, 0)
 
     def scaled(self, c: int) -> "FormalSum":
-        return FormalSum({k: c * v for k, v in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FormalSum) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(self.terms()))
-
-    def __repr__(self):
-        return f"FormalSum({self._terms!r})"
+        return FormalSum({k: c * v for k, v in self._c.items()})
 
     def to_json(self) -> dict:
         return {"terms": [{"fingerprint": fp.hex, "coef": c} for fp, c in self.terms()]}
@@ -126,26 +91,24 @@ def _q_bytes(q: LaurentPoly) -> bytes:
     return repr(sorted(q.coeffs().items())).encode()
 
 
-def _minimized(code: KnotoidCode, orbit_cap: int = 400) -> KnotoidCode:
+# triangle-orbit states searched per local minimum before giving up
+_ORBIT_CAP = 400
+
+
+def _minimized(code: KnotoidCode) -> KnotoidCode:
     """Smallest representative reachable by deletions and triangle slides.
 
-    Deletions are applied greedily; when none applies, the (size-preserving)
-    triangle-slide orbit is searched for a member that unlocks one. The orbit
-    search is capped, so this is a normalization, not a canonical form."""
-    def greedy(c):
-        while True:
-            dels = enumerate_moves(c, "flat", rules=("R1_delete", "R2_delete"))
-            if not dels:
-                return c
-            c = apply_move(c, dels[0])
-
-    code = greedy(code)
+    Deletions are applied greedily (`moves.simplify`); when none applies, the
+    (size-preserving) triangle-slide orbit is searched for a member that
+    unlocks one. The orbit search is capped, so this is a normalization, not a
+    canonical form."""
+    code = simplify(code)
     while True:
         # breadth-first over the triangle orbit of the current local minimum
         seen = {serialize(code)}
         frontier = [code]
         jumped = None
-        while frontier and len(seen) <= orbit_cap and jumped is None:
+        while frontier and len(seen) <= _ORBIT_CAP and jumped is None:
             cur = frontier.pop(0)
             for mv in enumerate_moves(cur, "flat", rules=("R3",)):
                 nxt = apply_move(cur, mv)
@@ -159,7 +122,7 @@ def _minimized(code: KnotoidCode, orbit_cap: int = 400) -> KnotoidCode:
                 frontier.append(nxt)
         if jumped is None:
             return code
-        code = greedy(jumped)
+        code = simplify(jumped)
 
 
 def _profile(code: KnotoidCode) -> tuple:
@@ -199,40 +162,34 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
     return Fingerprint(2, b"M:" + repr((idx, prof)).encode())
 
 
-def _check_plain_classical(code: KnotoidCode):
+def _signed_sum(code: KnotoidCode, surgery, correction) -> FormalSum:
+    """sum_c sgn(c) [surgery(code, c)] - w(code) [correction(code)] over the
+    crossings of a purely classical code with a single open component."""
     if len(code.components) != 1:
         raise ValidityError("invariants expect a single open component")
     if code.flat_chords() or code.singular_chords():
         raise ValidityError("invariants expect a purely classical code")
-
-
-def invariant_F(code: KnotoidCode) -> FormalSum:
-    """0-smoothing invariant."""
-    _check_plain_classical(code)
     acc = FormalSum.zero()
     for c in code.classical_chords():
-        acc = acc + FormalSum.term(fingerprint(zero_smooth(code, c)), code.sign_of(c))
-    return acc - FormalSum.term(fingerprint(flatten(code)), writhe(code))
+        acc = acc + FormalSum.term(fingerprint(surgery(code, c)), code.sign_of(c))
+    return acc - FormalSum.term(fingerprint(correction(code)), writhe(code))
+
+
+# the surgeries are looked up at call time, so rebinding a module name (as a
+# tracer does) reaches every invariant
+def invariant_F(code: KnotoidCode) -> FormalSum:
+    """0-smoothing invariant."""
+    return _signed_sum(code, lambda d, c: zero_smooth(d, c), lambda d: flatten(d))
 
 
 def invariant_L(code: KnotoidCode) -> FormalSum:
     """1-smoothing invariant."""
-    _check_plain_classical(code)
-    acc = FormalSum.zero()
-    for c in code.classical_chords():
-        smoothed, _ = one_smooth(code, c)
-        acc = acc + FormalSum.term(fingerprint(smoothed), code.sign_of(c))
-    link = add_unknot(flatten(code))
-    return acc - FormalSum.term(fingerprint(link), writhe(code))
+    return _signed_sum(code, lambda d, c: one_smooth(d, c)[0], lambda d: add_unknot(flatten(d)))
 
 
 def invariant_G(code: KnotoidCode) -> FormalSum:
     """Gluing invariant (universal order-one)."""
-    _check_plain_classical(code)
-    acc = FormalSum.zero()
-    for c in code.classical_chords():
-        acc = acc + FormalSum.term(fingerprint(glue(code, c)), code.sign_of(c))
-    return acc - FormalSum.term(fingerprint(singular_kink(code)), writhe(code))
+    return _signed_sum(code, lambda d, c: glue(d, c), lambda d: singular_kink(d))
 
 
 # the invariant handles of the CLI and the fixture corpus
@@ -247,21 +204,15 @@ def derivative(inv, code: KnotoidCode):
     depend on the resolution order."""
     fn = affine_index_polynomial if inv == "p" else INVARIANTS.get(inv, inv)
     sing = code.singular_chords()
-    if not sing:
-        return fn(code)
     acc = None
+    # bit i of `bits` resolves the i-th singular chord negatively
     for bits in range(1 << len(sing)):
         resolved = code
-        prod = 1
         for i, cid in enumerate(sing):
-            sgn = 1 if (bits >> i) & 1 == 0 else -1
-            prod *= sgn
-            resolved = resolve(resolved, cid, sgn)
+            resolved = resolve(resolved, cid, -1 if bits >> i & 1 else 1)
         val = fn(resolved)
-        if acc is None:
-            acc = val if prod > 0 else -val
-        else:
-            acc = acc + val if prod > 0 else acc - val
+        val = -val if bits.bit_count() & 1 else val
+        acc = val if acc is None else acc + val
     return acc
 
 
@@ -288,49 +239,40 @@ def order_check(inv, n: int, samples: int, seed: int) -> dict:
 # -- seeded random code generators ----------------------------------------------
 
 
-def _insert_pair(seq: list, first: Passage, second: Passage, rng: random.Random):
-    i = rng.randrange(len(seq) + 1)
-    j = rng.randrange(len(seq) + 2)
-    seq.insert(i, first)
-    seq.insert(j, second)
+_CLASSICAL, _FLAT, _SINGULAR = ((Role.OVER, Role.UNDER), (Role.TAIL, Role.HEAD),
+                               (Role.STAIL, Role.SHEAD))
+
+
+def _random_open_code(kinds, rng: random.Random) -> KnotoidCode:
+    """One open component with chords 1, 2, ... of the given role pairs: each
+    draws a sign (classical only) and an order of its two passages, then
+    inserts them at uniform positions."""
+    seq: list[Passage] = []
+    for cid, roles in enumerate(kinds, 1):
+        sign = rng.choice((1, -1)) if roles[0].is_classical else None
+        first, second = roles if rng.random() < 0.5 else roles[::-1]
+        i, j = rng.randrange(len(seq) + 1), rng.randrange(len(seq) + 2)
+        seq.insert(i, Passage(cid, first, sign))
+        seq.insert(j, Passage(cid, second, sign))
+    return KnotoidCode((tuple(seq),))
 
 
 def random_classical_code(chords: int, rng: random.Random) -> KnotoidCode:
-    seq: list[Passage] = []
-    for cid in range(1, chords + 1):
-        sign = rng.choice((1, -1))
-        roles = (Role.OVER, Role.UNDER) if rng.random() < 0.5 else (Role.UNDER, Role.OVER)
-        _insert_pair(seq, Passage(cid, roles[0], sign), Passage(cid, roles[1], sign), rng)
-    return KnotoidCode((tuple(seq),))
+    return _random_open_code([_CLASSICAL] * chords, rng)
 
 
 def random_flat_code(chords: int, rng: random.Random) -> KnotoidCode:
-    seq: list[Passage] = []
-    for cid in range(1, chords + 1):
-        roles = (Role.TAIL, Role.HEAD) if rng.random() < 0.5 else (Role.HEAD, Role.TAIL)
-        _insert_pair(seq, Passage(cid, roles[0]), Passage(cid, roles[1]), rng)
-    return KnotoidCode((tuple(seq),))
+    return _random_open_code([_FLAT] * chords, rng)
 
 
 def random_singular_code(classical: int, singular: int, rng: random.Random) -> KnotoidCode:
-    seq: list[Passage] = []
-    cid = 0
-    for _ in range(classical):
-        cid += 1
-        sign = rng.choice((1, -1))
-        roles = (Role.OVER, Role.UNDER) if rng.random() < 0.5 else (Role.UNDER, Role.OVER)
-        _insert_pair(seq, Passage(cid, roles[0], sign), Passage(cid, roles[1], sign), rng)
-    for _ in range(singular):
-        cid += 1
-        roles = (Role.STAIL, Role.SHEAD) if rng.random() < 0.5 else (Role.SHEAD, Role.STAIL)
-        _insert_pair(seq, Passage(cid, roles[0]), Passage(cid, roles[1]), rng)
-    return KnotoidCode((tuple(seq),))
+    return _random_open_code([_CLASSICAL] * classical + [_SINGULAR] * singular, rng)
 
 
 def random_two_component_flat(chords: int, rng: random.Random) -> KnotoidCode:
     comps: list[list[Passage]] = [[], []]
     for cid in range(1, chords + 1):
-        roles = (Role.TAIL, Role.HEAD) if rng.random() < 0.5 else (Role.HEAD, Role.TAIL)
+        roles = _FLAT if rng.random() < 0.5 else _FLAT[::-1]
         k1, k2 = rng.randrange(2), rng.randrange(2)
         comps[k1].insert(rng.randrange(len(comps[k1]) + 1), Passage(cid, roles[0]))
         comps[k2].insert(rng.randrange(len(comps[k2]) + 1), Passage(cid, roles[1]))

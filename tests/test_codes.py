@@ -7,8 +7,8 @@ import pytest
 import knotoids as K
 from knotoids.codes import Passage, Role
 from knotoids.errors import LabelingError, NotFoundError, ParseError, ValidityError
-from knotoids.invariants import _flat_step
-from knotoids.vassiliev import random_classical_code, random_flat_code, random_two_component_flat
+from knotoids.vassiliev import (random_classical_code, random_flat_code, random_singular_code,
+                                random_two_component_flat)
 
 from conftest import VK4, oracle_codes
 
@@ -190,8 +190,17 @@ def test_chord_table_matches_passage_scans():
     assert (("Flat", 2, False) in seen) and (("FlatSingular", 1, True) in seen)
 
 
+def _ref_step(p):
+    """A passage's label step as it was computed from its role: +1 at a head,
+    -1 at a tail, classical passages through their flattened role."""
+    if p.role.is_classical:
+        return 1 if (p.sign > 0) != (p.role == Role.OVER) else -1
+    return 1 if p.role.is_head else -1
+
+
 def _ref_label_arcs(code):
-    """The labeling as it was: the chord map rebuilt on every propagation pass."""
+    """The labeling as it was: steps read off each passage's role and the chord
+    map rebuilt on every propagation pass."""
     comps = code.components
     incoming = [None] * len(comps)
 
@@ -203,7 +212,7 @@ def _ref_label_arcs(code):
         for off in range(n):
             i = (start_pos + off) % n
             inc[i] = lab
-            lab += _flat_step(comp[i])
+            lab += _ref_step(comp[i])
         if k > 0 and lab != start_label:
             raise LabelingError(
                 f"component {k} labels drift by {lab - start_label} around the cycle")
@@ -253,7 +262,8 @@ def test_label_arcs_matches_per_pass_chord_scan():
     outcomes = set()
     for _ in range(300):
         two = random_two_component_flat(rng.randrange(0, 12), rng)
-        for code in (two, K.add_unknot(two), _classical_of(two, rng)):
+        sing = random_singular_code(rng.randrange(0, 6), rng.randrange(0, 4), rng)
+        for code in (two, K.add_unknot(two), _classical_of(two, rng), sing):
             want = _labels_or_error(_ref_label_arcs, code)
             got = _labels_or_error(lambda c: K.label_arcs(c).incoming, code)
             assert got == want, K.serialize(code)

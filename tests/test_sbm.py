@@ -5,7 +5,8 @@ import random
 import pytest
 
 import knotoids as K
-from knotoids.errors import NotApplicableError, SizeLimitError
+from knotoids import sbm
+from knotoids.errors import NotApplicableError, SizeLimitError, ValidityError
 from knotoids.sbm import (SBM, apply_ext, apply_ext_inverse, build_sbm, canonical_form,
                           classify, homologous, is_primitive, isomorphic,
                           reduce_to_primitive)
@@ -95,6 +96,29 @@ def test_m3_extension_roundtrip():
     assert reduce_to_primitive(grown) == m
 
 
+def test_m3_rejects_row_maps_lacking_a_label():
+    m = build_sbm(K.parse(STRING_G3))
+    row = {e: 0 for e in m.elements[1:]}
+    with pytest.raises(NotApplicableError, match="lack element 's'"):
+        apply_ext(m, ("M3", row, dict(row, s=0)))
+    with pytest.raises(NotApplicableError, match=f"lack element '{m.elements[1]}'"):
+        apply_ext(m, ("M3", dict(row, s=0), {"s": 0}))
+
+
+def test_m3_rejects_non_integer_values():
+    # halves whose sum is row s pass the row-sum check, so the values themselves
+    # must be checked
+    m = SBM(("s", "a", "d"), ((0, 1, 0), (-1, 0, 0), (0, 0, 0)))
+    half = {"s": 0, "a": 0.5, "d": 0}
+    with pytest.raises(ValidityError, match="0.5"):
+        apply_ext(m, ("M3", half, half))
+    text = {"s": "0", "a": "1", "d": "0"}
+    with pytest.raises(ValidityError, match="'0'"):
+        apply_ext(m, ("M3", text, {"s": 0, "a": 0, "d": 0}))
+    with pytest.raises(ValidityError, match="True"):
+        apply_ext(m, ("M3", {"s": 0, "a": True, "d": 0}, {"s": 0, "a": 0, "d": 0}))
+
+
 def test_n_switch_involution():
     elements = ("s", "g", "d")
     # no complementarity here: row g + row d = 0 != row s
@@ -160,10 +184,11 @@ def test_size_limit():
         canonical_form(SBM(elements, mat))
 
 
-def test_size_limit_env_override(monkeypatch):
-    monkeypatch.setenv("KNOTOID_SBM_PERM_LIMIT", "2")
+def test_size_limit_constant(monkeypatch):
     m = build_sbm(K.parse(STRING_G3))
-    with pytest.raises(SizeLimitError):
+    assert len(m.unmarked()) == 3 and canonical_form(m)
+    monkeypatch.setattr(sbm, "_PERM_LIMIT", 2)
+    with pytest.raises(SizeLimitError, match="3 unmarked elements exceed the bound 2"):
         canonical_form(m)
 
 
@@ -417,8 +442,17 @@ def _ref_homologous(m1, m2):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (NotApplicableError, KeyError) as exc:
+    except NotApplicableError as exc:
         return type(exc).__name__, str(exc)
+
+
+def _ref_outcome(fn, *args):
+    """The reference's outcome; a row map lacking a label escaped from the old
+    apply_ext as a bare KeyError, which is now a NotApplicableError."""
+    try:
+        return _outcome(fn, *args)
+    except KeyError as exc:
+        return "NotApplicableError", f"the row maps lack element {exc.args[0]!r}"
 
 
 def _reference_strings(count, seed):
@@ -490,12 +524,12 @@ def test_grown_matrices_match_reference():
         for _ in range(rng.randrange(1, 5)):
             move = _random_move(m, rng)
             got = _outcome(apply_ext, m, move)
-            assert got == _outcome(_ref_apply_ext, m, move), (m, move)
+            assert got == _ref_outcome(_ref_apply_ext, m, move), (m, move)
             if isinstance(got, SBM) and got.size <= 9:
                 m = got
             move = _random_inverse(m, rng)
             assert _outcome(apply_ext_inverse, m, move) == \
-                _outcome(_ref_apply_ext_inverse, m, move), (m, move)
+                _ref_outcome(_ref_apply_ext_inverse, m, move), (m, move)
         assert classify(m) == _ref_classify(m)
         assert is_primitive(m) == _ref_is_primitive(m)
         assert reduce_to_primitive(m) == _ref_reduce_to_primitive(m)
