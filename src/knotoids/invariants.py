@@ -84,10 +84,6 @@ class LaurentPoly(IntegerCombination):
 
     __slots__ = ()
 
-    @classmethod
-    def term(cls, coef: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coef})
-
     def coeffs(self) -> dict[int, int]:
         return dict(self._c)
 
@@ -111,7 +107,7 @@ class LaurentPoly(IntegerCombination):
         parts = []
         for e in sorted(self._c, reverse=True):
             v = self._c[e]
-            mon = "1" if e == 0 else ("t" if e == 1 else f"t^{e}")
+            mon = "t" if e == 1 else f"t^{e}"
             if e == 0:
                 parts.append(f"{v:+d}")
             elif v == 1:

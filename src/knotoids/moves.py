@@ -22,9 +22,15 @@ but counted in closed form and decoded by index in the (rule, sites, variant)
 order, so `random_walk` samples a move without listing the O(n) kink and O(n^2)
 poke inserts. A family that does not match the code's chords (classical moves
 on flat arrows or the reverse) is a ValidityError.
+
+Application is checked once, at entry: `apply_move`'s site gate checks the rule
+and the count, shape and components of its sites, then hands the move to the one
+applier of its family. Kink and poke inserts share one applier that reads their
+passages from site-pattern tables. A move that does not fit is a StaleMoveError.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -48,20 +54,11 @@ class MoveInstance:
         return (self.rule, self.sites, self.variant)
 
 
-def _load_variants() -> dict:
+@functools.cache
+def _r3_table() -> dict:
     with resources.files("knotoids").joinpath("data/r3_variants.json").open() as fh:
         data = json.load(fh)
     return {"classical": set(data["classical"]), "flat": set(data["flat"])}
-
-
-_R3_TABLE = None
-
-
-def _r3_table() -> dict:
-    global _R3_TABLE
-    if _R3_TABLE is None:
-        _R3_TABLE = _load_variants()
-    return _R3_TABLE
 
 
 def r3_signature(sites) -> str:
@@ -116,10 +113,9 @@ def _adjacent_pairs(code: KnotoidCode):
 
 def _pair_positions(code: KnotoidCode, comp: int, i: int) -> tuple[int, int]:
     n = len(code.components[comp])
-    j = i + 1 if comp == 0 else (i + 1) % n
-    if not (0 <= i < n) or not (0 <= j < n) or (comp == 0 and j >= n):
+    if not 0 <= i < (n - 1 if comp == 0 else n):
         raise StaleMoveError("site out of range")
-    return i, j
+    return i, (i + 1) % n
 
 
 def _movable(p: Passage, fam: str) -> bool:
@@ -176,7 +172,7 @@ def enumerate_moves(code: KnotoidCode, family: str | None = None,
         out += _r1_inserts(code, fam)
     if want("R2_insert"):
         out += _r2_inserts(code, fam)
-    if want("PreferredSwitch") and fam == "flat" and code.preferred_chord() is not None:
+    if want("PreferredSwitch") and fam == "flat":
         out += _preferred_switches(code)
     out.sort(key=MoveInstance.sort_key)
     return out
@@ -238,6 +234,14 @@ def _r2_deletes(code, fam, index):
 
 _R1_VARIANTS = {"classical": ("O+", "O-", "U+", "U-"), "flat": ("AB", "BA")}
 
+# insert patterns: variant -> one site pattern per gap, in site order; entries are
+# (fresh chord, role, sign), fresh chord 0 the first fresh id and 1 the next.
+# A kink is one site holding both passages of one fresh chord.
+_R1_PATTERNS = {f"{r.value}{'+' if s > 0 else '-'}": (((0, r, s), (0, r.flipped(), s)),)
+                for r, s in itertools.product((Role.OVER, Role.UNDER), (1, -1))}
+_R1_PATTERNS.update({f"{r.value}{r.flipped().value}": (((0, r, None), (0, r.flipped(), None)),)
+                     for r in (Role.TAIL, Role.HEAD)})
+
 
 def _gap_count(code) -> int:
     return len(code.components) + sum(map(len, code.components))
@@ -266,29 +270,22 @@ def _r1_inserts(code, fam):
     return [_r1_insert_at(code, fam, i) for i in range(_r1_insert_count(code, fam))]
 
 
-# variant -> (site1 pattern, site2 pattern); entries are (which_chord, role, sign_factor)
-# which_chord 0 is the first fresh id, 1 the second; classical signs are s and -s
+# a poke is two sites, each holding one passage of both fresh chords; classical
+# signs are s and -s
 _R2_CLASSICAL = {}
-for _over_first, _s, _rev in itertools.product((True, False), (1, -1), (False, True)):
-    _r1 = Role.OVER if _over_first else Role.UNDER
-    _r2 = Role.UNDER if _over_first else Role.OVER
-    _site1 = ((0, _r1, _s), (1, _r1, -_s))
-    _site2 = ((0, _r2, _s), (1, _r2, -_s))
-    if _rev:
-        _site2 = (_site2[1], _site2[0])
-    _R2_CLASSICAL[f"{_r1.value}{'+' if _s > 0 else '-'}{'r' if _rev else 'f'}"] = (_site1, _site2)
+for _r, _s, _rev in itertools.product((Role.OVER, Role.UNDER), (1, -1), (False, True)):
+    _site2 = ((0, _r.flipped(), _s), (1, _r.flipped(), -_s))
+    _R2_CLASSICAL[f"{_r.value}{'+' if _s > 0 else '-'}{'r' if _rev else 'f'}"] = (
+        ((0, _r, _s), (1, _r, -_s)), _site2[::-1] if _rev else _site2)
 
 _R2_FLAT = {}
-for _tail_first, _rev in itertools.product((True, False), (False, True)):
-    _site1 = ((0, Role.TAIL, None), (1, Role.HEAD, None)) if _tail_first else \
-             ((0, Role.HEAD, None), (1, Role.TAIL, None))
-    _site2 = ((0, Role.HEAD, None), (1, Role.TAIL, None)) if _tail_first else \
-             ((0, Role.TAIL, None), (1, Role.HEAD, None))
-    if _rev:
-        _site2 = (_site2[1], _site2[0])
-    _R2_FLAT[f"{'AB' if _tail_first else 'BA'}{'r' if _rev else 'f'}"] = (_site1, _site2)
+for _r, _rev in itertools.product((Role.TAIL, Role.HEAD), (False, True)):
+    _site2 = ((0, _r.flipped(), None), (1, _r, None))
+    _R2_FLAT[f"{_r.value}{_r.flipped().value}{'r' if _rev else 'f'}"] = (
+        ((0, _r, None), (1, _r.flipped(), None)), _site2[::-1] if _rev else _site2)
 
 _R2_VARIANTS = {"classical": tuple(sorted(_R2_CLASSICAL)), "flat": tuple(sorted(_R2_FLAT))}
+_INSERTS = {"R1_insert": _R1_PATTERNS, "R2_insert": {**_R2_CLASSICAL, **_R2_FLAT}}
 
 
 def _r2_insert_count(code, fam) -> int:
@@ -358,46 +355,42 @@ def _preferred_switches(code):
     moves = []
     for cid in code.chord_ids():
         (tk, t), (hk, h) = code.ends(cid)
-        if cid == pref or tk or hk or comp[t].role.is_singular:
+        if cid == pref or tk or hk or not comp[t].role.is_flat:
             continue
-        if _arc_empty(comp, pt, h) and _arc_empty(comp, t, ph):
+        # every position is an arrow endpoint, so an arc's interior is empty iff
+        # its two ends are adjacent
+        if abs(pt - h) <= 1 and abs(t - ph) <= 1:
             moves.append(MoveInstance("PreferredSwitch", ((0, pt), (0, t)), f"{pref}->{cid}"))
     return moves
-
-
-def _arc_empty(comp, i, j) -> bool:
-    # every position is an arrow endpoint, so the arc interior is empty iff
-    # the two positions are adjacent
-    return abs(i - j) <= 1
 
 
 # -- application -------------------------------------------------------------
 
 def apply_move(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
+    """Apply one move, or raise StaleMoveError.
+
+    The site gate runs first: the rule must be known and `sites` a tuple of as
+    many (component, position) int pairs as `_APPLIERS` gives the rule, each
+    component an index of `code.components`. The rule's applier then checks the
+    pattern it expects at those sites; inserts read theirs from `_INSERTS`."""
+    count, applier = _APPLIERS.get(move.rule, (0, None))
+    if applier is None:
+        raise StaleMoveError(f"unknown rule {move.rule!r}")
+    sites = move.sites
+    if not (type(sites) is tuple and len(sites) == count and all(
+            type(site) is tuple and len(site) == 2 and type(site[0]) is type(site[1]) is int
+            and 0 <= site[0] < len(code.components) for site in sites)):
+        raise StaleMoveError(f"{move.rule} takes {count} (component, position) sites, "
+                             f"got {sites!r}")
     try:
-        if move.rule == "R1_delete":
-            return _apply_r1_delete(code, move)
-        if move.rule == "R1_insert":
-            return _apply_r1_insert(code, move)
-        if move.rule == "R2_delete":
-            return _apply_r2_delete(code, move)
-        if move.rule == "R2_insert":
-            return _apply_r2_insert(code, move)
-        if move.rule == "R3":
-            return _apply_r3(code, move)
-        if move.rule == "PreferredSwitch":
-            return _apply_switch(code, move)
-    except (IndexError, ValidityError) as exc:
+        return applier(code, move)
+    except ValidityError as exc:
         raise StaleMoveError(str(exc)) from exc
-    raise StaleMoveError(f"unknown rule {move.rule!r}")
 
 
-def _delete_positions(code, doomed: dict[int, set[int]]) -> KnotoidCode:
-    comps = []
-    for k, comp in enumerate(code.components):
-        dead = doomed.get(k, set())
-        comps.append(tuple(p for i, p in enumerate(comp) if i not in dead))
-    return KnotoidCode(tuple(comps))
+def _delete_positions(code, doomed: set[tuple[int, int]]) -> KnotoidCode:
+    return KnotoidCode(tuple(tuple(p for i, p in enumerate(comp) if (k, i) not in doomed)
+                             for k, comp in enumerate(code.components)))
 
 
 def _apply_r1_delete(code, move):
@@ -406,27 +399,23 @@ def _apply_r1_delete(code, move):
     a, b = code.components[k][i], code.components[k][j]
     if a.chord != b.chord or a.role.is_singular:
         raise StaleMoveError("no kink at site")
-    return _delete_positions(code, {k: {i, j}})
+    return _delete_positions(code, {(k, i), (k, j)})
 
 
-def _apply_r1_insert(code, move):
-    (k, gap), = move.sites
-    comp = code.components[k]
-    if not 0 <= gap <= len(comp):
-        raise StaleMoveError("gap out of range")
-    cid = code.fresh_chord_id()
-    v = move.variant
-    if v in ("AB", "BA"):
-        roles = (Role.TAIL, Role.HEAD) if v == "AB" else (Role.HEAD, Role.TAIL)
-        ins = (Passage(cid, roles[0]), Passage(cid, roles[1]))
-    elif v and v[0] in "OU" and v[1] in "+-":
-        sign = 1 if v[1] == "+" else -1
-        first = Role.OVER if v[0] == "O" else Role.UNDER
-        ins = (Passage(cid, first, sign), Passage(cid, first.flipped(), sign))
-    else:
-        raise StaleMoveError(f"bad kink variant {v!r}")
-    comps = list(code.components)
-    comps[k] = comp[:gap] + ins + comp[gap:]
+def _apply_insert(code, move):
+    """Insert each site's pattern at its gap, later gap first so earlier gaps stay put."""
+    pattern = _INSERTS[move.rule].get(move.variant)
+    if pattern is None:
+        raise StaleMoveError(f"bad {move.rule} variant {move.variant!r}")
+    if len(move.sites) == 2 and move.sites[0][0] == move.sites[1][0] \
+            and move.sites[0][1] > move.sites[1][1]:
+        raise StaleMoveError("gaps must be ordered")
+    comps, cid = list(code.components), code.fresh_chord_id()
+    for (k, gap), site in zip(reversed(move.sites), reversed(pattern)):
+        if not 0 <= gap <= len(comps[k]):
+            raise StaleMoveError("gap out of range")
+        ins = tuple(Passage(cid + w, role, sign) for w, role, sign in site)
+        comps[k] = comps[k][:gap] + ins + comps[k][gap:]
     return KnotoidCode(tuple(comps))
 
 
@@ -441,37 +430,7 @@ def _apply_r2_delete(code, move):
     fam = "classical" if a1.role.is_classical else "flat"
     if not _r2_pair_ok(a1, a2, b1, b2, fam):
         raise StaleMoveError("no poke pair at sites")
-    doomed: dict[int, set[int]] = {}
-    doomed.setdefault(ka, set()).update((ia, ja))
-    doomed.setdefault(kb, set()).update((ib, jb))
-    return _delete_positions(code, doomed)
-
-
-def _apply_r2_insert(code, move):
-    (k1, g1), (k2, g2) = move.sites
-    table = _R2_CLASSICAL if move.variant in _R2_CLASSICAL else _R2_FLAT
-    if move.variant not in table:
-        raise StaleMoveError(f"bad poke variant {move.variant!r}")
-    site1, site2 = table[move.variant]
-    cid = code.fresh_chord_id()
-    ids = (cid, cid + 1)
-
-    def build(site):
-        return tuple(Passage(ids[w], role, sgn) for (w, role, sgn) in site)
-
-    comps = list(code.components)
-    if not (0 <= g1 <= len(comps[k1])) or not (0 <= g2 <= len(comps[k2])):
-        raise StaleMoveError("gap out of range")
-    if k1 == k2:
-        comp = comps[k1]
-        if g1 > g2:
-            raise StaleMoveError("gaps must be ordered")
-        first, second = build(site1), build(site2)
-        comps[k1] = comp[:g1] + first + comp[g1:g2] + second + comp[g2:]
-    else:
-        comps[k1] = comps[k1][:g1] + build(site1) + comps[k1][g1:]
-        comps[k2] = comps[k2][:g2] + build(site2) + comps[k2][g2:]
-    return KnotoidCode(tuple(comps))
+    return _delete_positions(code, {(ka, ia), (ka, ja), (kb, ib), (kb, jb)})
 
 
 def _apply_r3(code, move):
@@ -490,19 +449,9 @@ def _apply_r3(code, move):
 
 
 def _apply_switch(code, move):
-    (k0, pi), (k1, qi) = move.sites
-    if k0 != 0 or k1 != 0:
-        raise StaleMoveError("preferred switch lives on the open component")
-    comp = code.open_component
-    try:
-        p_chord = comp[pi].chord
-        q_chord = comp[qi].chord
-    except IndexError:
-        raise StaleMoveError("site out of range")
-    if not comp[pi].role.is_singular or not comp[qi].role.is_flat:
-        raise StaleMoveError("sites are not a singular chord and a flat chord")
     if move not in _preferred_switches(code):
         raise StaleMoveError("switch condition no longer holds")
+    p_chord, q_chord = (code.open_component[i].chord for _, i in move.sites)
 
     def sw(p: Passage) -> Passage:
         if p.chord == p_chord:
@@ -513,6 +462,17 @@ def _apply_switch(code, move):
         return p
 
     return KnotoidCode(tuple(tuple(sw(p) for p in c) for c in code.components))
+
+
+# rule -> (site count, applier)
+_APPLIERS = {
+    "R1_delete": (1, _apply_r1_delete),
+    "R1_insert": (1, _apply_insert),
+    "R2_delete": (2, _apply_r2_delete),
+    "R2_insert": (2, _apply_insert),
+    "R3": (3, _apply_r3),
+    "PreferredSwitch": (2, _apply_switch),
+}
 
 
 # -- drivers ------------------------------------------------------------------

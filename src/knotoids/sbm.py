@@ -215,15 +215,27 @@ def _remark(m: SBM, g: int) -> SBM:
     return _take(m, [m.s] + [i for i in range(1, m.size - 1) if i != g] + [m.d, g])
 
 
+_MOVE_ITEMS = {"M1": (1, 2), "M2": (1, 2), "M3": (3, 3), "N": (2, 2)}  # lengths (ext, inverse)
+
+
+def _move_kind(move, inverse: bool) -> str:
+    kind = move[0] if isinstance(move, tuple) and move else move
+    if not isinstance(kind, str) or kind not in _MOVE_ITEMS:
+        raise NotApplicableError(f"unknown move {kind!r}")
+    if len(move) != _MOVE_ITEMS[kind][inverse]:
+        raise NotApplicableError(f"move {move!r} is not {_MOVE_ITEMS[kind][inverse]} items long")
+    return kind
+
+
 def apply_ext(m: SBM, move: tuple) -> SBM:
     """Apply an elementary extension or the singularity switch.
 
     move is ("M1",) | ("M2",) | ("M3", row_map_i, row_map_j) | ("N", label).
     M3's row maps give each new element's pairing against the existing elements
     (label -> integer); the pairing between the two new elements is forced by
-    the row-sum constraint. A row map lacking a label raises NotApplicableError,
-    a non-integer value ValidityError."""
-    kind = move[0]
+    the row-sum constraint. A malformed move, or a row map that is not a dict or
+    lacks a label, raises NotApplicableError; a non-integer value ValidityError."""
+    kind = _move_kind(move, False)
     taken = set(m.elements)
     # each new row holds its pairing with the old elements, then with the new ones
     if kind in ("M1", "M2"):
@@ -232,6 +244,8 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
         labels = [_fresh_label(taken)]
     elif kind == "M3":
         _, row_i, row_j = move
+        if not (isinstance(row_i, dict) and isinstance(row_j, dict)):
+            raise NotApplicableError("the M3 row maps must be dicts")
         try:
             given = [(_json_int(row_i[e]), _json_int(row_j[e])) for e in m.elements]
         except KeyError as exc:
@@ -242,7 +256,7 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
         li = _fresh_label(taken)
         labels = [li, _fresh_label(taken | {li})]
         rows = [[v for v, _ in given] + [0, cross], [v for _, v in given] + [-cross, 0]]
-    elif kind == "N":
+    else:
         label = str(move[1])
         try:
             g = m.elements.index(label)
@@ -251,8 +265,6 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
         if g in (m.s, m.d) or g not in _complementary_to_d(m):
             raise NotApplicableError(f"element {label!r} is not complementary to d")
         return _remark(m, g)
-    else:
-        raise NotApplicableError(f"unknown move {kind!r}")
     # append the new rows after d, then move d back to last
     n = m.size
     mat = [list(r) + [-row[i] for row in rows] for i, r in enumerate(m.matrix)] + rows
@@ -267,7 +279,7 @@ def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
     """Inverse extensions: ("M1", label) deletes an annihilating element,
     ("M2", label) a copy of row s, ("M3", label_i, label_j) a complementary pair,
     ("N", label) re-marks (its own inverse family)."""
-    kind = move[0]
+    kind = _move_kind(move, True)
     if kind == "N":
         return apply_ext(m, move)
     cls = classify(m)
@@ -281,13 +293,11 @@ def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
         if label not in cls["core"]:
             raise NotApplicableError(f"{label!r} is not a core element")
         return _drop(m, {m.elements.index(label)})
-    if kind == "M3":
-        li, lj = str(move[1]), str(move[2])
-        if (li, lj) not in cls["complementary_pairs"] and \
-                (lj, li) not in cls["complementary_pairs"]:
-            raise NotApplicableError(f"({li!r}, {lj!r}) is not a complementary pair")
-        return _drop(m, {m.elements.index(li), m.elements.index(lj)})
-    raise NotApplicableError(f"unknown move {kind!r}")
+    li, lj = str(move[1]), str(move[2])
+    if (li, lj) not in cls["complementary_pairs"] and \
+            (lj, li) not in cls["complementary_pairs"]:
+        raise NotApplicableError(f"({li!r}, {lj!r}) is not a complementary pair")
+    return _drop(m, {m.elements.index(li), m.elements.index(lj)})
 
 
 # -- primitivity and reduction -------------------------------------------------

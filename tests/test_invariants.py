@@ -20,6 +20,10 @@ def test_laurent_arithmetic():
     assert (p - p).is_zero()
     assert p.substituted_reciprocal() == LaurentPoly({-2: 1, -1: -2})
     assert LaurentPoly({0: 1, 2: 0}) == LaurentPoly({0: 1})
+    assert str(LaurentPoly({0: 3, 1: -1})) == "-t+3"
+    assert str(LaurentPoly({0: -5})) == "-5"
+    assert str(LaurentPoly({-2: 1, -1: -2, 0: 1})) == "1-2t^-1+t^-2"
+    assert str(LaurentPoly({-1: -1, 3: 4})) == "4t^3-t^-1"
 
 
 def test_label_arcs_empty():

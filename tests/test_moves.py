@@ -6,6 +6,7 @@ import pytest
 
 import knotoids as K
 from knotoids import moves as M
+from knotoids.codes import Passage, Role, _rotate_canonical
 from knotoids.errors import StaleMoveError, ValidityError
 from knotoids.moves import MoveInstance, enumerate_moves
 from knotoids.vassiliev import random_classical_code, random_flat_code, random_two_component_flat
@@ -242,12 +243,21 @@ def _ref_enumerate(code, fam):
 
 
 def test_enumerate_matches_brute_force():
-    seen = set()
+    # every listed move also applies as the old apply layer (below) did
+    seen, applied = set(), set()
     for code, fam in oracle_codes(300, 41):
-        assert enumerate_moves(code, fam) == _ref_enumerate(code, fam), K.serialize(code)
+        moves = enumerate_moves(code, fam)
+        assert moves == _ref_enumerate(code, fam), K.serialize(code)
         listed = enumerate_moves(code, fam, ("R2_delete", "R3", "PreferredSwitch"))
         seen.update(m.rule for m in listed)
+        if fam == "flat":
+            assert M._preferred_switches(code) == _ref_preferred_switches(code)
+        for mv in moves:
+            assert K.apply_move(code, mv).components == _ref_apply_move(code, mv, _rotated), \
+                (K.serialize(code), mv)
+            applied.add(mv.rule)
     assert seen == {"R2_delete", "R3", "PreferredSwitch"}
+    assert applied == set(M._APPLIERS)
 
 
 def test_insert_counts_closed_form():
@@ -286,3 +296,262 @@ def test_long_walks_keep_p_q_and_index():
         twalked = K.random_walk(two, 25, rng.randrange(10**6), "flat")
         assert abs(K.intersection_index(K.OrderedTwoComponent(twalked, 0, 1))) == \
             abs(K.intersection_index(K.OrderedTwoComponent(two, 0, 1)))
+
+
+# -- oracle: the apply layer as it was, one applier per rule and checks inside each;
+# the appliers return the new components, which `build` turns into the result
+
+def _ref_apply_move(code, move, build=K.KnotoidCode):
+    appliers = {"R1_delete": _ref_r1_delete, "R1_insert": _ref_r1_insert,
+                "R2_delete": _ref_r2_delete, "R2_insert": _ref_r2_insert,
+                "R3": _ref_r3_apply, "PreferredSwitch": _ref_switch}
+    try:
+        if move.rule in appliers:
+            return build(appliers[move.rule](code, move))
+    except (IndexError, ValidityError) as exc:
+        raise StaleMoveError(str(exc)) from exc
+    raise StaleMoveError(f"unknown rule {move.rule!r}")
+
+
+def _ref_pair_positions(code, comp, i):
+    n = len(code.components[comp])
+    j = i + 1 if comp == 0 else (i + 1) % n
+    if not (0 <= i < n) or not (0 <= j < n) or (comp == 0 and j >= n):
+        raise StaleMoveError("site out of range")
+    return i, j
+
+
+def _ref_delete_positions(code, doomed):
+    comps = []
+    for k, comp in enumerate(code.components):
+        dead = doomed.get(k, set())
+        comps.append(tuple(p for i, p in enumerate(comp) if i not in dead))
+    return tuple(comps)
+
+
+def _ref_r1_delete(code, move):
+    (k, i), = move.sites
+    i, j = _ref_pair_positions(code, k, i)
+    a, b = code.components[k][i], code.components[k][j]
+    if a.chord != b.chord or a.role.is_singular:
+        raise StaleMoveError("no kink at site")
+    return _ref_delete_positions(code, {k: {i, j}})
+
+
+def _ref_r1_insert(code, move):
+    (k, gap), = move.sites
+    comp = code.components[k]
+    if not 0 <= gap <= len(comp):
+        raise StaleMoveError("gap out of range")
+    cid = code.fresh_chord_id()
+    v = move.variant
+    if v in ("AB", "BA"):
+        roles = (Role.TAIL, Role.HEAD) if v == "AB" else (Role.HEAD, Role.TAIL)
+        ins = (Passage(cid, roles[0]), Passage(cid, roles[1]))
+    elif v and v[0] in "OU" and v[1] in "+-":
+        sign = 1 if v[1] == "+" else -1
+        first = Role.OVER if v[0] == "O" else Role.UNDER
+        ins = (Passage(cid, first, sign), Passage(cid, first.flipped(), sign))
+    else:
+        raise StaleMoveError(f"bad kink variant {v!r}")
+    comps = list(code.components)
+    comps[k] = comp[:gap] + ins + comp[gap:]
+    return tuple(comps)
+
+
+def _ref_r2_delete(code, move):
+    (ka, ia), (kb, ib) = move.sites
+    ia, ja = _ref_pair_positions(code, ka, ia)
+    ib, jb = _ref_pair_positions(code, kb, ib)
+    if ka == kb and {ia, ja} & {ib, jb}:
+        raise StaleMoveError("overlapping sites")
+    a1, a2 = code.components[ka][ia], code.components[ka][ja]
+    b1, b2 = code.components[kb][ib], code.components[kb][jb]
+    fam = "classical" if a1.role.is_classical else "flat"
+    if not M._r2_pair_ok(a1, a2, b1, b2, fam):
+        raise StaleMoveError("no poke pair at sites")
+    doomed = {}
+    doomed.setdefault(ka, set()).update((ia, ja))
+    doomed.setdefault(kb, set()).update((ib, jb))
+    return _ref_delete_positions(code, doomed)
+
+
+def _ref_r2_insert(code, move):
+    (k1, g1), (k2, g2) = move.sites
+    table = M._R2_CLASSICAL if move.variant in M._R2_CLASSICAL else M._R2_FLAT
+    if move.variant not in table:
+        raise StaleMoveError(f"bad poke variant {move.variant!r}")
+    site1, site2 = table[move.variant]
+    cid = code.fresh_chord_id()
+    ids = (cid, cid + 1)
+
+    def build(site):
+        return tuple(Passage(ids[w], role, sgn) for (w, role, sgn) in site)
+
+    comps = list(code.components)
+    if not (0 <= g1 <= len(comps[k1])) or not (0 <= g2 <= len(comps[k2])):
+        raise StaleMoveError("gap out of range")
+    if k1 == k2:
+        comp = comps[k1]
+        if g1 > g2:
+            raise StaleMoveError("gaps must be ordered")
+        comps[k1] = comp[:g1] + build(site1) + comp[g1:g2] + build(site2) + comp[g2:]
+    else:
+        comps[k1] = comps[k1][:g1] + build(site1) + comps[k1][g1:]
+        comps[k2] = comps[k2][:g2] + build(site2) + comps[k2][g2:]
+    return tuple(comps)
+
+
+def _ref_r3_apply(code, move):
+    fam = M._family(code, None)
+    sites = []
+    for (k, i) in move.sites:
+        i, j = _ref_pair_positions(code, k, i)
+        sites.append((k, i, j))
+    sig = M.r3_signature(tuple(M._site_tuple(code, k, i, j) for (k, i, j) in sites))
+    if sig not in M._r3_table()[fam] or sig != move.variant:
+        raise StaleMoveError("triangle pattern no longer matches")
+    comps = [list(c) for c in code.components]
+    for (k, i, j) in sites:
+        comps[k][i], comps[k][j] = comps[k][j], comps[k][i]
+    return tuple(tuple(c) for c in comps)
+
+
+def _ref_preferred_switches(code):
+    comp = code.open_component
+    pref = code.preferred_chord()
+    if pref is None:
+        return []
+    (ptk, pt), (phk, ph) = code.ends(pref)
+    if ptk or phk:
+        return []
+    moves = []
+    for cid in code.chord_ids():
+        (tk, t), (hk, h) = code.ends(cid)
+        if cid == pref or tk or hk or comp[t].role.is_singular:
+            continue
+        if abs(pt - h) <= 1 and abs(t - ph) <= 1:
+            moves.append(MoveInstance("PreferredSwitch", ((0, pt), (0, t)), f"{pref}->{cid}"))
+    return moves
+
+
+def _ref_switch(code, move):
+    (k0, pi), (k1, qi) = move.sites
+    if k0 != 0 or k1 != 0:
+        raise StaleMoveError("preferred switch lives on the open component")
+    comp = code.open_component
+    try:
+        p_chord = comp[pi].chord
+        q_chord = comp[qi].chord
+    except IndexError:
+        raise StaleMoveError("site out of range")
+    if not comp[pi].role.is_singular or not comp[qi].role.is_flat:
+        raise StaleMoveError("sites are not a singular chord and a flat chord")
+    if move not in _ref_preferred_switches(code):
+        raise StaleMoveError("switch condition no longer holds")
+
+    def sw(p):
+        if p.chord == p_chord:
+            return Passage(p.chord, Role.TAIL if p.role.is_tail else Role.HEAD)
+        if p.chord == q_chord:
+            return Passage(p.chord, Role.STAIL if p.role.is_tail else Role.SHEAD, None, True)
+        return p
+
+    return tuple(tuple(sw(p) for p in c) for c in code.components)
+
+
+def _apply_outcome(apply, code, move):
+    """The resulting code, or the name of the error raised."""
+    try:
+        return apply(code, move)
+    except Exception as exc:  # the reference's untyped errors are outcomes too
+        return type(exc).__name__
+
+
+def _rotated(comps):
+    """The components a KnotoidCode keeps, without validating them again: every
+    listed move's result is valid, as apply_move's own construction checks."""
+    return (comps[0],) + tuple(map(_rotate_canonical, comps[1:]))
+
+
+def _fuzz_code(rng):
+    code, _fam = rng.choice(list(oracle_codes(5, rng.randrange(10**6))))
+    if code.chord_count() > 6:
+        code = K.simplify(code)
+    return K.add_unknot(code) if rng.random() < 0.3 else code
+
+
+def _fuzz_move(code, rng):
+    """A random rule with 0-3 random sites (half the time as many as the rule
+    takes) and a variant of that rule from either family; the switch variants
+    name random chords."""
+    rule = rng.choice(tuple(M._APPLIERS) + ("R4",))
+    chords = code.chord_ids() or [1]
+    variants = {"R1_insert": M._R1_VARIANTS["classical"] + M._R1_VARIANTS["flat"],
+                "R2_insert": M._R2_VARIANTS["classical"] + M._R2_VARIANTS["flat"],
+                "R3": tuple(sorted(M._r3_table()["classical"] | M._r3_table()["flat"])),
+                "PreferredSwitch": tuple(f"{rng.choice(chords)}->{rng.choice(chords)}"
+                                         for _ in range(3))}.get(rule, ())
+    count = rng.randrange(4)
+    if rule in M._APPLIERS and rng.random() < 0.5:
+        count = M._APPLIERS[rule][0]
+    sites = tuple((rng.randrange(-1, 3), rng.randrange(-2, 8)) for _ in range(count))
+    return MoveInstance(rule, sites, rng.choice(variants + ("",)))
+
+
+def test_apply_fuzz_is_typed_and_matches_reference():
+    rng = random.Random(61)
+    counts = {"code": 0, "compared": 0, "ref_untyped": 0, "negative": 0}
+    for t in range(5000):
+        if t % 25 == 0:
+            code = _fuzz_code(rng)
+        mv = _fuzz_move(code, rng)
+        got = _apply_outcome(K.apply_move, code, mv)
+        assert isinstance(got, K.KnotoidCode) or got == "StaleMoveError", (K.serialize(code), mv)
+        counts["code"] += isinstance(got, K.KnotoidCode)
+        ref = _apply_outcome(_ref_apply_move, code, mv)
+        if any(k < 0 for k, _ in mv.sites):
+            counts["negative"] += 1
+        elif isinstance(ref, K.KnotoidCode) or ref == "StaleMoveError":
+            assert got == ref, (K.serialize(code), mv)
+            counts["compared"] += 1
+        else:
+            counts["ref_untyped"] += 1
+    assert min(counts.values()) >= 20, counts
+
+
+def test_apply_gate_pins_old_defects():
+    # a negative component indexed from the end: the kink was found on the last
+    # component, and the code came back unchanged
+    two = K.parse("A1 B1 / A2 B2")
+    assert _ref_apply_move(two, MoveInstance("R1_delete", ((-1, 0),))) == two
+    with pytest.raises(StaleMoveError):
+        K.apply_move(two, MoveInstance("R1_delete", ((-1, 0),)))
+    with pytest.raises(StaleMoveError):
+        K.apply_move(two, MoveInstance("R1_insert", ((-1, 0),), "AB"))
+    # a site on an empty closed component divided by its length
+    empty = K.parse("A1 B1 / E")
+    with pytest.raises(ZeroDivisionError):
+        _ref_apply_move(empty, MoveInstance("R1_delete", ((1, 0),)))
+    with pytest.raises(StaleMoveError):
+        K.apply_move(empty, MoveInstance("R1_delete", ((1, 0),)))
+    assert K.serialize(K.apply_move(empty, MoveInstance("R1_insert", ((1, 0),), "AB"))) == \
+        "A1 B1 / A2 B2"
+    # a wrong site count failed to unpack
+    kink = MoveInstance("R1_delete", ((0, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        _ref_apply_move(two, kink)
+    with pytest.raises(StaleMoveError, match="takes 1"):
+        K.apply_move(two, kink)
+    for sites in ([(0, 0)], ((0, 0, 0),), ((0, "0"),), ((0, True),), ((3, 0),)):
+        with pytest.raises(StaleMoveError):
+            K.apply_move(two, MoveInstance("R1_delete", sites))
+    with pytest.raises(StaleMoveError, match="unknown rule"):
+        K.apply_move(two, MoveInstance("R4", ((0, 0),)))
+    # the old kink parser read two characters, so a poke variant made a kink
+    poke_variant = MoveInstance("R1_insert", ((0, 0),), "O+f")
+    assert K.serialize(_ref_apply_move(K.parse("E"), poke_variant)) == "O1+ U1+"
+    with pytest.raises(StaleMoveError, match="bad R1_insert variant"):
+        K.apply_move(K.parse("E"), poke_variant)
+    with pytest.raises(StaleMoveError, match="gaps must be ordered"):
+        K.apply_move(two, MoveInstance("R2_insert", ((0, 2), (0, 1)), "ABf"))

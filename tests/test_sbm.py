@@ -6,7 +6,7 @@ import pytest
 
 import knotoids as K
 from knotoids import sbm
-from knotoids.errors import NotApplicableError, SizeLimitError, ValidityError
+from knotoids.errors import KnotoidError, NotApplicableError, SizeLimitError, ValidityError
 from knotoids.sbm import (SBM, apply_ext, apply_ext_inverse, build_sbm, canonical_form,
                           classify, homologous, is_primitive, isomorphic,
                           reduce_to_primitive)
@@ -117,6 +117,36 @@ def test_m3_rejects_non_integer_values():
         apply_ext(m, ("M3", text, {"s": 0, "a": 0, "d": 0}))
     with pytest.raises(ValidityError, match="True"):
         apply_ext(m, ("M3", {"s": 0, "a": True, "d": 0}, {"s": 0, "a": 0, "d": 0}))
+
+
+def test_malformed_moves_are_not_applicable():
+    # each used to fail as an IndexError, ValueError or TypeError, or to pass
+    m = SBM(("s", "a", "d"), ((0, 1, 0), (-1, 0, 0), (0, 0, 0)))
+    for move in ((), ("N",), ("M3",), ("M3", [0, 0, 0], [0, 0, 0]), ("M1", "x"),
+                 ("M3", {"s": 0, "a": 0, "d": 0}), "M1", ["M1"], (("M1",),), (1,)):
+        with pytest.raises(NotApplicableError):
+            apply_ext(m, move)
+    for move in ((), ("N",), ("M1",), ("M2", "a", "d"), ("M3", "a"), ("M1", "a", "x")):
+        with pytest.raises(NotApplicableError):
+            apply_ext_inverse(m, move)
+    with pytest.raises(NotApplicableError, match="unknown move 'X'"):
+        apply_ext(m, ("X",))
+    with pytest.raises(NotApplicableError, match="unknown move 'X'"):
+        apply_ext_inverse(m, ("X", "a"))
+
+
+def test_ext_fuzz_raises_only_typed_errors():
+    rng = random.Random(91)
+    m = build_sbm(K.parse(STRING_G3))
+    items = ("M1", "M2", "M3", "N", "X", "s", m.elements[1], 0, None, [0], {"s": 0},
+             {e: 0 for e in m.elements}, dict.fromkeys(m.elements, 0.5))
+    for _ in range(2000):
+        move = tuple(rng.choice(items) for _ in range(rng.randrange(5)))
+        for fn in (apply_ext, apply_ext_inverse):
+            try:
+                fn(m, move)
+            except KnotoidError:
+                pass
 
 
 def test_n_switch_involution():

@@ -251,7 +251,7 @@ def test_long_flat_walks_keep_fingerprints():
 def test_long_walks_keep_f_and_l():
     rng = random.Random(157)
     for t in range(6):
-        base = random_classical_code(rng.randrange(6, 9), rng)
+        base = random_classical_code(rng.randrange(10, 21), rng)
         walked = K.random_walk(base, 20, rng.randrange(10**6), "classical")
         inv = K.invariant_F if t % 2 == 0 else K.invariant_L
         assert inv(walked) == inv(base), K.serialize(walked)
