@@ -1,8 +1,8 @@
 """Command-line front end: every operation over Gauss-code files, JSON out.
 
-Exit codes: 0 success, 1 domain error (JSON {"error": kind, "detail": ...} on
-stdout), 2 usage error. Output is byte-stable for fixed inputs and seeds; pass
---human for indented JSON.
+Exit codes: 0 success, 1 domain error or unreadable input (JSON {"error": kind,
+"detail": ...} on stdout), 2 usage error. Output is byte-stable for fixed inputs
+and seeds; pass --human for indented JSON.
 """
 from __future__ import annotations
 
@@ -25,15 +25,20 @@ def _emit(obj, human: bool) -> None:
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8") if path != "-" else sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _read_code(path: str) -> codes.KnotoidCode:
-    text = Path(path).read_text() if path != "-" else sys.stdin.read()
-    return codes.parse(" ".join(text.split()))
+    return codes.parse(" ".join(_read_text(path).split()))
 
 
 def _read_sbm(path: str) -> sbm.SBM:
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -207,8 +212,9 @@ def main(argv=None) -> int:
     except KnotoidError as exc:
         _emit({"error": exc.kind, "detail": str(exc)}, args.human)
         return 1
-    except FileNotFoundError as exc:
-        _emit({"error": "FileNotFound", "detail": str(exc)}, args.human)
+    except OSError as exc:
+        kind = "FileNotFound" if isinstance(exc, FileNotFoundError) else "Unreadable"
+        _emit({"error": kind, "detail": str(exc)}, args.human)
         return 1
     _emit(result, args.human)
     if args.cmd == "corpus" and not result["ok"]:

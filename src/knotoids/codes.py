@@ -22,6 +22,10 @@ Text grammar (whitespace separated, components joined by "/"):
 
 Closed components serialize starting at their passage with the smallest
 (chord id, role) pair, so equal diagrams serialize identically.
+
+A `Passage` is a plain record. A code is validated once, when its `KnotoidCode`
+is built, by one pass over its passages and chords; `parse` adds only the text
+grammar on top.
 """
 from __future__ import annotations
 
@@ -32,16 +36,8 @@ from enum import Enum
 from .errors import ComponentCountError, NotFoundError, ParseError, ValidityError
 
 __all__ = [
-    "Role",
-    "Passage",
-    "KnotoidCode",
-    "OrderedTwoComponent",
-    "parse",
-    "serialize",
-    "flatten",
-    "mirror",
-    "reverse",
-    "add_unknot",
+    "Role", "Passage", "KnotoidCode", "OrderedTwoComponent",
+    "parse", "serialize", "flatten", "mirror", "reverse", "add_unknot",
 ]
 
 
@@ -78,37 +74,26 @@ class Role(str, Enum):
         return _FLIP[self]
 
 
-_FLIP = {
-    Role.OVER: Role.UNDER,
-    Role.UNDER: Role.OVER,
-    Role.TAIL: Role.HEAD,
-    Role.HEAD: Role.TAIL,
-    Role.STAIL: Role.SHEAD,
-    Role.SHEAD: Role.STAIL,
-}
-
+# the two roles of each chord kind, tail side first (Over for a classical
+# chord): kind and side drive every pairing check of `KnotoidCode._validate`
+_CLASSICAL, _FLAT, _SINGULAR = range(3)
+_KIND_ROLES = ((Role.OVER, Role.UNDER), (Role.TAIL, Role.HEAD), (Role.STAIL, Role.SHEAD))
+_ROLE_KIND = {r: (kind, r is pair[0]) for kind, pair in enumerate(_KIND_ROLES) for r in pair}
+_FLIP = {a: b for a, b in _KIND_ROLES} | {b: a for a, b in _KIND_ROLES}
+_PAIRING = ("Over with Under", "ArrowTail with ArrowHead", "SingTail with SingHead")
 # serialization order of roles, used for canonical rotation of closed components
-_ROLE_ORDER = {r: i for i, r in enumerate(
-    (Role.OVER, Role.UNDER, Role.TAIL, Role.HEAD, Role.STAIL, Role.SHEAD))}
+_ROLE_ORDER = {r: i for i, r in enumerate(r for pair in _KIND_ROLES for r in pair)}
 
 
 @dataclass(frozen=True, slots=True)
 class Passage:
+    """One visit of a chord: a plain record, checked only when a `KnotoidCode`
+    is built from it."""
+
     chord: int
     role: Role
     sign: int | None = None
     preferred: bool = False
-
-    def __post_init__(self):
-        if self.chord < 1:
-            raise ValidityError(f"chord id must be >= 1, got {self.chord}")
-        if self.role.is_classical:
-            if self.sign not in (1, -1):
-                raise ValidityError(f"classical passage {self.token()} needs a sign")
-        elif self.sign is not None:
-            raise ValidityError(f"non-classical passage {self.token()} cannot carry a sign")
-        if self.preferred and not self.role.is_singular:
-            raise ValidityError("preferred mark is only valid on singular passages")
 
     def token(self) -> str:
         s = f"{self.role.value}{self.chord}"
@@ -118,14 +103,9 @@ class Passage:
             s += "*"
         return s
 
-    def _sort_key(self):
-        return (self.chord, _ROLE_ORDER[self.role])
-
 
 def _rotate_canonical(comp: tuple[Passage, ...]) -> tuple[Passage, ...]:
-    if len(comp) < 2:
-        return comp
-    k = min(range(len(comp)), key=lambda i: comp[i]._sort_key())
+    k = min(range(len(comp)), key=lambda i: (comp[i].chord, _ROLE_ORDER[comp[i].role]), default=0)
     return comp[k:] + comp[:k]
 
 
@@ -133,66 +113,79 @@ def _rotate_canonical(comp: tuple[Passage, ...]) -> tuple[Passage, ...]:
 class KnotoidCode:
     """One open component plus zero or more closed ones; validated on creation.
 
-    Validation also builds the private chord table every chord query reads:
-    chord id -> (sign, tail component, tail position, head component, head
-    position), sorted by chord id, sign 0 on non-classical chords. A classical
-    chord's tail is its flattened tail: the Over passage when the sign is
-    positive, the Under passage otherwise. The sorted classical, flat and
-    singular chord ids and the preferred chord are kept beside it. Equality,
-    hashing and repr see `components` only."""
+    `_validate` is the one check pass: each passage's types, id, sign and star,
+    then each chord's two passages, paired through `_ROLE_KIND`. It builds the
+    private chord table every chord query reads: chord id -> (sign, tail
+    component, tail position, head component, head position), sorted by chord
+    id, sign 0 on non-classical chords. A classical chord's tail is its
+    flattened tail: the Over passage when the sign is positive, the Under
+    passage otherwise. The sorted classical, flat and singular chord ids and
+    the preferred chord are kept beside it. Equality, hashing and repr see
+    `components` only."""
 
     components: tuple[tuple[Passage, ...], ...]
 
     def __post_init__(self):
         if not self.components:
             raise ValidityError("a code needs at least the open component")
-        comps = tuple(tuple(c) for c in self.components)
-        comps = (comps[0],) + tuple(_rotate_canonical(c) for c in comps[1:])
-        object.__setattr__(self, "components", comps)
         self._validate()
 
     def _validate(self):
-        seen: dict[int, list[tuple[Passage, int, int]]] = {}
+        seen: dict[int, list] = {}
+        rotated = []
         for k, comp in enumerate(self.components):
+            comp = tuple(comp)
+            for p in comp:
+                if type(p) is not Passage:
+                    raise ValidityError(f"a code holds Passage records, got {p!r}")
+                if type(p.chord) is not int or type(p.role) is not Role or not (
+                        p.sign is None or type(p.sign) is int):
+                    raise ValidityError(f"passage fields have the wrong types: {p!r}")
+                if p.chord < 1:
+                    raise ValidityError(f"chord id must be >= 1, got {p.chord}")
+                kind = _ROLE_KIND[p.role][0]
+                if kind == _CLASSICAL:
+                    if p.sign not in (1, -1):
+                        raise ValidityError(f"classical passage {p.token()} needs a sign")
+                elif p.sign is not None:
+                    raise ValidityError(f"non-classical passage {p.token()} cannot carry a sign")
+                if p.preferred and kind != _SINGULAR:
+                    raise ValidityError("preferred mark is only valid on singular passages")
+            comp = _rotate_canonical(comp) if k else comp
+            rotated.append(comp)
             for i, p in enumerate(comp):
-                seen.setdefault(p.chord, []).append((p, k, i))
+                seen.setdefault(p.chord, []).extend((p, k, i))
+        object.__setattr__(self, "components", tuple(rotated))
         table: dict[int, tuple[int, int, int, int, int]] = {}
-        classical, flat, singular, preferred = [], [], [], []
+        kinds: tuple[list[int], ...] = ([], [], [])
+        preferred = []
         for cid, ps in seen.items():
-            if len(ps) != 2:
-                raise ValidityError(f"chord {cid} appears {len(ps)} times, expected 2")
-            (a, ka, ia), (b, kb, ib) = ps
-            if a.role.is_classical:
-                if not b.role.is_classical or a.role == b.role:
-                    raise ValidityError(f"chord {cid} must pair Over with Under")
-                if a.sign != b.sign:
-                    raise ValidityError(f"chord {cid} has mismatched signs")
-                classical.append(cid)
-                a_is_tail = (a.sign > 0) == (a.role == Role.OVER)
-            elif a.role.is_flat:
-                if not b.role.is_flat or a.role == b.role:
-                    raise ValidityError(f"chord {cid} must pair ArrowTail with ArrowHead")
-                flat.append(cid)
-                a_is_tail = a.role == Role.TAIL
-            else:
-                if not b.role.is_singular or a.role == b.role:
-                    raise ValidityError(f"chord {cid} must pair SingTail with SingHead")
-                if a.preferred != b.preferred:
-                    raise ValidityError(f"chord {cid} must be starred on both passages or neither")
-                if a.preferred:
-                    preferred.append(cid)
-                singular.append(cid)
-                a_is_tail = a.role == Role.STAIL
+            if len(ps) != 6:
+                raise ValidityError(f"chord {cid} appears {len(ps) // 3} times, expected 2")
+            a, ka, ia, b, kb, ib = ps
+            kind, a_side = _ROLE_KIND[a.role]
+            if _ROLE_KIND[b.role] != (kind, not a_side):
+                raise ValidityError(f"chord {cid} must pair {_PAIRING[kind]}")
+            if a.sign != b.sign:
+                raise ValidityError(f"chord {cid} has mismatched signs")
+            if a.preferred != b.preferred:
+                raise ValidityError(f"chord {cid} must be starred on both passages or neither")
+            kinds[kind].append(cid)
+            if a.preferred:
+                preferred.append(cid)
             sign = a.sign or 0
-            table[cid] = (sign, ka, ia, kb, ib) if a_is_tail else (sign, kb, ib, ka, ia)
+            # a classical chord's tail is its Over passage when positive
+            tail_first = a_side != (sign < 0)
+            table[cid] = (sign, ka, ia, kb, ib) if tail_first else (sign, kb, ib, ka, ia)
+        classical, flat, singular = (tuple(sorted(ids)) for ids in kinds)
         if classical and flat:
             raise ValidityError("classical and flat chords cannot coexist")
         if len(preferred) > 1:
             raise ValidityError("at most one singular chord may be preferred")
         object.__setattr__(self, "_chords", {cid: table[cid] for cid in sorted(table)})
-        object.__setattr__(self, "_classical", tuple(sorted(classical)))
-        object.__setattr__(self, "_flat", tuple(sorted(flat)))
-        object.__setattr__(self, "_singular", tuple(sorted(singular)))
+        object.__setattr__(self, "_classical", classical)
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_singular", singular)
         object.__setattr__(self, "_preferred", preferred[0] if preferred else None)
 
     # -- structure ---------------------------------------------------------
@@ -233,7 +226,9 @@ class KnotoidCode:
         return self._preferred
 
     def sign_of(self, cid: int) -> int:
-        sign = self._chords[cid][0] if cid in self._chords else 0
+        if cid not in self._chords:
+            raise NotFoundError(f"chord {cid} not found")
+        sign = self._chords[cid][0]
         if not sign:
             raise ValidityError(f"chord {cid} has no sign")
         return sign
@@ -306,6 +301,8 @@ def parse(text: str) -> KnotoidCode:
             if star and not role.is_singular:
                 raise ParseError(f"token {tok!r}: only singular passages can be starred")
             sign = None if sign_s is None else (1 if sign_s == "+" else -1)
+            if int(cid_s) < 1:
+                raise ValidityError(f"chord id must be >= 1, got {int(cid_s)}")
             comp.append(Passage(int(cid_s), role, sign, bool(star)))
         comps.append(tuple(comp))
     return KnotoidCode(tuple(comps))
@@ -321,9 +318,7 @@ def _flatten_passage(p: Passage) -> Passage:
     if not p.role.is_classical:
         return p
     # positive crossing: Over passage is the arrow tail; negative: the head
-    if (p.sign > 0) == (p.role == Role.OVER):
-        return Passage(p.chord, Role.TAIL)
-    return Passage(p.chord, Role.HEAD)
+    return Passage(p.chord, Role.TAIL if (p.sign > 0) == (p.role == Role.OVER) else Role.HEAD)
 
 
 def flatten(code: KnotoidCode) -> KnotoidCode:

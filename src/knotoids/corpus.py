@@ -3,7 +3,8 @@
 A fixture file is a JSON list of cases. Every case carries `name`, a `check`
 tag, a `source` tag (published-value / derived / trivial), and check-specific
 fields; published values cite their origin in a free-form `note`. The runner
-executes each case and reports mismatches; it never mutates fixtures.
+executes each case and reports mismatches; it never mutates fixtures. A file
+that is not a JSON list raises ParseError; a malformed case fails as BadFixture.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from pathlib import Path
 
 from . import codes, invariants, moves, sbm, surgery, vassiliev
 from .codes import OrderedTwoComponent, parse, serialize
-from .errors import KnotoidError
+from .errors import KnotoidError, ParseError
 
 __all__ = ["run_case", "run_directory"]
 
@@ -222,15 +223,16 @@ def _c_order(case):
 
 
 def run_case(case: dict) -> dict:
-    fn = _CHECKS.get(case.get("check"))
-    base = {"name": case.get("name", "?"), "check": case.get("check")}
-    if fn is None:
-        return {**base, "ok": False, "detail": {"error": "unknown check"}}
-    try:
+    base = {"name": "?", "check": None}
+    try:  # a case that is not an object fails at `case.get`, as a BadFixture
+        base = {"name": case.get("name", "?"), "check": case.get("check")}
+        fn = _CHECKS.get(base["check"])
+        if fn is None:
+            return {**base, "ok": False, "detail": {"error": "unknown check"}}
         ok, detail = fn(case)
     except KnotoidError as exc:
         return {**base, "ok": False, "detail": {"error": exc.kind, "message": str(exc)}}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         return {**base, "ok": False,
                 "detail": {"error": "BadFixture", "message": repr(exc)}}
     return {**base, "ok": bool(ok), "detail": detail}
@@ -239,7 +241,12 @@ def run_case(case: dict) -> dict:
 def run_directory(directory: Path) -> list[dict]:
     results = []
     for path in sorted(Path(directory).glob("*.json")):
-        cases = json.loads(path.read_text())
+        try:
+            cases = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # undecodable bytes or invalid JSON
+            raise ParseError(f"{path.name}: invalid fixture JSON: {exc}") from None
+        if not isinstance(cases, list):
+            raise ParseError(f"{path.name}: a fixture file must hold a JSON list of cases")
         for case in cases:
             res = run_case(case)
             res["file"] = path.name

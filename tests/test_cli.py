@@ -162,3 +162,42 @@ def test_corpus_detects_mismatch(run, tmp_path):
     assert rc == 1
     assert not out["ok"] and len(out["failures"]) == 4
     assert [f["detail"].get("error") for f in out["failures"][1:]] == ["BadFixture"] * 3
+
+
+@pytest.mark.parametrize("cmd, content, kind", [
+    (("validate",), None, "Unreadable"),
+    (("sbm", "primitive"), None, "Unreadable"),
+    (("validate",), b"O1+ \xff U1+", "SyntaxError"),
+    (("sbm", "primitive"), b'{"elements": "\xff"}', "SyntaxError"),
+    (("corpus",), b"[{not json", "SyntaxError"),
+    (("corpus",), b"\xff[]", "SyntaxError"),
+    (("corpus",), b'{"name": "x", "check": "roundtrip"}', "SyntaxError"),
+], ids=("validate-directory", "sbm-directory", "validate-not-utf8", "sbm-not-utf8",
+        "corpus-not-json", "corpus-not-utf8", "corpus-object"))
+def test_unreadable_inputs_are_domain_errors(run, tmp_path, cmd, content, kind):
+    target = tmp_path / "in"
+    target.mkdir()
+    if content is not None:
+        (target / "x.json").write_bytes(content)
+        target = target if cmd == ("corpus",) else target / "x.json"
+    rc, out = run(*cmd, str(target))
+    assert rc == 1
+    assert set(out) == {"error", "detail"} and out["error"] == kind and out["detail"]
+
+
+@pytest.mark.parametrize("case", [5, "x", [1], {"check": []}, {"check": "roundtrip", "input": 5}],
+                         ids=("number", "string", "list", "unhashable-check", "number-input"))
+def test_corpus_malformed_case_is_bad_fixture(run, tmp_path, case):
+    good = {"name": "kink", "check": "roundtrip", "source": "trivial", "input": "O1+ U1+"}
+    (tmp_path / "x.json").write_text(json.dumps([case, good]))
+    rc, out = run("corpus", str(tmp_path))
+    assert rc == 1 and out["cases"] == 2 and out["passed"] == 1
+    assert [f["detail"]["error"] for f in out["failures"]] == ["BadFixture"]
+
+
+def test_missing_file_output_unchanged(tmp_path, capsys):
+    missing = tmp_path / "missing.gauss"
+    assert cli.main(["validate", str(missing)]) == 1
+    assert capsys.readouterr().out == (
+        '{"detail":"[Errno 2] No such file or directory: \'%s\'","error":"FileNotFound"}\n'
+        % missing)
