@@ -13,7 +13,9 @@ Geometric conventions (see CONVENTIONS.md): the arrow tail of a flat crossing is
 the passage whose strand sees the other strand cross from right to left.
 Flattening a classical crossing therefore sends the Over passage to the tail for
 positive crossings and to the head for negative ones; orientation reversal keeps
-every arrow's tail and head in place.
+every arrow's tail and head in place. `_is_tail` holds that rule; `recast`
+uses it to take a passage to the same side of a chord of another kind. `recast`
+runs per passage, so it stays out of `__all__` (and of span tracers).
 
 Text grammar (whitespace separated, components joined by "/"):
 
@@ -104,6 +106,24 @@ class Passage:
         return s
 
 
+def _is_tail(role: Role, sign: int | None) -> bool:
+    """The flattening rule: whether a passage is its chord's arrow tail. A
+    positive crossing's Over passage is the tail, a negative crossing's Under
+    passage; a flat or singular passage is the tail when its role is."""
+    return _ROLE_KIND[role][1] != ((sign or 0) < 0)
+
+
+def recast(p: Passage, kind: Role, sign: int | None = None, preferred: bool = False) -> Passage:
+    """`p` as the passage on the same side (tail or head) of a chord of the kind
+    of role `kind`, with `sign` and `preferred` as given.
+
+    Both sides are read by `_is_tail`: `recast(p, Role.TAIL)` flattens a
+    classical passage, and `sign` picks a classical target's role."""
+    first, second = _KIND_ROLES[_ROLE_KIND[kind][0]]
+    role = first if _is_tail(first, sign) == _is_tail(p.role, p.sign) else second
+    return Passage(p.chord, role, sign, preferred)
+
+
 def _rotate_canonical(comp: tuple[Passage, ...]) -> tuple[Passage, ...]:
     k = min(range(len(comp)), key=lambda i: (comp[i].chord, _ROLE_ORDER[comp[i].role]), default=0)
     return comp[k:] + comp[:k]
@@ -139,7 +159,7 @@ class KnotoidCode:
                 if type(p) is not Passage:
                     raise ValidityError(f"a code holds Passage records, got {p!r}")
                 if type(p.chord) is not int or type(p.role) is not Role or not (
-                        p.sign is None or type(p.sign) is int):
+                        p.sign is None or type(p.sign) is int) or type(p.preferred) is not bool:
                     raise ValidityError(f"passage fields have the wrong types: {p!r}")
                 if p.chord < 1:
                     raise ValidityError(f"chord id must be >= 1, got {p.chord}")
@@ -174,8 +194,7 @@ class KnotoidCode:
             if a.preferred:
                 preferred.append(cid)
             sign = a.sign or 0
-            # a classical chord's tail is its Over passage when positive
-            tail_first = a_side != (sign < 0)
+            tail_first = _is_tail(a.role, sign)
             table[cid] = (sign, ka, ia, kb, ib) if tail_first else (sign, kb, ib, ka, ia)
         classical, flat, singular = (tuple(sorted(ids)) for ids in kinds)
         if classical and flat:
@@ -314,21 +333,14 @@ def serialize(code: KnotoidCode) -> str:
     )
 
 
-def _flatten_passage(p: Passage) -> Passage:
-    if not p.role.is_classical:
-        return p
-    # positive crossing: Over passage is the arrow tail; negative: the head
-    return Passage(p.chord, Role.TAIL if (p.sign > 0) == (p.role == Role.OVER) else Role.HEAD)
-
-
 def flatten(code: KnotoidCode) -> KnotoidCode:
     """Forget over/under data; classical chords become directed flat arrows.
 
     Flat codes pass through unchanged (flattening is idempotent)."""
     if not code.classical_chords():
         return code
-    return KnotoidCode(tuple(tuple(_flatten_passage(p) for p in comp)
-                             for comp in code.components))
+    return KnotoidCode(tuple(tuple(recast(p, Role.TAIL) if p.role.is_classical else p
+                                   for p in comp) for comp in code.components))
 
 
 def mirror(code: KnotoidCode) -> KnotoidCode:

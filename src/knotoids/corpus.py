@@ -3,8 +3,10 @@
 A fixture file is a JSON list of cases. Every case carries `name`, a `check`
 tag, a `source` tag (published-value / derived / trivial), and check-specific
 fields; published values cite their origin in a free-form `note`. The runner
-executes each case and reports mismatches; it never mutates fixtures. A file
-that is not a JSON list raises ParseError; a malformed case fails as BadFixture.
+executes each case and reports mismatches; it never mutates fixtures. A path
+that is not a directory raises FileNotFoundError (missing) or NotADirectoryError;
+a file that is not a JSON list raises ParseError; a malformed case fails as
+BadFixture.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ def _combination(case):
     return ok, {"value": value.to_json(), "expected": expected.to_json()}
 
 
-_CHECKS = {}
+_CHECKS = {"combination": _combination}
 
 
 def _check(name):
@@ -87,16 +89,11 @@ def _c_flat_weights(case):
     return got == {str(k): v for k, v in case["weights"].items()}, got
 
 
+# `flat_affine_polynomial` reads a classical code through its flattening
+@_check("flatten_flat_affine")
 @_check("flat_affine")
 def _c_flat_affine(case):
     got = invariants.flat_affine_polynomial(parse(case["input"])).to_json()
-    return got == case["q"], got
-
-
-@_check("flatten_flat_affine")
-def _c_flatten_q(case):
-    flat = codes.flatten(parse(case["input"]))
-    got = invariants.flat_affine_polynomial(flat).to_json()
     return got == case["q"], got
 
 
@@ -210,11 +207,6 @@ def _c_diff_coeffs(case):
     return got == case["coefficients"], {"coefficients": got}
 
 
-@_check("combination")
-def _c_combination(case):
-    return _combination(case)
-
-
 @_check("order_check")
 def _c_order(case):
     report = vassiliev.order_check(case["invariant"], case["order"],
@@ -239,8 +231,13 @@ def run_case(case: dict) -> dict:
 
 
 def run_directory(directory: Path) -> list[dict]:
+    directory = Path(directory)
+    if not directory.is_dir():  # a missing path or a file: no cases to run
+        if directory.exists():
+            raise NotADirectoryError(f"{directory}: not a fixture directory")
+        raise FileNotFoundError(f"{directory}: no such fixture directory")
     results = []
-    for path in sorted(Path(directory).glob("*.json")):
+    for path in sorted(directory.glob("*.json")):
         try:
             cases = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:  # undecodable bytes or invalid JSON

@@ -231,13 +231,13 @@ def affine_index_polynomial(code: KnotoidCode) -> LaurentPoly:
 
 
 def affine_index_decomposition(code: KnotoidCode):
-    """(P, P_plus, P_minus, w0_prime) with P = P_plus + P_minus + w0_prime."""
-    reps = crossing_reports(code)
+    """(P, P_plus, P_minus, w0_prime) with P = P_plus + P_minus + w0_prime,
+    all read from one list of crossing reports."""
     pos: dict[int, int] = {}
     neg: dict[int, int] = {}
     w0 = 0
     w = 0
-    for r in reps:
+    for r in crossing_reports(code):
         w += r.sign
         if r.weight > 0:
             pos[r.weight] = pos.get(r.weight, 0) + r.sign
@@ -248,7 +248,7 @@ def affine_index_decomposition(code: KnotoidCode):
     p_plus = LaurentPoly(pos)
     p_minus = LaurentPoly(neg)
     w0_prime = w0 - w
-    return affine_index_polynomial(code), p_plus, p_minus, w0_prime
+    return p_plus + p_minus + LaurentPoly({0: w0_prime}), p_plus, p_minus, w0_prime
 
 
 def nth_writhe(code: KnotoidCode, n: int) -> int:

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .codes import KnotoidCode, Passage, Role
+from .codes import KnotoidCode, Passage, Role, recast
 from .errors import StaleMoveError, ValidityError
 
 __all__ = ["MoveInstance", "enumerate_moves", "apply_move", "random_walk", "simplify"]
@@ -455,10 +455,9 @@ def _apply_switch(code, move):
 
     def sw(p: Passage) -> Passage:
         if p.chord == p_chord:
-            return Passage(p.chord, Role.TAIL if p.role.is_tail else Role.HEAD)
+            return recast(p, Role.TAIL)
         if p.chord == q_chord:
-            return Passage(p.chord, Role.STAIL if p.role.is_tail else Role.SHEAD,
-                           None, True)
+            return recast(p, Role.STAIL, None, True)
         return p
 
     return KnotoidCode(tuple(tuple(sw(p) for p in c) for c in code.components))
@@ -484,7 +483,10 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
     Each step is `rng.choice(enumerate_moves(code, family))` without building
     that list: the families of `_LISTED` are enumerated, the kink and poke
     inserts (O(n) and O(n^2) instances) are counted in closed form, and the
-    drawn index is decoded at its place in the (rule, sites, variant) order."""
+    drawn index is decoded at its place in the (rule, sites, variant) order.
+    A negative `steps` is a ValidityError; zero steps return `code`."""
+    if steps < 0:
+        raise ValidityError(f"steps must be >= 0, got {steps}")
     rng = random.Random(seed)
     for _ in range(steps):
         fam = _family(code, family)

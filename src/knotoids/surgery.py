@@ -1,9 +1,13 @@
 """Crossing surgeries: 0/1-smoothings, gluing, singular kinks, and resolution.
 
 All smoothing and gluing outputs are flat (flattened immediately): every
-consumer of a surgery result reads flat data only. Reconnection rules, writing
-the open component as prefix . p1 . middle . p2 . suffix around the surgered
-chord:
+consumer of a surgery result reads flat data only. Flattening moves no
+passage, so each surgery reads the surgered chord's positions from the
+input's chord table (`KnotoidCode.ends`), flattens passage by passage while it
+builds its result, and so builds exactly one `KnotoidCode`. The flattening
+rule, like the same-side re-kinding of gluing and resolution, is `codes.recast`.
+Reconnection rules, writing the open component as prefix . p1 . middle . p2 .
+suffix around the surgered chord:
 
 * 0-smoothing (against orientation): open becomes prefix . reverse(middle) .
   suffix; chords with exactly one passage on the reversed strand have their
@@ -18,26 +22,16 @@ which the shipped fixtures' intersection indices are quoted.
 """
 from __future__ import annotations
 
-from .codes import KnotoidCode, OrderedTwoComponent, Passage, Role, flatten
+from collections import Counter
+
+from .codes import KnotoidCode, OrderedTwoComponent, Passage, Role, recast
 from .errors import NotClassicalError, NotFoundError, NotSingularError, ValidityError
 
 __all__ = ["zero_smooth", "one_smooth", "glue", "singular_kink", "resolve"]
 
 
-def _open_positions(code: KnotoidCode, cid: int) -> tuple[int, int]:
-    try:
-        pos = sorted(i for k, i in code.ends(cid) if k == 0)
-    except NotFoundError:
-        pos = []
-    if not pos:
-        raise NotFoundError(f"chord {cid} not found in the open component")
-    if len(pos) != 2:
-        raise NotFoundError(f"chord {cid} does not have both passages on the open component")
-    return pos[0], pos[1]
-
-
-def _flip(p: Passage) -> Passage:
-    return Passage(p.chord, p.role.flipped(), p.sign, p.preferred)
+def _flat(p: Passage) -> Passage:
+    return recast(p, Role.TAIL) if p.role.is_classical else p
 
 
 def zero_smooth(code: KnotoidCode, cid: int) -> KnotoidCode:
@@ -48,24 +42,16 @@ def zero_smooth(code: KnotoidCode, cid: int) -> KnotoidCode:
         raise NotFoundError(f"chord {cid} not found")
     if cid not in code.classical_chords():
         raise NotClassicalError(f"chord {cid} is not classical")
-    flat = flatten(code)
-    i, j = _open_positions(flat, cid)
-    comp = flat.open_component
+    i, j = sorted(pos for _, pos in code.ends(cid))
+    comp = code.open_component
     middle = comp[i + 1:j]
-    inside_counts: dict[int, int] = {}
-    for p in middle:
-        inside_counts[p.chord] = inside_counts.get(p.chord, 0) + 1
-    half = {c for c, n in inside_counts.items() if n == 1}
+    half = {c for c, n in Counter(p.chord for p in middle).items() if n == 1}
 
     def fix(p: Passage) -> Passage:
-        return _flip(p) if p.chord in half else p
+        q = _flat(p)
+        return Passage(q.chord, q.role.flipped(), q.sign, q.preferred) if p.chord in half else q
 
-    new_open = (
-        tuple(fix(p) for p in comp[:i])
-        + tuple(fix(p) for p in reversed(middle))
-        + tuple(fix(p) for p in comp[j + 1:])
-    )
-    return KnotoidCode((new_open,))
+    return KnotoidCode((tuple(map(fix, comp[:i] + middle[::-1] + comp[j + 1:])),))
 
 
 def one_smooth(code: KnotoidCode, cid: int) -> tuple[KnotoidCode, OrderedTwoComponent]:
@@ -75,14 +61,15 @@ def one_smooth(code: KnotoidCode, cid: int) -> tuple[KnotoidCode, OrderedTwoComp
     or singular. Returns (two-component code, ordered view)."""
     if len(code.components) != 1:
         raise ValidityError("1-smoothing expects a single open component")
-    flat = flatten(code) if code.classical_chords() else code
-    i, j = _open_positions(flat, cid)
-    comp = flat.open_component
-    tail_first = comp[i].role.is_tail
-    new_open = comp[:i] + comp[j + 1:]
-    closed = comp[i + 1:j]
-    out = KnotoidCode((new_open, closed))
-    ell1 = 0 if tail_first else 1
+    try:
+        (_, tail), (_, head) = code.ends(cid)
+    except NotFoundError:
+        raise NotFoundError(f"chord {cid} not found in the open component") from None
+    i, j = sorted((tail, head))
+    comp = code.open_component
+    out = KnotoidCode((tuple(map(_flat, comp[:i] + comp[j + 1:])),
+                       tuple(map(_flat, comp[i + 1:j]))))
+    ell1 = 0 if tail < head else 1
     return out, OrderedTwoComponent(out, ell1, 1 - ell1)
 
 
@@ -95,28 +82,24 @@ def glue(code: KnotoidCode, cid: int) -> KnotoidCode:
         raise NotClassicalError(f"chord {cid} is not a crossing that can be glued")
     if code.singular_chords():
         raise ValidityError("glue expects a code without singular chords")
-    flat = flatten(code)
 
     def g(p: Passage) -> Passage:
-        if p.chord != cid:
-            return p
-        role = Role.STAIL if p.role.is_tail else Role.SHEAD
-        return Passage(p.chord, role, None, True)
+        return recast(p, Role.STAIL, None, True) if p.chord == cid else _flat(p)
 
-    return KnotoidCode(tuple(tuple(g(p) for p in comp) for comp in flat.components))
+    return KnotoidCode(tuple(tuple(g(p) for p in comp) for comp in code.components))
 
 
 def singular_kink(code: KnotoidCode, gap: int = 0) -> KnotoidCode:
     """Flatten and insert an adjacent preferred singular kink at `gap` in the
     open component. The based-matrix certificate of the result does not depend
     on the gap chosen."""
-    flat = flatten(code) if code.classical_chords() else code
-    if not 0 <= gap <= len(flat.open_component):
+    comp = code.open_component
+    if not 0 <= gap <= len(comp):
         raise NotFoundError(f"gap {gap} out of range")
-    k = flat.fresh_chord_id()
+    k = code.fresh_chord_id()
     kink = (Passage(k, Role.STAIL, None, True), Passage(k, Role.SHEAD, None, True))
-    comp = flat.open_component
-    return KnotoidCode((comp[:gap] + kink + comp[gap:],) + flat.closed_components)
+    return KnotoidCode((tuple(map(_flat, comp[:gap])) + kink + tuple(map(_flat, comp[gap:])),)
+                       + tuple(tuple(map(_flat, c)) for c in code.closed_components))
 
 
 def resolve(code: KnotoidCode, cid: int, sign: int) -> KnotoidCode:
@@ -130,17 +113,9 @@ def resolve(code: KnotoidCode, cid: int, sign: int) -> KnotoidCode:
         raise ValidityError("sign must be +1 or -1")
     if cid not in code.singular_chords():
         raise NotSingularError(f"chord {cid} is not singular")
-    flat_world = bool(code.flat_chords())
+    kind, new_sign = (Role.TAIL, None) if code.flat_chords() else (Role.OVER, sign)
 
     def r(p: Passage) -> Passage:
-        if p.chord != cid:
-            return p
-        if flat_world:
-            return Passage(p.chord, Role.TAIL if p.role.is_tail else Role.HEAD)
-        if sign > 0:
-            role = Role.OVER if p.role.is_tail else Role.UNDER
-        else:
-            role = Role.UNDER if p.role.is_tail else Role.OVER
-        return Passage(p.chord, role, sign)
+        return recast(p, kind, new_sign) if p.chord == cid else p
 
     return KnotoidCode(tuple(tuple(r(p) for p in comp) for comp in code.components))

@@ -132,6 +132,12 @@ def test_walk_family_mismatch(run, codefile):
     assert out == {"code": VK4}
 
 
+def test_walk_negative_steps_is_validity_error(run, codefile):
+    rc, out = run("walk", "--steps", "-3", "--seed", "1", codefile(VK4))
+    assert rc == 1
+    assert out == {"error": "ValidityError", "detail": "steps must be >= 0, got -3"}
+
+
 def test_output_byte_stable(codefile, capsys):
     f = codefile(VK4)
     cli.main(["invariant", "report", f])
@@ -162,6 +168,19 @@ def test_corpus_detects_mismatch(run, tmp_path):
     assert rc == 1
     assert not out["ok"] and len(out["failures"]) == 4
     assert [f["detail"].get("error") for f in out["failures"][1:]] == ["BadFixture"] * 3
+
+
+@pytest.mark.parametrize("make, kind", [
+    (lambda d: d / "missing", "FileNotFound"),
+    (lambda d: d / "x.json", "Unreadable"),
+], ids=("missing", "file"))
+def test_corpus_refuses_a_path_that_is_not_a_directory(run, tmp_path, make, kind):
+    (tmp_path / "x.json").write_text("[]")
+    target = make(tmp_path)
+    rc, out = run("corpus", str(target))
+    assert rc == 1
+    assert out == {"error": kind, "detail": str(target) + (
+        ": no such fixture directory" if kind == "FileNotFound" else ": not a fixture directory")}
 
 
 @pytest.mark.parametrize("cmd, content, kind", [

@@ -113,6 +113,8 @@ def test_random_walk_deterministic(vk4):
     b = K.random_walk(vk4, 8, 12345)
     assert a == b
     assert K.random_walk(vk4, 0, 1) == vk4
+    with pytest.raises(ValidityError, match=r"steps must be >= 0, got -1"):
+        K.random_walk(vk4, -1, 1)
 
 
 def test_simplify_examples(vk4):

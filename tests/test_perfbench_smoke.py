@@ -1,4 +1,5 @@
-"""Smoke tests of the benchmark harness: short seeded walk and gluing runs check their outputs."""
+"""Smoke tests of the benchmark harness: short seeded walk and gluing runs check
+their outputs, and a traced smoothing run sees the surgeries."""
 import json
 import subprocess
 import sys
@@ -7,10 +8,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(workload):
+def _run(workload, trace=0):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "1", "--trace", "0"],
+         "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -30,3 +31,10 @@ def test_gluing_workload_runs_and_checks_out():
     result = _run("gluing")
     assert result["attempted"] > 0
     assert result["failed"] <= result["attempted"] // 8
+
+
+def test_traced_smoothing_sees_every_surgery():
+    # the tracer wraps the surgery functions by name; F and L call them per crossing
+    result = _run("smoothing", trace=1)
+    assert result["failed"] == 0
+    assert result["metrics"]["surgery.calls"]["value"] > 0
