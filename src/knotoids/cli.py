@@ -78,8 +78,7 @@ def _cmd_invariant(args):
             "Pplus": pp.to_json(), "Pminus": pm.to_json(), "w0prime": w0p,
         }
     if len(code.components) == 1 and not code.singular_chords():
-        report["Q"] = invariants.flat_affine_polynomial(
-            codes.flatten(code)).to_json()
+        report["Q"] = invariants.flat_affine_polynomial(code).to_json()
     return report
 
 
@@ -177,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_glue)
 
     p = sub.add_parser("vassiliev", help="smoothing/gluing invariants and derivatives")
-    p.add_argument("which", choices=("f", "l", "g", "derivative"))
-    p.add_argument("--inv", default="f", choices=("f", "l", "g", "p"),
+    p.add_argument("which", choices=(*vassiliev.INVARIANTS, "derivative"))
+    p.add_argument("--inv", default="f", choices=tuple(vassiliev._HANDLES),
                    help="invariant to differentiate (derivative only)")
     p.add_argument("file")
     p.set_defaults(fn=_cmd_vassiliev)

@@ -38,12 +38,16 @@ class IntegerCombination:
     """Immutable, finitely supported integer combination of hashable keys: the
     free Z-module arithmetic of LaurentPoly (keyed by exponent) and of
     vassiliev.FormalSum (keyed by fingerprint). Zero coefficients are dropped;
-    values of different types never compare equal or add."""
+    a coefficient that is not an int (a float, string or bool) raises
+    ValidityError; values of different types never compare equal or add."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: dict | None = None):
-        object.__setattr__(self, "_c", {k: int(v) for k, v in (coeffs or {}).items() if v != 0})
+        coeffs = coeffs or {}
+        if any(type(v) is not int for v in coeffs.values()):
+            raise ValidityError(f"coefficients must be integers, got {coeffs!r}")
+        object.__setattr__(self, "_c", {k: v for k, v in coeffs.items() if v})
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -224,10 +228,7 @@ def crossing_reports(code: KnotoidCode) -> list[CrossingReport]:
 
 def affine_index_polynomial(code: KnotoidCode) -> LaurentPoly:
     """P(t) = sum over classical crossings of sgn(c) (t^{W_D(c)} - 1)."""
-    p = LaurentPoly.zero()
-    for rep in crossing_reports(code):
-        p = p + LaurentPoly({rep.weight: rep.sign}) - LaurentPoly({0: rep.sign})
-    return p
+    return affine_index_decomposition(code)[0]
 
 
 def affine_index_decomposition(code: KnotoidCode):
@@ -260,11 +261,7 @@ def flat_nth_writhe(code: KnotoidCode, n: int) -> int:
     """f_n = sum of sign(W+(c)) over flat crossings with |W+(c)| = n, n > 0."""
     if n <= 0:
         raise ValidityError("flat n-th writhe is defined for n > 0")
-    total = 0
-    for wp in flat_weights(code).values():
-        if abs(wp) == n:
-            total += 1 if wp > 0 else -1
-    return total
+    return flat_affine_polynomial(code).coeff(n)
 
 
 def flat_affine_polynomial(code: KnotoidCode) -> LaurentPoly:

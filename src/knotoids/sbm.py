@@ -15,6 +15,11 @@ one preferred chord:
   from tail to head along the orientation and pass through the string's
   endpoints when the tail sits after the head.
 
+The element classes (zero rows, copies of row s, complementary pairs, elements
+complementary to d) come from one index of the unmarked rows by value, in
+O(k n) for k unmarked rows of n entries: g's partners are the rows equal to
+row(s) - row(g). Primitivity, reduction, the moves and the closure all read it.
+
 Homology is generated by the elementary extensions (adding an all-zero row, a
 copy of row s, or a complementary pair of rows) and the singularity switch N
 (re-marking d to an element complementary to it). Two primitive SBMs are
@@ -178,32 +183,31 @@ def build_sbm(code: KnotoidCode) -> SBM:
 
 # -- element classification ---------------------------------------------------
 
-def _sums_to_s(m: SBM, g1: int, g2: int) -> bool:
-    return tuple(a + b for a, b in zip(m.row(g1), m.row(g2))) == m.row(m.s)
-
-
 def _classes(m: SBM):
-    """Unmarked indices with a zero row, unmarked copies of row s, and unmarked
-    index pairs whose rows sum to row s (an index may fall in several)."""
-    zero = (0,) * m.size
-    inner = m.unmarked()
-    return ([g for g in inner if m.row(g) == zero],
-            [g for g in inner if m.row(g) == m.row(m.s)],
-            [(g1, g2) for g1, g2 in itertools.combinations(inner, 2) if _sums_to_s(m, g1, g2)])
+    """Unmarked indices with a zero row, copies of row s, index pairs (g1 < g2,
+    in index order) whose rows sum to row s, and indices complementary to d
+    (row + row d = row s); an index may fall in several."""
+    srow = m.row(m.s)
+    by_row: dict[tuple[int, ...], list[int]] = {}
+    for g in m.unmarked():
+        by_row.setdefault(m.row(g), []).append(g)
+
+    def partners(g: int) -> list[int]:
+        return by_row.get(tuple(a - b for a, b in zip(srow, m.row(g))), [])
+
+    return (by_row.get((0,) * m.size, []), by_row.get(srow, []),
+            [(g1, g2) for g1 in m.unmarked() for g2 in partners(g1) if g2 > g1],
+            partners(m.d))
 
 
 def classify(m: SBM) -> dict:
     """Exact linear classifications of unmarked elements and of d."""
-    ann, core, pairs = _classes(m)
+    ann, core, pairs, _ = _classes(m)
     e = m.elements
     return {"annihilating": [e[g] for g in ann], "core": [e[g] for g in core],
             "complementary_pairs": [(e[g1], e[g2]) for g1, g2 in pairs],
             "d_annihilating_like": m.row(m.d) == (0,) * m.size,
             "d_core_like": m.row(m.d) == m.row(m.s)}
-
-
-def _complementary_to_d(m: SBM) -> list[int]:
-    return [g for g in m.unmarked() if _sums_to_s(m, g, m.d)]
 
 
 def _drop(m: SBM, dead: set[int]) -> SBM:
@@ -250,8 +254,10 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
             given = [(_json_int(row_i[e]), _json_int(row_j[e])) for e in m.elements]
         except KeyError as exc:
             raise NotApplicableError(f"the row maps lack element {exc.args[0]!r}") from None
-        # the inter-pair entry is forced: at h = g_j the row-sum condition reads
-        # b(g_i, g_j) = b(s, g_j) = -row_j[s], and rows must cancel at s
+        # the rows must sum to row s at every old element (so cancel at s); at
+        # h = g_j the condition then forces b(g_i, g_j) = b(s, g_j) = -row_j[s]
+        if any(vi + vj != b for (vi, vj), b in zip(given, m.row(m.s))):
+            raise NotApplicableError("the two new rows must sum to row s")
         cross = given[0][0]
         li = _fresh_label(taken)
         labels = [li, _fresh_label(taken | {li})]
@@ -262,17 +268,14 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
             g = m.elements.index(label)
         except ValueError:
             raise NotApplicableError(f"no element {label!r}")
-        if g in (m.s, m.d) or g not in _complementary_to_d(m):
+        if g not in _classes(m)[3]:
             raise NotApplicableError(f"element {label!r} is not complementary to d")
         return _remark(m, g)
     # append the new rows after d, then move d back to last
     n = m.size
     mat = [list(r) + [-row[i] for row in rows] for i, r in enumerate(m.matrix)] + rows
-    out = _take(SBM(m.elements + tuple(labels), tuple(tuple(r) for r in mat)),
-                [*range(n - 1), *range(n, n + len(rows)), n - 1])
-    if kind == "M3" and not _sums_to_s(out, n - 1, n):
-        raise NotApplicableError("the two new rows must sum to row s")
-    return out
+    return _take(SBM(m.elements + tuple(labels), tuple(tuple(r) for r in mat)),
+                 [*range(n - 1), *range(n, n + len(rows)), n - 1])
 
 
 def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
@@ -282,49 +285,44 @@ def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
     kind = _move_kind(move, True)
     if kind == "N":
         return apply_ext(m, move)
-    cls = classify(m)
-    if kind == "M1":
-        label = str(move[1])
-        if label not in cls["annihilating"]:
-            raise NotApplicableError(f"{label!r} is not annihilating")
-        return _drop(m, {m.elements.index(label)})
-    if kind == "M2":
-        label = str(move[1])
-        if label not in cls["core"]:
-            raise NotApplicableError(f"{label!r} is not a core element")
-        return _drop(m, {m.elements.index(label)})
-    li, lj = str(move[1]), str(move[2])
-    if (li, lj) not in cls["complementary_pairs"] and \
-            (lj, li) not in cls["complementary_pairs"]:
-        raise NotApplicableError(f"({li!r}, {lj!r}) is not a complementary pair")
-    return _drop(m, {m.elements.index(li), m.elements.index(lj)})
+    ann, core, pairs, _ = _classes(m)
+    labels = [str(x) for x in move[1:]]
+    index = {e: i for i, e in enumerate(m.elements)}
+    gs = [index.get(label) for label in labels]  # None for an unknown label
+    if kind == "M1" and gs[0] not in ann:
+        raise NotApplicableError(f"{labels[0]!r} is not annihilating")
+    if kind == "M2" and gs[0] not in core:
+        raise NotApplicableError(f"{labels[0]!r} is not a core element")
+    if kind == "M3" and tuple(gs) not in pairs and tuple(gs[::-1]) not in pairs:
+        raise NotApplicableError(f"({labels[0]!r}, {labels[1]!r}) is not a complementary pair")
+    return _drop(m, set(gs))
 
 
 # -- primitivity and reduction -------------------------------------------------
 
 def _markings(m: SBM):
-    """All SBMs reachable by singularity switches, m itself first."""
-    seen = {m.matrix: m}
+    """All SBMs reachable by singularity switches, m itself first, each with its
+    `_classes`."""
+    seen = {m.matrix: (m, _classes(m))}
     frontier = [m]
     while frontier:
         cur = frontier.pop()
-        for g in _complementary_to_d(cur):
+        for g in seen[cur.matrix][1][3]:  # the elements complementary to d
             nxt = _remark(cur, g)
             if nxt.matrix not in seen:
-                seen[nxt.matrix] = nxt
+                seen[nxt.matrix] = (nxt, _classes(nxt))
                 frontier.append(nxt)
     return list(seen.values())
 
 
 def is_primitive(m: SBM) -> bool:
     """No elementary extension can be undone, even after singularity switches."""
-    return not any(any(_classes(v)) for v in _markings(m))
+    return next(_reductions(m), None) is None
 
 
 def _reductions(m: SBM):
     """Every inverse extension of every marking of m, in a fixed order."""
-    for v in _markings(m):
-        ann, core, pairs = _classes(v)
+    for v, (ann, core, pairs, _) in _markings(m):
         for g in ann + core:
             yield _drop(v, {g})
         for pair in pairs:
@@ -373,12 +371,12 @@ def _special_closure(p: SBM):
     isomorphism with exactly one of these moves, so this set covers the whole
     homology class of p at the primitive level."""
     out = {canonical_form(p): "identity"}
-    for g in _complementary_to_d(p):
+    for g in _classes(p)[3]:
         out.setdefault(canonical_form(_remark(p, g)), f"N({p.elements[g]})")
     # add an s-copy, switch, then delete a zero row; and the other way round
     for ext, cls, name in (("M2", 0, "M2;N;M1_inverse"), ("M1", 1, "M1;N;M2_inverse")):
-        for v in _markings(apply_ext(p, (ext,))):
-            for g in _classes(v)[cls]:
+        for v, classes in _markings(apply_ext(p, (ext,))):
+            for g in classes[cls]:
                 out.setdefault(canonical_form(_drop(v, {g})), name)
     return out
 

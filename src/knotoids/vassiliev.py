@@ -105,17 +105,16 @@ def _minimized(code: KnotoidCode) -> KnotoidCode:
     code = simplify(code)
     while True:
         # breadth-first over the triangle orbit of the current local minimum
-        seen = {serialize(code)}
+        seen = {code.components}
         frontier = [code]
         jumped = None
         while frontier and len(seen) <= _ORBIT_CAP and jumped is None:
             cur = frontier.pop(0)
             for mv in enumerate_moves(cur, "flat", rules=("R3",)):
                 nxt = apply_move(cur, mv)
-                s = serialize(nxt)
-                if s in seen:
+                if nxt.components in seen:
                     continue
-                seen.add(s)
+                seen.add(nxt.components)
                 if enumerate_moves(nxt, "flat", rules=("R1_delete", "R2_delete")):
                     jumped = nxt
                     break
@@ -150,13 +149,13 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
             payloads.append(min(_special_closure(prim)))
         return Fingerprint(1, b"S:" + min(payloads))
     if ncomp == 1:
-        q1 = _q_bytes(flat_affine_polynomial(code))
-        q2 = _q_bytes(flat_affine_polynomial(reverse(code)))
+        # reversal keeps every arrow and negates every W+, so Q(reverse) = -Q
+        q = flat_affine_polynomial(code)
         # the polynomial alone misses some small nontrivial classes (it vanishes
         # on the two-crossing interleaved knotoid), so carry the size of a
         # move-minimized representative as well
         n_min = _minimized(code).chord_count()
-        return Fingerprint(1, b"Q:" + min(q1, q2) + b"|n%d" % n_min)
+        return Fingerprint(1, b"Q:" + min(_q_bytes(q), _q_bytes(-q)) + b"|n%d" % n_min)
     idx = abs(intersection_index(OrderedTwoComponent(code, 0, 1)))
     prof = _profile(_minimized(code))
     return Fingerprint(2, b"M:" + repr((idx, prof)).encode())
@@ -192,17 +191,21 @@ def invariant_G(code: KnotoidCode) -> FormalSum:
     return _signed_sum(code, lambda d, c: glue(d, c), lambda d: singular_kink(d))
 
 
-# the invariant handles of the CLI and the fixture corpus
+# the invariant handles of the CLI and the fixture corpus; a derivative may
+# also take "p", the affine index polynomial
 INVARIANTS = {"f": invariant_F, "l": invariant_L, "g": invariant_G}
+_HANDLES = {**INVARIANTS, "p": affine_index_polynomial}
 
 
 def derivative(inv, code: KnotoidCode):
     """Alternating sum of `inv` over all resolutions of the singular crossings.
 
-    `inv` is a callable on classical codes, one of the handles "f", "l", "g"
-    of INVARIANTS, or "p" for the affine index polynomial; the result does not
-    depend on the resolution order."""
-    fn = affine_index_polynomial if inv == "p" else INVARIANTS.get(inv, inv)
+    `inv` is a callable on classical codes or a handle of `_HANDLES` ("f",
+    "l", "g", or "p" for the affine index polynomial); an unknown handle raises
+    ValidityError. The result does not depend on the resolution order."""
+    fn = _HANDLES.get(inv) if isinstance(inv, str) else inv
+    if fn is None:
+        raise ValidityError(f"unknown invariant handle {inv!r}")
     sing = code.singular_chords()
     acc = None
     # bit i of `bits` resolves the i-th singular chord negatively
@@ -220,7 +223,9 @@ def order_check(inv, n: int, samples: int, seed: int) -> dict:
     """Evaluate the derivative on random codes with n+1 singular crossings.
 
     Reports whether every sampled derivative vanished; for an invariant of
-    order n they all must."""
+    order n they all must. Raises ValidityError unless samples >= 1 and n >= 0."""
+    if samples < 1 or n < 0:
+        raise ValidityError(f"an order check needs samples >= 1 and n >= 0, got {samples}, {n}")
     rng = random.Random(seed)
     counterexamples = []
     for _ in range(samples):

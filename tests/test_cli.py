@@ -161,13 +161,19 @@ def test_corpus_detects_mismatch(run, tmp_path):
              "input": "O1+ U1+", "a": "O1+ U1+", "b": "O1+ U1+", "terms": [],
              "equal": True, "coefficients": []}
             for check in ("combination", "invariant_equal", "difference_coefficients")]
+    # an unknown derivative handle, and an order check that samples nothing
+    bad += [{"name": "handle-dx", "check": "combination", "source": "trivial",
+             "invariant": "dx", "input": "O1+ U1+", "terms": []},
+            {"name": "no-samples", "check": "order_check", "source": "trivial",
+             "invariant": "f", "order": 1, "samples": 0, "seed": 1}]
     d = tmp_path / "fixtures"
     d.mkdir()
     (d / "bad.json").write_text(json.dumps(bad))
     rc, out = run("corpus", str(d))
     assert rc == 1
-    assert not out["ok"] and len(out["failures"]) == 4
-    assert [f["detail"].get("error") for f in out["failures"][1:]] == ["BadFixture"] * 3
+    assert not out["ok"] and len(out["failures"]) == 6
+    assert [f["detail"].get("error") for f in out["failures"][1:]] == \
+        ["BadFixture"] * 3 + ["ValidityError"] * 2
 
 
 @pytest.mark.parametrize("make, kind", [

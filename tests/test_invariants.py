@@ -4,9 +4,9 @@ import random
 import pytest
 
 import knotoids as K
-from knotoids.errors import LabelingError
+from knotoids.errors import LabelingError, ValidityError
 from knotoids.invariants import LaurentPoly
-from knotoids.vassiliev import (random_classical_code, random_singular_code,
+from knotoids.vassiliev import (random_classical_code, random_flat_code, random_singular_code,
                                 random_two_component_flat)
 
 from conftest import FLAT3, SING1_PLUS, VK4
@@ -24,6 +24,10 @@ def test_laurent_arithmetic():
     assert str(LaurentPoly({0: -5})) == "-5"
     assert str(LaurentPoly({-2: 1, -1: -2, 0: 1})) == "1-2t^-1+t^-2"
     assert str(LaurentPoly({-1: -1, 3: 4})) == "4t^3-t^-1"
+    # a coefficient must be an int: no silent truncation, no zero kept as "0t"
+    for bad in (0.5, 2.7, 1.0, "1", True, None):
+        with pytest.raises(ValidityError):
+            LaurentPoly({1: bad})
 
 
 def test_label_arcs_empty():
@@ -98,12 +102,26 @@ def test_affine_trivial_and_kink():
     assert K.affine_index_polynomial(K.parse("U1- O1-")).is_zero()
 
 
+def _ref_affine_index_polynomial(code):
+    p = LaurentPoly.zero()
+    for rep in K.crossing_reports(code):
+        p = p + LaurentPoly({rep.weight: rep.sign}) - LaurentPoly({0: rep.sign})
+    return p
+
+
+def _ref_flat_nth_writhe(code, n):
+    return sum(1 if wp > 0 else -1 for wp in K.flat_weights(code).values() if abs(wp) == n)
+
+
 def test_affine_decomposition_identity():
     rng = random.Random(23)
-    for _ in range(200):
+    for t in range(200):
         code = random_classical_code(rng.randrange(0, 7), rng)
+        if t % 2:  # singular chords carry no weight of their own
+            code = random_singular_code(rng.randrange(0, 7), rng.randrange(1, 3), rng)
         p, p_plus, p_minus, w0p = K.affine_index_decomposition(code)
         assert p == p_plus + p_minus + LaurentPoly({0: w0p})
+        assert K.affine_index_polynomial(code) == p == _ref_affine_index_polynomial(code)
 
 
 def test_nth_writhe_reconstruction():
@@ -140,8 +158,10 @@ def test_flat_writhe_vs_nth_writhes():
         for n in weights:
             if n == 0:
                 continue
-            assert K.flat_nth_writhe(flat, n) == \
+            assert K.flat_nth_writhe(flat, n) == _ref_flat_nth_writhe(flat, n) == \
                 K.nth_writhe(code, n) - K.nth_writhe(code, -n)
+        for n in range(1, 8):
+            assert K.flat_nth_writhe(code, n) == _ref_flat_nth_writhe(code, n)
 
 
 def test_q_only_positive_exponents():
@@ -153,10 +173,25 @@ def test_q_only_positive_exponents():
 
 
 def test_q_negates_under_reversal():
+    # the reversal lemma of CONVENTIONS.md, which the flat fingerprint relies on:
+    # flattened, random, walked and zero-smoothed one-component flat codes
     rng = random.Random(41)
-    for _ in range(100):
-        flat = K.flatten(random_classical_code(rng.randrange(0, 7), rng))
-        assert K.flat_affine_polynomial(K.reverse(flat)) == -K.flat_affine_polynomial(flat)
+    for t in range(400):
+        n = rng.randrange(0, 13)
+        if t % 4 == 0:
+            flat = K.flatten(random_classical_code(n, rng))
+        elif t % 4 == 1:
+            flat = random_flat_code(n, rng)
+        elif t % 4 == 2:
+            flat = K.random_walk(random_flat_code(n, rng), rng.randrange(1, 8),
+                                 rng.randrange(10**6), "flat")
+        else:
+            code = random_classical_code(n + 1, rng)
+            flat = K.zero_smooth(code, rng.choice(code.classical_chords()))
+        assert len(flat.components) == 1 and not flat.classical_chords()
+        q = K.flat_affine_polynomial(flat)
+        assert K.flat_affine_polynomial(K.reverse(flat)) == -q, K.serialize(flat)
+        assert K.flat_weights(K.reverse(flat)) == {c: -w for c, w in K.flat_weights(flat).items()}
 
 
 def test_intersection_index_swap_antisymmetry():

@@ -538,6 +538,16 @@ def _random_inverse(m, rng):
     return (kind,) + tuple(rng.choice(labels) for _ in range(2 if kind == "M3" else 1))
 
 
+def _with_copies(m, rng):
+    """m after an M3 extension, with 1-2 unmarked elements copied (row and
+    column): repeated unmarked rows, and elements with several complements."""
+    row_i = {e: rng.randrange(-1, 2) for e in m.elements}
+    m = apply_ext(m, ("M3", row_i, {e: v - row_i[e] for e, v in zip(m.elements, m.row(m.s))}))
+    order = [m.s, *m.unmarked(), *rng.choices(m.unmarked(), k=rng.randrange(1, 3)), m.d]
+    labels = [f"{m.elements[i]}'{k}" for k, i in enumerate(order)]
+    return SBM(tuple(labels), tuple(tuple(m.matrix[i][j] for j in order) for i in order))
+
+
 def test_grown_matrices_match_reference():
     rng = random.Random(89)
     seeds = [m for m in map(build_sbm, _reference_strings(120, 97)) if m.size <= 6]
@@ -549,6 +559,14 @@ def test_grown_matrices_match_reference():
                 mat[j][i] = -mat[i][j]
             seeds.append(SBM(("s",) + tuple(f"e{i}" for i in range(n - 2)) + ("d",),
                              tuple(tuple(r) for r in mat)))
+    copied = [_with_copies(m, rng) for m in seeds if m.size <= 5]
+    several = 0
+    for m in copied:
+        assert classify(m) == _ref_classify(m)
+        ends = [g for pair in _ref_classify(m)["complementary_pairs"] for g in pair]
+        several += any(ends.count(g) > 1 for g in ends)
+    assert several >= 20, several
+    seeds += copied[::4]
     for _ in range(320):
         m = start = rng.choice(seeds)
         for _ in range(rng.randrange(1, 5)):

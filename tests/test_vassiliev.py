@@ -201,6 +201,9 @@ def test_p_derivative_handle(sing1):
 
     val = K.derivative("p", sing1)
     assert isinstance(val, LaurentPoly)
+    for handle in ("x", "F", "", "dx"):
+        with pytest.raises(ValidityError, match="unknown invariant handle"):
+            K.derivative(handle, sing1)
 
 
 def test_second_derivatives_vanish():
@@ -221,6 +224,10 @@ def test_order_check_reports():
     assert rep["all_zero"]
     rep = K.order_check("g", 1, 8, 4244)
     assert rep["all_zero"]
+    # no samples, or a negative order, would test nothing
+    for n, samples in ((0, -3), (1, 0), (-1, 5)):
+        with pytest.raises(ValidityError):
+            K.order_check("f", n, samples, 1)
 
 
 def test_formal_sum_and_polynomial_stay_apart():
@@ -229,6 +236,9 @@ def test_formal_sum_and_polynomial_stay_apart():
     assert fs != FormalSum.zero() and FormalSum.zero() != K.LaurentPoly.zero()
     with pytest.raises(TypeError):
         fs + poly
+    for bad in (1.0, 0.5, "1", True):
+        with pytest.raises(ValidityError):
+            FormalSum.term(fingerprint(K.parse("E")), bad)
     for value, name in ((fs, "FormalSum"), (poly, "LaurentPoly")):
         with pytest.raises(AttributeError, match=f"{name} is immutable"):
             value._c = {}
