@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import codes, invariants, moves, sbm, surgery, vassiliev
 from .codes import OrderedTwoComponent, parse, serialize
-from .errors import KnotoidError, ParseError
+from .errors import KnotoidError, ParseError, ValidityError
 
 __all__ = ["run_case", "run_directory"]
 
@@ -24,13 +24,22 @@ def _fp(text: str):
     return vassiliev.fingerprint(parse(text))
 
 
+def _invariant(handle):
+    """The invariant a fixture names; an unknown handle raises ValidityError, as
+    an unknown derivative handle does."""
+    fn = vassiliev.INVARIANTS.get(handle)
+    if fn is None:
+        raise ValidityError(f"unknown invariant handle {handle!r}")
+    return fn
+
+
 def _combination(case):
     handle = case["invariant"]
     code = parse(case["input"])
     if handle.startswith("d"):
         value = vassiliev.derivative(handle[1:], code)
     else:
-        value = vassiliev.INVARIANTS[handle](code)
+        value = _invariant(handle)(code)
     expected = vassiliev.FormalSum.zero()
     for term in case["terms"]:
         expected = expected + vassiliev.FormalSum.term(_fp(term["code"]), term["coef"])
@@ -193,7 +202,7 @@ def _c_sbm_hom(case):
 
 @_check("invariant_equal")
 def _c_inv_equal(case):
-    fn = vassiliev.INVARIANTS[case["invariant"]]
+    fn = _invariant(case["invariant"])
     va, vb = fn(parse(case["a"])), fn(parse(case["b"]))
     got = va == vb
     return got == case["equal"], {"equal": got, "a": va.to_json(), "b": vb.to_json()}
@@ -201,7 +210,7 @@ def _c_inv_equal(case):
 
 @_check("difference_coefficients")
 def _c_diff_coeffs(case):
-    fn = vassiliev.INVARIANTS[case["invariant"]]
+    fn = _invariant(case["invariant"])
     diff = fn(parse(case["a"])) - fn(parse(case["b"]))
     got = diff.coefficients()
     return got == case["coefficients"], {"coefficients": got}

@@ -64,7 +64,8 @@ class NotApplicableError(KnotoidError):
 
 
 class SizeLimitError(KnotoidError):
-    """Brute-force canonicalization refused: too many unmarked elements."""
+    """Canonical-form search refused: it would visit more than the search-node
+    budget (`sbm._NODE_BUDGET`)."""
 
     kind = "SizeLimit"
 

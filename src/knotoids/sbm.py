@@ -20,6 +20,10 @@ complementary to d) come from one index of the unmarked rows by value, in
 O(k n) for k unmarked rows of n entries: g's partners are the rows equal to
 row(s) - row(g). Primitivity, reduction, the moves and the closure all read it.
 
+The canonical form, the lex-smallest flattened matrix over orders of the
+unmarked elements, is found by ordered partition refinement under a search-node
+budget, not by trying every order (CONVENTIONS.md gives the argument).
+
 Homology is generated by the elementary extensions (adding an all-zero row, a
 copy of row s, or a complementary pair of rows) and the singularity switch N
 (re-marking d to an element complementary to it). Two primitive SBMs are
@@ -50,8 +54,11 @@ __all__ = [
     "homologous",
 ]
 
-# most unmarked elements `canonical_form` permutes; larger inputs raise SizeLimitError
-_PERM_LIMIT = 9
+# most search nodes (element placements) `canonical_form` visits before it
+# raises SizeLimitError. The level-by-level search visits at most
+# sum(k!/(k-i)!, i = 1..k) nodes on k unmarked elements, 986409 for k = 9, so
+# no input with 9 or fewer is refused.
+_NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -127,8 +134,9 @@ def _json_int(v) -> int:
 
 def _take(m: SBM, order) -> SBM:
     """The elements of m at the given indices, in that order, with their pairing."""
-    return SBM(tuple(m.elements[i] for i in order),
-               tuple(tuple(m.matrix[i][j] for j in order) for i in order))
+    mat = m.matrix
+    return SBM(tuple([m.elements[i] for i in order]),
+               tuple([tuple([mat[i][j] for j in order]) for i in order]))
 
 
 def _fresh_label(taken):
@@ -178,7 +186,7 @@ def build_sbm(code: KnotoidCode) -> SBM:
             b = ((tails[i] & heads[j]).bit_count() - (tails[j] & heads[i]).bit_count()
                  + (tails[i] >> j & 1) - (heads[i] >> j & 1))
             mat[i][j], mat[j][i] = b, -b
-    return SBM(("s",) + tuple(str(c) for c in chords), tuple(tuple(r) for r in mat))
+    return SBM(("s",) + tuple([str(c) for c in chords]), tuple([tuple(r) for r in mat]))
 
 
 # -- element classification ---------------------------------------------------
@@ -193,7 +201,7 @@ def _classes(m: SBM):
         by_row.setdefault(m.row(g), []).append(g)
 
     def partners(g: int) -> list[int]:
-        return by_row.get(tuple(a - b for a, b in zip(srow, m.row(g))), [])
+        return by_row.get(tuple([a - b for a, b in zip(srow, m.row(g))]), [])
 
     return (by_row.get((0,) * m.size, []), by_row.get(srow, []),
             [(g1, g2) for g1 in m.unmarked() for g2 in partners(g1) if g2 > g1],
@@ -274,7 +282,7 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
     # append the new rows after d, then move d back to last
     n = m.size
     mat = [list(r) + [-row[i] for row in rows] for i, r in enumerate(m.matrix)] + rows
-    return _take(SBM(m.elements + tuple(labels), tuple(tuple(r) for r in mat)),
+    return _take(SBM(m.elements + tuple(labels), tuple([tuple(r) for r in mat])),
                  [*range(n - 1), *range(n, n + len(rows)), n - 1])
 
 
@@ -344,20 +352,57 @@ def reduce_to_primitive(m: SBM) -> SBM:
 # -- canonical form, isomorphism, homology -------------------------------------
 
 def canonical_form(m: SBM) -> bytes:
-    """Serialized matrix minimized over permutations of unmarked elements.
+    """The lex-smallest flattened matrix over orders of the unmarked elements
+    (s first, d last), serialized.
 
-    Labels are ignored (isomorphisms only fix s and d). Raises SizeLimitError
-    above _PERM_LIMIT (9) unmarked elements."""
-    unmarked = list(m.unmarked())
-    if len(unmarked) > _PERM_LIMIT:
-        raise SizeLimitError(f"{len(unmarked)} unmarked elements exceed the bound {_PERM_LIMIT}")
-    best = None
-    for perm in itertools.permutations(unmarked):
-        order = (m.s,) + perm + (m.d,)
-        flat = tuple(m.matrix[i][j] for i in order for j in order)
-        if best is None or flat < best:
-            best = flat
-    return repr(best).encode()
+    Labels are ignored (isomorphisms only fix s and d). The search goes level
+    by level: it keeps every order prefix whose rows so far are least, places
+    one element per twin class from the first cell next, and refines the other
+    cells by its row (see CONVENTIONS.md). Raises SizeLimitError past
+    _NODE_BUDGET placements."""
+    mat, d = m.matrix, m.d
+    twins: dict[tuple[int, ...], int] = {}
+    twin = {g: twins.setdefault(mat[g], g) for g in m.unmarked()}  # identical rows
+    states = [([], _split([list(m.unmarked())], mat[m.s]))]  # (prefix, ordered cells)
+    nodes = 0
+    for _ in m.unmarked():
+        best, survivors = None, []
+        for prefix, cells in states:
+            first = cells[0]
+            for c in {twin[g]: g for g in first}.values():
+                nodes += 1
+                if nodes > _NODE_BUDGET:
+                    raise SizeLimitError(f"the canonical form of {m.size - 2} unmarked "
+                                         f"elements exceeds the search budget of "
+                                         f"{_NODE_BUDGET} nodes")
+                row = mat[c]
+                refined = _split([[g for g in first if g != c], *cells[1:]], row)
+                # the row of c in the least order: its entries before c are the
+                # same for every candidate, so the rest decides
+                key = [row[g] for cell in refined for g in cell]
+                key.append(row[d])
+                if best is None or key < best:
+                    best, survivors = key, [(prefix + [c], refined)]
+                elif key == best:
+                    survivors.append((prefix + [c], refined))
+        states = survivors
+    order = [m.s, *states[0][0], d]
+    return repr(tuple([mat[i][j] for i in order for j in order])).encode()
+
+
+def _split(cells: list[list[int]], row: tuple[int, ...]) -> list[list[int]]:
+    """Each cell split by the values of row, ascending, in cell order; empty
+    cells are dropped."""
+    out = []
+    for cell in cells:
+        if len(cell) == 1:
+            out.append(cell)
+            continue
+        parts: dict[int, list[int]] = {}
+        for g in cell:
+            parts.setdefault(row[g], []).append(g)
+        out += [parts[v] for v in sorted(parts)]
+    return out
 
 
 def isomorphic(m1: SBM, m2: SBM) -> bool:

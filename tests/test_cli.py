@@ -156,7 +156,7 @@ def test_corpus_shipped(run):
 def test_corpus_detects_mismatch(run, tmp_path):
     bad = [{"name": "broken", "check": "writhe_signs", "source": "trivial",
             "input": "O1+ U1+", "w": -7, "signs": {"1": 1}}]
-    # an unknown invariant handle is a broken fixture
+    # an unknown invariant handle
     bad += [{"name": f"handle-{check}", "check": check, "source": "trivial", "invariant": "x",
              "input": "O1+ U1+", "a": "O1+ U1+", "b": "O1+ U1+", "terms": [],
              "equal": True, "coefficients": []}
@@ -173,7 +173,9 @@ def test_corpus_detects_mismatch(run, tmp_path):
     assert rc == 1
     assert not out["ok"] and len(out["failures"]) == 6
     assert [f["detail"].get("error") for f in out["failures"][1:]] == \
-        ["BadFixture"] * 3 + ["ValidityError"] * 2
+        ["ValidityError"] * 5
+    assert {f["detail"]["message"] for f in out["failures"][1:4]} == \
+        {"unknown invariant handle 'x'"}
 
 
 @pytest.mark.parametrize("make, kind", [

@@ -27,10 +27,10 @@ def test_walk_workload_runs_and_checks_out():
 
 def test_gluing_workload_runs_and_checks_out():
     # the harness checks the published matrices B3-B6 and glued-string homology;
-    # three of every 24 operations are G calls refused with SizeLimitError
+    # every G call completes, those at 16, 20 and 30 crossings included
     result = _run("gluing")
     assert result["attempted"] > 0
-    assert result["failed"] <= result["attempted"] // 8
+    assert result["failed"] == 0
 
 
 def test_traced_smoothing_sees_every_surgery():

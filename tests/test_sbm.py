@@ -1,6 +1,9 @@
 """Singular based matrices: construction, classification, moves, homology."""
 import itertools
+import json
+import math
 import random
+from importlib import resources
 
 import pytest
 
@@ -207,19 +210,118 @@ def test_homologous_reflexive_symmetric():
 
 
 def test_size_limit():
+    # every unmarked row is zero, so all 11 unmarked elements are twins and the
+    # search places one per level; the 11! orders are never visited
     n = 13
     elements = tuple(["s"] + [f"g{i}" for i in range(n - 2)] + ["d"])
     mat = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    with pytest.raises(SizeLimitError):
-        canonical_form(SBM(elements, mat))
+    assert canonical_form(SBM(elements, mat)) == repr((0,) * n * n).encode()
 
 
 def test_size_limit_constant(monkeypatch):
+    # the budget admits a full level-by-level search on 9 unmarked elements
+    assert sbm._NODE_BUDGET >= sum(math.perm(9, i) for i in range(1, 10))
     m = build_sbm(K.parse(STRING_G3))
     assert len(m.unmarked()) == 3 and canonical_form(m)
-    monkeypatch.setattr(sbm, "_PERM_LIMIT", 2)
-    with pytest.raises(SizeLimitError, match="3 unmarked elements exceed the bound 2"):
+    monkeypatch.setattr(sbm, "_NODE_BUDGET", 2)
+    with pytest.raises(SizeLimitError, match="exceeds the search budget of 2 nodes"):
         canonical_form(m)
+
+
+def _ref_canonical_form(m, orders=None):
+    """The least flattened matrix over every order of the unmarked elements (or
+    over the given orders)."""
+    best = None
+    for perm in itertools.permutations(m.unmarked()) if orders is None else orders:
+        order = (m.s,) + perm + (m.d,)
+        flat = tuple(m.matrix[i][j] for i in order for j in order)
+        if best is None or flat < best:
+            best = flat
+    return repr(best).encode()
+
+
+def _seeded_sbms(count, seed):
+    """Based matrices of seeded flat singular and glued classical strings of 1-8
+    chords, grown by 0-3 random M1/M2/M3 extensions and N re-markings, with at
+    most 8 unmarked elements (8 for one in twenty, 7 for one in three, else 6:
+    the brute-force reference takes 8! orders at 8)."""
+    rng = random.Random(seed)
+    for t in range(count):
+        cap = 8 if t % 20 == 0 else 7 if t % 3 == 0 else 6
+        n = rng.randrange(1, cap + 1)
+        if t % 2:
+            code = with_preferred(random_flat_code(n, rng), rng)
+        else:
+            base = random_classical_code(n, rng)
+            code = K.glue(base, rng.choice(base.chord_ids()))
+        m = build_sbm(code)
+        for _ in range(rng.randrange(0, 4)):
+            grown = _outcome(apply_ext, m, _random_move(m, rng))
+            if isinstance(grown, SBM) and len(grown.unmarked()) <= cap:
+                m = grown
+        yield m
+
+
+def test_canonical_form_matches_brute_force():
+    sizes = set()
+    for m in _seeded_sbms(240, 211):
+        sizes.add(len(m.unmarked()))
+        assert canonical_form(m) == _ref_canonical_form(m), m
+    assert sizes == set(range(9)), sizes
+
+
+def test_canonical_form_of_a_symmetric_matrix():
+    # the circulant regular tournament on 9 unmarked elements: every rotation
+    # is an automorphism, so the first level ties on all 9 candidates
+    k = 9
+    mat = [[0] * (k + 2) for _ in range(k + 2)]
+    for a in range(k):
+        for step in range(1, 5):
+            b = (a + step) % k
+            mat[a + 1][b + 1], mat[b + 1][a + 1] = 1, -1
+    m = SBM(("s",) + tuple(f"e{i}" for i in range(k)) + ("d",), tuple(tuple(r) for r in mat))
+    rotate = [0, *range(2, k + 1), 1, k + 1]
+    assert all(mat[rotate[i]][rotate[j]] == mat[i][j] for i in range(k + 2) for j in range(k + 2))
+    # the rotations move any first element to e0, so the orders that start with
+    # e0 reach every flattened matrix
+    orders = ((1,) + perm for perm in itertools.permutations(range(2, k + 1)))
+    assert canonical_form(m) == _ref_canonical_form(m, orders)
+
+
+def test_corpus_g_and_fingerprints_match_brute_force(monkeypatch):
+    # G of every classical corpus code, the G derivative of the classical-singular
+    # ones, and the fingerprint of every flat one
+    texts = []
+    corpus = resources.files("knotoids").joinpath("data/corpus")
+    for name in sorted(p.name for p in corpus.iterdir() if p.name.endswith(".json")):
+        for case in json.loads(corpus.joinpath(name).read_text()):
+            texts += [case[k] for k in ("input", "a", "b") if isinstance(case.get(k), str)]
+            texts += [t["code"] for t in case.get("terms", [])]
+    codes = []
+    for text in dict.fromkeys(texts):
+        try:
+            codes.append(K.parse(text))
+        except KnotoidError:  # the corpus's invalid-input cases
+            pass
+
+    def values():
+        out = []
+        for code in codes:
+            if not code.classical_chords():
+                fn = K.fingerprint
+            elif code.singular_chords():
+                fn = lambda c: K.derivative("g", c)  # noqa: E731
+            else:
+                fn = K.invariant_G
+            try:
+                out.append(fn(code))
+            except KnotoidError as exc:
+                out.append(exc.kind)
+        return out
+
+    got = values()
+    monkeypatch.setattr(sbm, "canonical_form", _ref_canonical_form)
+    assert len(codes) >= 20 and got == values()
 
 
 def test_homology_invariance_under_string_walks():

@@ -267,6 +267,18 @@ def test_long_walks_keep_f_and_l():
         assert inv(walked) == inv(base), K.serialize(walked)
 
 
+def test_long_walks_keep_g():
+    # G at sizes the canonical form once refused (above 9 unmarked elements); a
+    # step adds up to two crossings, and G's cost grows steeply past 30
+    rng = random.Random(163)
+    for n in (10, 12, 14):
+        walked = base = random_classical_code(n, rng)
+        g = K.invariant_G(base)
+        for _ in range(2):
+            walked = K.random_walk(walked, 3, rng.randrange(10**6), "classical")
+            assert K.invariant_G(walked) == g, K.serialize(walked)
+
+
 # -- the invariant layer as it was, kept as references -------------------------
 
 def _ref_minimized(code, orbit_cap=400):
