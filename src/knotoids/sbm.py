@@ -30,6 +30,14 @@ copy of row s, or a complementary pair of rows) and the singularity switch N
 homologous exactly when one is the other's image under an isomorphism,
 optionally composed with a single N, delete-zero-row . N . add-s-copy, or
 delete-s-copy . N . add-zero-row move; `homologous` decides that directly.
+`_special_closure` lists a primitive with those single-move relatives, and
+both `homologous` and the singular fingerprint read that one walk.
+
+Reversing the string's orientation changes its SBM by a fixed transform,
+`_reverse`: b(x, s) negates and b(x, y) becomes b(x, y) - b(x, s) + b(y, s).
+It commutes with switches and drops and swaps zero rows with copies of row s,
+so it maps the closure of a primitive onto the closure of the reversed
+string's primitive (CONVENTIONS.md gives the proof).
 """
 from __future__ import annotations
 
@@ -137,6 +145,19 @@ def _take(m: SBM, order) -> SBM:
     mat = m.matrix
     return SBM(tuple([m.elements[i] for i in order]),
                tuple([tuple([mat[i][j] for j in order]) for i in order]))
+
+
+def _reverse(m: SBM) -> SBM:
+    """The SBM of the reversed string, from the SBM m of a flat singular string,
+    labels and element order kept: b(x, s) negates, and for x, y other than s,
+    b(x, y) becomes b(x, y) - b(x, s) + b(y, s) (CONVENTIONS.md gives the
+    proof). It reads only column s, so it commutes with switches and drops."""
+    mat = m.matrix
+    col = [r[0] for r in mat]  # b(x, s)
+    rows = [tuple([-v for v in mat[0]])]
+    rows += [tuple([-cx] + [v - cx + cy for v, cy in zip(r[1:], col[1:])])
+             for r, cx in zip(mat[1:], col[1:])]
+    return SBM(m.elements, tuple(rows))
 
 
 def _fresh_label(taken):
@@ -409,31 +430,27 @@ def isomorphic(m1: SBM, m2: SBM) -> bool:
     return m1.size == m2.size and canonical_form(m1) == canonical_form(m2)
 
 
-def _special_closure(p: SBM):
-    """Canonical forms of p and of its single-move relatives, with move names.
+def _special_closure(p: SBM) -> list[tuple[SBM, str]]:
+    """p and its single-move relatives, each with its move name, p first.
 
     Any two homologous primitives are related by an isomorphism alone or by an
-    isomorphism with exactly one of these moves, so this set covers the whole
-    homology class of p at the primitive level."""
-    out = {canonical_form(p): "identity"}
-    for g in _classes(p)[3]:
-        out.setdefault(canonical_form(_remark(p, g)), f"N({p.elements[g]})")
+    isomorphism with exactly one of these moves, so the canonical forms of this
+    list cover the whole homology class of p at the primitive level."""
+    out = [(p, "identity")]
+    out += [(_remark(p, g), f"N({p.elements[g]})") for g in _classes(p)[3]]
     # add an s-copy, switch, then delete a zero row; and the other way round
     for ext, cls, name in (("M2", 0, "M2;N;M1_inverse"), ("M1", 1, "M1;N;M2_inverse")):
         for v, classes in _markings(apply_ext(p, (ext,))):
-            for g in classes[cls]:
-                out.setdefault(canonical_form(_drop(v, {g})), name)
+            out += [(_drop(v, {g}), name) for g in classes[cls]]
     return out
 
 
 def homologous(m1: SBM, m2: SBM) -> tuple[bool, str]:
     """Decide homology; the certificate names the witnessing move chain."""
-    p1 = reduce_to_primitive(m1)
-    p2 = reduce_to_primitive(m2)
-    closure = _special_closure(p1)
-    key = canonical_form(p2)
-    if key in closure:
-        via = closure[key]
-        cert = "isomorphism" if via == "identity" else via
-        return True, cert
-    return False, "none"
+    forms: dict[bytes, str] = {}
+    for x, via in _special_closure(reduce_to_primitive(m1)):
+        forms.setdefault(canonical_form(x), via)
+    via = forms.get(canonical_form(reduce_to_primitive(m2)))
+    if via is None:
+        return False, "none"
+    return True, "isomorphism" if via == "identity" else via

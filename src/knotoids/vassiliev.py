@@ -8,9 +8,10 @@ fingerprints certify inequivalence (the converse is not claimed).
   two orientations, plus the chord count of a move-minimized representative;
 * two components, flat: the absolute intersection index plus the per-component
   chord profile of a move-minimized representative;
-* flat singular with one preferred chord: the canonical form of the reduced
-  based matrix, minimized over its single-move homology closure and over the
-  two orientations.
+* flat singular with one preferred chord: the least canonical form over the
+  single-move homology closure of the reduced based matrix, for both
+  orientations; the reversed string's closure is a fixed transform of this
+  one, so one based matrix and one closure walk serve both.
 
 The invariants sum fingerprints of surgered diagrams with crossing signs:
 
@@ -26,13 +27,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .codes import (KnotoidCode, OrderedTwoComponent, Passage, Role, add_unknot, flatten, reverse,
-                    serialize)
+from .codes import KnotoidCode, OrderedTwoComponent, Passage, Role, add_unknot, flatten, serialize
 from .errors import UnsupportedError, ValidityError
 from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomial,
                          flat_affine_polynomial, intersection_index, writhe)
 from .moves import apply_move, enumerate_moves, simplify
-from .sbm import build_sbm, reduce_to_primitive, _special_closure
+from .sbm import _reverse, _special_closure, build_sbm, canonical_form, reduce_to_primitive
 from .surgery import glue, one_smooth, resolve, singular_kink, zero_smooth
 
 __all__ = [
@@ -143,11 +143,11 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
     if code.singular_chords():
         if ncomp != 1:
             raise UnsupportedError("singular fingerprints need a single open component")
-        payloads = []
-        for orient in (code, reverse(code)):
-            prim = reduce_to_primitive(build_sbm(orient))
-            payloads.append(min(_special_closure(prim)))
-        return Fingerprint(1, b"S:" + min(payloads))
+        # the reversed string's closure is the reversal of this one (the SBM
+        # reversal lemma in CONVENTIONS.md), so one walk serves both orientations
+        prim = reduce_to_primitive(build_sbm(code))
+        return Fingerprint(1, b"S:" + min(min(canonical_form(x), canonical_form(_reverse(x)))
+                                          for x, _ in _special_closure(prim)))
     if ncomp == 1:
         # reversal keeps every arrow and negates every W+, so Q(reverse) = -Q
         q = flat_affine_polynomial(code)

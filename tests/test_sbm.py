@@ -9,11 +9,12 @@ import pytest
 
 import knotoids as K
 from knotoids import sbm
+from knotoids.codes import Passage
 from knotoids.errors import KnotoidError, NotApplicableError, SizeLimitError, ValidityError
 from knotoids.sbm import (SBM, apply_ext, apply_ext_inverse, build_sbm, canonical_form,
                           classify, homologous, is_primitive, isomorphic,
                           reduce_to_primitive)
-from knotoids.vassiliev import random_classical_code, random_flat_code
+from knotoids.vassiliev import random_classical_code, random_flat_code, random_singular_code
 
 from conftest import B3, B4, B5, B6, STRING_G3, STRING_G4, STRING_G5, STRING_G6, with_preferred
 
@@ -361,6 +362,54 @@ def test_overlapping_classes():
     assert cls["d_annihilating_like"] and cls["d_core_like"]
     assert not is_primitive(m)
     assert reduce_to_primitive(m) == SBM(("s", "d"), ((0, 0), (0, 0)))
+
+
+def _reversal_strings(count, seed):
+    """Seeded flat singular strings at 1-15 crossings: glued classical codes,
+    singular kinks, and flattened `random_singular_code` strings with 1-3
+    singular crossings, one of them preferred."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randrange(1, 16)
+        if t % 3 == 0:
+            base = random_classical_code(n, rng)
+            yield K.glue(base, rng.choice(base.chord_ids()))
+        elif t % 3 == 1:
+            base = random_classical_code(n - 1, rng)
+            yield K.singular_kink(base, rng.randrange(2 * n - 1))
+        else:
+            singular = rng.randrange(1, min(n, 3) + 1)
+            code = K.flatten(random_singular_code(n - singular, singular, rng))
+            pref = rng.choice(code.singular_chords())
+            yield K.KnotoidCode((tuple(Passage(p.chord, p.role, None, p.chord == pref)
+                                       for p in code.open_component),))
+
+
+def test_reverse_is_the_reversed_strings_sbm():
+    sizes = set()
+    for code in _reversal_strings(450, 97):
+        m = build_sbm(code)
+        sizes.add(code.chord_count())
+        rev = sbm._reverse(m)
+        assert rev == build_sbm(K.reverse(code)), K.serialize(code)
+        assert sbm._reverse(rev) == m
+    assert sizes == set(range(1, 16)), sizes
+    # an involution on every SBM, not only on built ones
+    for m in _seeded_sbms(60, 101):
+        assert sbm._reverse(sbm._reverse(m)) == m
+
+
+def test_reverse_maps_the_closure_onto_the_reversed_closure():
+    # the closure of the reversed primitive and the reversal of the closure have
+    # the same canonical forms, and so have the closure of the reversed string's
+    # own primitive (which may be a different representative)
+    for code in itertools.islice(_reversal_strings(300, 103), 0, None, 2):
+        p = reduce_to_primitive(build_sbm(code))
+        forms = {canonical_form(sbm._reverse(x)) for x, _ in sbm._special_closure(p)}
+        assert forms == {canonical_form(x) for x, _ in sbm._special_closure(sbm._reverse(p))}
+        own = reduce_to_primitive(build_sbm(K.reverse(code)))
+        assert forms == {canonical_form(x) for x, _ in sbm._special_closure(own)}, \
+            K.serialize(code)
 
 
 # -- test-local references: the based-matrix layer as first written -----------

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import knotoids as K
+from knotoids import sbm
 from knotoids import vassiliev as V
 from knotoids.codes import Passage, Role
 from knotoids.errors import KnotoidError, UnsupportedError, ValidityError
@@ -215,6 +216,37 @@ def test_second_derivatives_vanish():
     for _ in range(10):
         code = random_singular_code(rng.randrange(0, 3), 2, rng)
         assert K.derivative("g", code).is_zero(), K.serialize(code)
+
+
+def test_second_derivatives_of_g_vanish_at_size():
+    rng = random.Random(167)
+    for _ in range(24):
+        code = random_singular_code(rng.randrange(8, 17), 2, rng)
+        assert K.derivative("g", code).is_zero(), K.serialize(code)
+
+
+def test_g_is_reversal_invariant():
+    rng = random.Random(173)
+    for _ in range(40):
+        code = random_classical_code(rng.randrange(1, 13), rng)
+        assert K.invariant_G(K.reverse(code)) == K.invariant_G(code), K.serialize(code)
+
+
+def _ref_singular_payload(code):
+    """The singular fingerprint as first written: a based matrix, primitive and
+    closure for each orientation."""
+    return b"S:" + min(min(sbm.canonical_form(x) for x, _ in sbm._special_closure(
+        sbm.reduce_to_primitive(sbm.build_sbm(orient)))) for orient in (code, K.reverse(code)))
+
+
+def test_singular_fingerprint_of_both_orientations_at_size():
+    rng = random.Random(179)
+    for _ in range(30):
+        base = random_classical_code(rng.randrange(16, 31), rng)
+        glued = K.glue(base, rng.choice(base.chord_ids()))
+        fp = fingerprint(glued)
+        assert fingerprint(K.reverse(glued)) == fp, K.serialize(glued)
+        assert fp.payload == _ref_singular_payload(glued), K.serialize(glued)
 
 
 def test_order_check_reports():
