@@ -163,7 +163,7 @@ def enumerate_moves(code: KnotoidCode, family: str | None = None,
     index = _pair_index(code, fam) if want("R2_delete") or want("R3") else None
     out = []
     if want("R1_delete"):
-        out += _r1_deletes(code, fam)
+        out += _r1_deletes(code)
     if want("R2_delete"):
         out += _r2_deletes(code, fam, index)
     if want("R3"):
@@ -178,14 +178,12 @@ def enumerate_moves(code: KnotoidCode, family: str | None = None,
     return out
 
 
-def _r1_deletes(code, fam):
+def _r1_deletes(code):
     moves = []
     seen = set()
     for k, i, j in _adjacent_pairs(code):
         a, b = code.components[k][i], code.components[k][j]
         if a.chord != b.chord or a.role.is_singular:
-            continue
-        if not _movable(a, fam):
             continue
         key = (k, frozenset((i, j)))
         if key in seen:
@@ -200,19 +198,14 @@ def _r2_pair_ok(a1, a2, b1, b2, fam) -> bool:
     x, y = a1.chord, a2.chord
     if x == y or {b1.chord, b2.chord} != {x, y}:
         return False
-    ps = [a1, a2, b1, b2]
-    if any(p.role.is_singular for p in ps):
+    if any(p.role.is_singular for p in (a1, a2, b1, b2)):
         return False
     if fam == "classical":
-        if not all(p.role.is_classical for p in ps):
-            return False
         if a1.sign != -a2.sign:
             return False
         roles1 = {a1.role, a2.role}
         roles2 = {b1.role, b2.role}
         return (roles1, roles2) in (({Role.OVER}, {Role.UNDER}), ({Role.UNDER}, {Role.OVER}))
-    if not all(p.role.is_flat for p in ps):
-        return False
     # each site holds one tail and one head, of different chords
     return a1.role != a2.role and b1.role != b2.role
 

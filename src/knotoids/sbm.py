@@ -42,6 +42,7 @@ string's primitive (CONVENTIONS.md gives the proof).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .codes import KnotoidCode
@@ -84,10 +85,10 @@ class SBM:
             raise ValidityError("element labels must be distinct")
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValidityError("matrix shape must match the element count")
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] != -self.matrix[j][i]:
-                    raise ValidityError("pairing must be skew-symmetric")
+        # each entry plus its transpose entry, the diagonal included, in one C-level pass
+        entries = itertools.chain.from_iterable
+        if any(map(operator.add, entries(self.matrix), entries(zip(*self.matrix)))):
+            raise ValidityError("pairing must be skew-symmetric")
 
     @property
     def s(self) -> int:

@@ -174,11 +174,9 @@ def _signed_sum(code: KnotoidCode, surgery, correction) -> FormalSum:
     return acc - FormalSum.term(fingerprint(correction(code)), writhe(code))
 
 
-# the surgeries are looked up at call time, so rebinding a module name (as a
-# tracer does) reaches every invariant
 def invariant_F(code: KnotoidCode) -> FormalSum:
     """0-smoothing invariant."""
-    return _signed_sum(code, lambda d, c: zero_smooth(d, c), lambda d: flatten(d))
+    return _signed_sum(code, zero_smooth, flatten)
 
 
 def invariant_L(code: KnotoidCode) -> FormalSum:
@@ -188,7 +186,7 @@ def invariant_L(code: KnotoidCode) -> FormalSum:
 
 def invariant_G(code: KnotoidCode) -> FormalSum:
     """Gluing invariant (universal order-one)."""
-    return _signed_sum(code, lambda d, c: glue(d, c), lambda d: singular_kink(d))
+    return _signed_sum(code, glue, singular_kink)
 
 
 # the invariant handles of the CLI and the fixture corpus; a derivative may

@@ -100,7 +100,8 @@ def test_sbm_commands(run, codefile, tmp_path):
     ('{"elements":["s","a","d"],"matrix":[[0,1,0],[-1,0,0],[0,0,0]],"s":5}', "ValidityError"),
     ('{"elements":["s","d"]}', "ValidityError"),
     ("{not json", "SyntaxError"),
-], ids=("s-out-of-range", "missing-matrix", "invalid-json"))
+    ('{"elements":["s","a","d"],"matrix":[[0,1,0],[-1,0,0],[0,1,0]]}', "ValidityError"),
+], ids=("s-out-of-range", "missing-matrix", "invalid-json", "not-skew"))
 def test_sbm_malformed_json(run, tmp_path, text, kind):
     bad = tmp_path / "bad.json"
     bad.write_text(text)

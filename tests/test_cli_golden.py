@@ -98,7 +98,7 @@ def _code_calls(text: str) -> list[dict]:
     if len(ids) <= 6:
         argvs += [["vassiliev", w] for w in ("f", "l", "g")]
         argvs += [["vassiliev", "derivative", "--inv", w] for w in ("f", "l", "g", "p")]
-    else:  # G on larger codes is a brute-force canonical form; F, L and P stay cheap
+    else:  # the sweep was recorded with G on codes of at most 6 chords only; F, L and P on all
         argvs += [["vassiliev", w] for w in ("f", "l")]
         argvs += [["vassiliev", "derivative", "--inv", w] for w in ("f", "l", "p")]
     return [{"argv": argv + ["a.gauss"], "files": {"a.gauss": text}} for argv in argvs]

@@ -58,6 +58,28 @@ def test_skew_symmetry_everywhere():
                 assert m.matrix[i][j] == -m.matrix[j][i]
 
 
+@pytest.mark.parametrize("elements, matrix, message", [
+    ((), (), "an SBM needs the two marked elements"),
+    (("s",), ((0,),), "an SBM needs the two marked elements"),
+    (("s", "a", "s"), ((0, 0, 0),) * 3, "element labels must be distinct"),
+    (("s", "d"), ((0, 1), (-1,)), "matrix shape must match the element count"),
+    (("s", "d"), ((0, 1), (-1, 0), (0, 0)), "matrix shape must match the element count"),
+    (("s", "d"), ((0, 1, 0), (-1, 0, 0)), "matrix shape must match the element count"),
+    (("s", "a", "d"), ((0, 1, 0), (-1, 0, 2), (0, 2, 0)), "pairing must be skew-symmetric"),
+    (("s", "a", "d"), ((0, 1, 0), (-1, 3, 0), (0, 0, 0)), "pairing must be skew-symmetric"),
+], ids=("empty", "one-element", "repeated-label", "ragged", "extra-row", "wide-rows",
+        "asymmetric-pair", "nonzero-diagonal"))
+def test_constructor_refuses_malformed_matrices(elements, matrix, message):
+    with pytest.raises(ValidityError) as info:
+        SBM(elements, matrix)
+    assert str(info.value) == message
+
+
+def test_constructor_accepts_list_rows():
+    m = SBM(("s", "a", "d"), [[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
+    assert _matrix(m) == [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]
+
+
 def test_classification_flags():
     m5 = build_sbm(K.parse(STRING_G5))
     cls = classify(m5)
