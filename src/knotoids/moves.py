@@ -4,9 +4,8 @@ Implemented rule families:
 
 * kink insert/delete (R1)
 * poke insert/delete (R2)
-* triangle slide (R3), matched against a checked-in table of oriented variants
-  (data/r3_variants.json) generated by enumerating three oriented lines in the
-  plane; classical variants also carry a consistent sheet order
+* triangle slide (R3), decided from its sites by one closed-form rule
+  (`_is_triangle`; CONVENTIONS.md, "Triangle slides", proves it)
 * the preferred-singularity slide on flat singular codes (PreferredSwitch)
 
 Virtual-crossing moves act trivially on Gauss codes (virtual crossings are not
@@ -30,13 +29,10 @@ passages from site-pattern tables. A move that does not fit is a StaleMoveError.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
-from importlib import resources
 
 from .codes import KnotoidCode, Passage, Role, recast
 from .errors import StaleMoveError, ValidityError
@@ -48,42 +44,10 @@ __all__ = ["MoveInstance", "enumerate_moves", "apply_move", "random_walk", "simp
 class MoveInstance:
     rule: str                    # R1_insert/R1_delete/R2_insert/R2_delete/R3/PreferredSwitch
     sites: tuple                 # rule-specific (component, position) data
-    variant: str = ""
+    variant: str = ""            # inserts and switches; R3 and deletions are fixed by sites
 
     def sort_key(self):
         return (self.rule, self.sites, self.variant)
-
-
-@functools.cache
-def _r3_table() -> dict:
-    with resources.files("knotoids").joinpath("data/r3_variants.json").open() as fh:
-        data = json.load(fh)
-    return {"classical": set(data["classical"]), "flat": set(data["flat"])}
-
-
-def r3_signature(sites) -> str:
-    """Canonical signature of three ordered passage pairs.
-
-    Each passage is (chord_key, role_char, sign_int); chords are renamed by the
-    sorted indices of the two sites they touch, and the signature is minimized
-    over site orderings. Must stay in sync with the generator of
-    data/r3_variants.json."""
-    best = None
-    for perm in itertools.permutations(range(3)):
-        appearances: dict = {}
-        for new_idx, old_idx in enumerate(perm):
-            for (chord, _role, _sgn) in sites[old_idx]:
-                appearances.setdefault(chord, []).append(new_idx)
-        rename = {ch: "".join(str(i) for i in sorted(v)) for ch, v in appearances.items()}
-        parts = []
-        for old_idx in perm:
-            parts.append(",".join(
-                f"{rename[ch]}{role}{'+' if sg > 0 else '-' if sg < 0 else ''}"
-                for (ch, role, sg) in sites[old_idx]))
-        s = ";".join(parts)
-        if best is None or s < best:
-            best = s
-    return best
 
 
 def _family(code: KnotoidCode, family: str | None) -> str:
@@ -308,8 +272,7 @@ def _r2_inserts(code, fam):
 
 def _r3_moves(code, fam, index):
     """Triangle slides: for chords x < y < z, one pair from each of the keys
-    (x, y), (x, z), (y, z), on six distinct positions."""
-    table = _r3_table()[fam]
+    (x, y), (x, z), (y, z) that `_is_triangle` accepts."""
     partners: dict[int, set[int]] = {}
     for x, y in index:
         partners.setdefault(x, set()).add(y)
@@ -321,20 +284,37 @@ def _r3_moves(code, fam, index):
                 continue
             for trip in itertools.product(xy, index[(x, z)], index[(y, z)]):
                 trip = sorted(trip)
-                positions = {(k, pos) for (k, i, j) in trip for pos in (i, j)}
-                if len(positions) != 6:
-                    continue
-                sig = r3_signature(tuple(_site_tuple(code, k, i, j) for (k, i, j) in trip))
-                if sig in table:
-                    moves.append(MoveInstance("R3", tuple((k, i) for (k, i, j) in trip), sig))
+                if _is_triangle(code, trip):
+                    moves.append(MoveInstance("R3", tuple((k, i) for (k, i, j) in trip)))
     return moves
 
 
-def _site_tuple(code, k, i, j):
-    def pt(p: Passage):
-        role = p.role.value[-1]  # SA -> A, SB -> B
-        return (p.chord, role, p.sign if p.sign is not None else 0)
-    return (pt(code.components[k][i]), pt(code.components[k][j]))
+def _is_triangle(code, trip) -> bool:
+    """Do the adjacent pairs `trip` = ((k, i, j), ...), numbered 0-2, bound a
+    triangle? The six positions are distinct, every chord lies in two pairs,
+    every chord gives the same bit (its tail is in its lower pair) ^ (it is
+    first there) ^ (it is first in its other pair) ^ (it joins pairs 0 and 2),
+    the triangle's orientation, and on classical passages some pair holds two
+    Over passages (an acyclic sheet order); see CONVENTIONS.md."""
+    spots = [(k, pos) for k, i, j in trip for pos in (i, j)]
+    if len(set(spots)) != 6:
+        return False
+    passages = [code.components[k][pos] for k, pos in spots]
+    where: dict[int, list[int]] = {}
+    for n, p in enumerate(passages):
+        where.setdefault(p.chord, []).append(n)
+    # spot n is in pair n // 2, first in it when n is even
+    bits = set()
+    for chord, ns in where.items():
+        if len(ns) != 2 or ns[0] // 2 == ns[1] // 2:
+            return False
+        a, b = ns
+        bits.add((code.ends(chord)[0] == spots[a]) ^ (a % 2 == 0) ^ (b % 2 == 0)
+                 ^ (a // 2 + b // 2 == 2))
+    if len(bits) != 1:
+        return False
+    return not passages[0].role.is_classical or any(
+        passages[n].role is passages[n + 1].role is Role.OVER for n in (0, 2, 4))
 
 
 def _preferred_switches(code):
@@ -427,16 +407,15 @@ def _apply_r2_delete(code, move):
 
 
 def _apply_r3(code, move):
+    """Swap the passages of each pair; the sites alone fix the slide, so the
+    variant is not read."""
     fam = _family(code, None)
-    sites = []
-    for (k, i) in move.sites:
-        i, j = _pair_positions(code, k, i)
-        sites.append((k, i, j))
-    sig = r3_signature(tuple(_site_tuple(code, k, i, j) for (k, i, j) in sites))
-    if sig not in _r3_table()[fam] or sig != move.variant:
+    trip = [(k, *_pair_positions(code, k, i)) for (k, i) in move.sites]
+    if not (_is_triangle(code, trip) and all(
+            _movable(code.components[k][pos], fam) for k, i, j in trip for pos in (i, j))):
         raise StaleMoveError("triangle pattern no longer matches")
     comps = [list(c) for c in code.components]
-    for (k, i, j) in sites:
+    for (k, i, j) in trip:
         comps[k][i], comps[k][j] = comps[k][j], comps[k][i]
     return KnotoidCode(tuple(tuple(c) for c in comps))
 

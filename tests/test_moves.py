@@ -1,5 +1,8 @@
 """Move enumeration, application, walks, and the greedy normalizer."""
+import functools
 import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -205,6 +208,52 @@ def _ref_r2_deletes(code, fam):
     return out
 
 
+# -- reference: the triangle-slide table the closed-form rule replaced. The
+# variants were enumerated from three oriented lines in the plane (all
+# orientations, all consistent sheet orders, both sides of the slide); a
+# candidate is accepted when its signature is in its family's list.
+
+@functools.cache
+def _r3_table():
+    data = json.loads((pathlib.Path(__file__).parent / "data" / "r3_variants.json").read_text())
+    return {"classical": set(data["classical"]), "flat": set(data["flat"])}
+
+
+def _r3_signature(sites):
+    """Canonical signature of three ordered passage pairs.
+
+    Each passage is (chord_key, role_char, sign_int); chords are renamed by the
+    sorted indices of the two sites they touch, and the signature is minimized
+    over site orderings."""
+    best = None
+    for perm in itertools.permutations(range(3)):
+        appearances = {}
+        for new_idx, old_idx in enumerate(perm):
+            for (chord, _role, _sgn) in sites[old_idx]:
+                appearances.setdefault(chord, []).append(new_idx)
+        rename = {ch: "".join(str(i) for i in sorted(v)) for ch, v in appearances.items()}
+        parts = []
+        for old_idx in perm:
+            parts.append(",".join(
+                f"{rename[ch]}{role}{'+' if sg > 0 else '-' if sg < 0 else ''}"
+                for (ch, role, sg) in sites[old_idx]))
+        s = ";".join(parts)
+        if best is None or s < best:
+            best = s
+    return best
+
+
+def _site_tuple(code, k, i, j):
+    def pt(p):
+        role = p.role.value[-1]  # SA -> A, SB -> B
+        return (p.chord, role, p.sign if p.sign is not None else 0)
+    return (pt(code.components[k][i]), pt(code.components[k][j]))
+
+
+def _table_accepts(code, trip, fam):
+    return _r3_signature(tuple(_site_tuple(code, *pair) for pair in trip)) in _r3_table()[fam]
+
+
 def _ref_r3(code, fam):
     pairs = [(k, i, j) for k, i, j in M._adjacent_pairs(code)
              if code.components[k][i].chord != code.components[k][j].chord
@@ -221,9 +270,8 @@ def _ref_r3(code, fam):
             chords[c] = chords.get(c, 0) + 1
         if len(chords) != 3 or set(chords.values()) != {2}:
             continue
-        sig = M.r3_signature(tuple(M._site_tuple(code, k, i, j) for (k, i, j) in trip))
-        if sig in M._r3_table()[fam]:
-            out.append(MoveInstance("R3", tuple((k, i) for (k, i, j) in trip), sig))
+        if _table_accepts(code, trip, fam):
+            out.append(MoveInstance("R3", tuple((k, i) for (k, i, j) in trip)))
     return out
 
 
@@ -410,8 +458,7 @@ def _ref_r3_apply(code, move):
     for (k, i) in move.sites:
         i, j = _ref_pair_positions(code, k, i)
         sites.append((k, i, j))
-    sig = M.r3_signature(tuple(M._site_tuple(code, k, i, j) for (k, i, j) in sites))
-    if sig not in M._r3_table()[fam] or sig != move.variant:
+    if not _table_accepts(code, sites, fam):
         raise StaleMoveError("triangle pattern no longer matches")
     comps = [list(c) for c in code.components]
     for (k, i, j) in sites:
@@ -491,7 +538,7 @@ def _fuzz_move(code, rng):
     chords = code.chord_ids() or [1]
     variants = {"R1_insert": M._R1_VARIANTS["classical"] + M._R1_VARIANTS["flat"],
                 "R2_insert": M._R2_VARIANTS["classical"] + M._R2_VARIANTS["flat"],
-                "R3": tuple(sorted(M._r3_table()["classical"] | M._r3_table()["flat"])),
+                "R3": tuple(sorted(_r3_table()["classical"] | _r3_table()["flat"])),
                 "PreferredSwitch": tuple(f"{rng.choice(chords)}->{rng.choice(chords)}"
                                          for _ in range(3))}.get(rule, ())
     count = rng.randrange(4)
@@ -557,3 +604,51 @@ def test_apply_gate_pins_old_defects():
         K.apply_move(K.parse("E"), poke_variant)
     with pytest.raises(StaleMoveError, match="gaps must be ordered"):
         K.apply_move(two, MoveInstance("R2_insert", ((0, 2), (0, 1)), "ABf"))
+
+
+def _six_passage_codes(fam, order):
+    """The open codes with chords `order` on six passages: each chord's tail at
+    either passage and, on classical codes, its Over passage at either one and
+    either sign."""
+    per_chord = ([(Role.TAIL, Role.HEAD, None), (Role.HEAD, Role.TAIL, None)] if fam == "flat"
+                 else [(first, first.flipped(), sign) for first in (Role.OVER, Role.UNDER)
+                       for sign in (1, -1)])
+    for kinds in itertools.product(per_chord, repeat=3):
+        seen = set()
+        passages = []
+        for c in order:
+            first, second, sign = kinds[c - 1]
+            passages.append(Passage(c, second if c in seen else first, sign))
+            seen.add(c)
+        yield K.KnotoidCode((tuple(passages),))
+
+
+def test_triangle_rule_matches_table_on_every_configuration():
+    # the pairs (0,1), (2,3), (4,5) under every placement of three chords on six
+    # passages; the 8 placements keyed {1,2}, {1,3}, {2,3} give the 64 flat and
+    # 512 classical triangle configurations
+    trip = ((0, 0, 1), (0, 2, 3), (0, 4, 5))
+    triangles = {sum(pairs, ()) for pairs in
+                 itertools.product(((1, 2), (2, 1)), ((1, 3), (3, 1)), ((2, 3), (3, 2)))}
+    for fam, per_order, accepted in (("flat", 8, 16), ("classical", 64, 96)):
+        count = 0
+        for order in sorted(set(itertools.permutations((1, 1, 2, 2, 3, 3)))):
+            codes = list(_six_passage_codes(fam, order))
+            assert len(set(codes)) == per_order
+            got = [M._is_triangle(code, trip) for code in codes]
+            assert got == [_table_accepts(code, trip, fam) for code in codes], (fam, order)
+            count += sum(got) if order in triangles else 0
+        assert count == accepted
+
+
+def test_r3_refuses_sites_the_table_refused():
+    # overlapping pairs, and a singular chord in a classical code: the table
+    # accepted neither, and apply_move refuses both whatever the variant
+    cases = ((K.parse("O1+ U4- U1+ U3- O2+ O3- O4- U2+"), ((0, 4), (0, 5), (0, 6))),
+             (K.parse("SB2 U1+ SA3 SA2 SB3 O1+"), ((0, 0), (0, 2), (0, 4))))
+    for code, sites in cases:
+        trip = [(k, *M._pair_positions(code, k, i)) for k, i in sites]
+        assert not _table_accepts(code, trip, "classical")
+        for variant in ("", *sorted(_r3_table()["classical"] | _r3_table()["flat"])):
+            with pytest.raises(StaleMoveError, match="triangle pattern"):
+                K.apply_move(code, MoveInstance("R3", sites, variant))
