@@ -6,8 +6,8 @@ one preferred chord:
 
 * Rule 1: b(e, s) is the intersection index of the ordered two-component code
   obtained by 1-smoothing at e, taking first the component carrying the arc that
-  leaves e's tail passage. It equals e's flat weight W+(e) (see
-  `invariants.flat_weights`), which is how it is computed.
+  leaves e's tail passage. It equals e's flat weight W+(e), the tails minus
+  the heads of the arrows with an end inside e's arc, and is read that way.
 * Rule 2: b(e, f) counts arrows with tails interior to e's arc and heads
   interior to f's arc, minus the opposite count, plus a linking sign: +1 when
   the endpoints interleave as (tail e, tail f, head e, head f) cyclically, -1
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from .codes import KnotoidCode
 from .errors import (NoPreferredError, NotApplicableError, NotFlatSingularError,
                      SizeLimitError, ValidityError)
-from .invariants import flat_weights
 
 __all__ = [
     "SBM",
@@ -180,27 +179,27 @@ def build_sbm(code: KnotoidCode) -> SBM:
     if pref is None:
         raise NoPreferredError("exactly one preferred chord is required")
     chords = [c for c in code.chord_ids() if c != pref] + [pref]
-    wplus = flat_weights(code)
-    comp = code.open_component
-    index = {c: k for k, c in enumerate(chords, 1)}  # chord -> element index
-    # tails[k] / heads[k]: bitmasks (by element index) of the chords whose tail /
-    # head passage lies inside the arc of element k
-    tails, heads = [0], [0]
-    for c in chords:
-        (_, t), (_, h) = code.ends(c)
-        inside = range(t + 1, h) if t < h else itertools.chain(range(t + 1, len(comp)), range(h))
-        tm = hm = 0
-        for i in inside:
-            if comp[i].role.is_tail:
-                tm |= 1 << index[comp[i].chord]
-            else:
-                hm |= 1 << index[comp[i].chord]
-        tails.append(tm)
-        heads.append(hm)
+    ends = [(t, h) for (_, t), (_, h) in map(code.ends, chords)]
+    n = len(code.open_component)
+    tail_bit, head_bit = [0] * n, [0] * n  # bit k (element index) at each end of element k
+    for k, (t, h) in enumerate(ends, 1):
+        tail_bit[t] = head_bit[h] = 1 << k
+    # before_t[i] / before_h[i]: the tails / heads at positions below i. The ends
+    # strictly inside arc(e), from tail t to head h, are before[h] ^ before[t + 1];
+    # an arc that wraps past the string's ends (t > h) also takes the full mask.
+    before_t = list(itertools.accumulate(tail_bit, operator.or_, initial=0))
+    before_h = list(itertools.accumulate(head_bit, operator.or_, initial=0))
+    full = before_t[n]
+    tails, heads = [0], [0]  # tails[k] / heads[k]: the ends inside arc(element k)
+    for t, h in ends:
+        wrap = full if t > h else 0
+        tails.append(before_t[h] ^ before_t[t + 1] ^ wrap)
+        heads.append(before_h[h] ^ before_h[t + 1] ^ wrap)
     size = len(chords) + 1
     mat = [[0] * size for _ in range(size)]
     for i in range(1, size):
-        mat[i][0] = wplus[chords[i - 1]]
+        # Rule 1 is tau(A_e): the tails minus the heads inside arc(e)
+        mat[i][0] = tails[i].bit_count() - heads[i].bit_count()
         mat[0][i] = -mat[i][0]
         for j in range(i + 1, size):
             # an arc holds neither end of its own chord, so e and f drop out of

@@ -38,10 +38,14 @@ def test_validate_error_exit_code(run, codefile):
     assert out["error"] == "ValidityError"
 
 
-def test_usage_error_exit_code(codefile):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["invariant", "bogus", "nofile"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(codefile, capsys):
+    for argv, message in ((["invariant", "bogus", "nofile"], "invalid choice: 'bogus'"),
+                          (["sbm", "compare", codefile(VK4)], "sbm compare needs two files")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
 
 
 def test_invariant_flat_affine(run, codefile):
@@ -167,14 +171,20 @@ def test_corpus_detects_mismatch(run, tmp_path):
              "invariant": "dx", "input": "O1+ U1+", "terms": []},
             {"name": "no-samples", "check": "order_check", "source": "trivial",
              "invariant": "f", "order": 1, "samples": 0, "seed": 1}]
+    # a check nobody registered, and an invalid case whose input parses
+    bad += [{"name": "no-check", "check": "bogus", "source": "trivial", "input": "O1+ U1+"},
+            {"name": "parses", "check": "invalid", "source": "trivial", "input": "O1+ U1+",
+             "error": "ValidityError"}]
     d = tmp_path / "fixtures"
     d.mkdir()
     (d / "bad.json").write_text(json.dumps(bad))
     rc, out = run("corpus", str(d))
     assert rc == 1
-    assert not out["ok"] and len(out["failures"]) == 6
-    assert [f["detail"].get("error") for f in out["failures"][1:]] == \
+    assert not out["ok"] and len(out["failures"]) == 8
+    assert [f["detail"].get("error") for f in out["failures"][1:6]] == \
         ["ValidityError"] * 5
+    assert [f["detail"] for f in out["failures"][6:]] == [{"error": "unknown check"},
+                                                          {"kind": "none"}]
     assert {f["detail"]["message"] for f in out["failures"][1:4]} == \
         {"unknown invariant handle 'x'"}
 

@@ -167,6 +167,9 @@ def test_preferred_switch_blocked_by_obstruction():
     switches = [m for m in enumerate_moves(code, "flat")
                 if m.rule == "PreferredSwitch" and m.variant == "1->2"]
     assert not switches
+    # the preferred chord on a closed component has no open arc to slide along
+    assert not [m for m in enumerate_moves(K.parse("A1 B1 / SA2* SB2*"), "flat")
+                if m.rule == "PreferredSwitch"]
 
 
 def test_move_instance_fields():

@@ -675,16 +675,34 @@ def _reference_strings(count, seed):
         yield code
 
 
+def _large_reference_strings(seed):
+    """Glued classical and flat strings at 13-30 chords, and the singular kink
+    at every gap of an 8-chord code: arcs that wrap past the string's ends and
+    the empty kink arc."""
+    rng = random.Random(seed)
+    for n in range(13, 31):
+        for base in (random_classical_code(n, rng), random_flat_code(n, rng)):
+            yield K.glue(base, rng.choice(base.chord_ids()))
+    base = random_classical_code(8, rng)
+    for gap in range(2 * 8 + 1):
+        yield K.singular_kink(base, gap)
+
+
 def test_build_and_reduce_match_reference():
-    extra_singular = 0
-    for code in _reference_strings(320, 83):
-        extra_singular += len(code.singular_chords()) > 1
+    codes = list(_reference_strings(320, 83))
+    assert sum(len(code.singular_chords()) > 1 for code in codes) >= 20
+    sizes = set()
+    for code in codes + list(_large_reference_strings(89)):
         for orient in (code, K.reverse(code)):
             m = build_sbm(orient)
+            sizes.add(orient.chord_count())
             assert m == _ref_build_sbm(orient), K.serialize(orient)
+            # column s is W+, the identity the docs state and build_sbm does not use
+            assert {int(e): r[0] for e, r in zip(m.elements[1:], m.matrix[1:])} == \
+                K.flat_weights(orient), K.serialize(orient)
             if m.size <= 9:
                 assert reduce_to_primitive(m) == _ref_reduce_to_primitive(m), K.serialize(orient)
-    assert extra_singular >= 20
+    assert set(range(1, 31)) <= sizes, sizes
 
 
 def _random_move(m, rng):

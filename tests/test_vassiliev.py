@@ -37,6 +37,8 @@ def test_fingerprint_basics(flat3):
         fingerprint(K.parse("A1 B1 / E / E"))
     with pytest.raises(UnsupportedError):
         fingerprint(K.parse(VK4))
+    with pytest.raises(UnsupportedError):  # a singular string with a closed component
+        fingerprint(K.parse("SA1* SB1* / A2 B2"))
 
 
 def test_fingerprint_detects_interleaved_pair():
