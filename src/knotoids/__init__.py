@@ -1,10 +1,10 @@
 """Invariants of virtual knotoids over a text Gauss-code representation.
 
-Parsing and structural transforms live in `codes`, labeling-based polynomial
-invariants in `invariants`, crossing surgeries in `surgery`, Gauss-code
-rewriting in `moves`, singular based matrices in `sbm`, and the smoothing and
-gluing invariants with their derivative machinery in `vassiliev`. The `cli`
-module exposes everything over JSON.
+Parsing and structural transforms live in `codes`, the writhes and polynomials
+read from the open component's arc labels in `invariants`, crossing surgeries
+in `surgery`, Gauss-code rewriting in `moves`, singular based matrices in
+`sbm`, and the smoothing and gluing invariants with their derivative machinery
+in `vassiliev`. The `cli` module exposes everything over JSON.
 """
 from .codes import (KnotoidCode, OrderedTwoComponent, Passage, Role, add_unknot,
                     flatten, mirror, parse, reverse, serialize)

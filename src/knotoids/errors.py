@@ -19,12 +19,6 @@ class ValidityError(KnotoidError):
     kind = "ValidityError"
 
 
-class LabelingError(KnotoidError):
-    """A closed component's arc labels do not close up."""
-
-    kind = "InconsistentLabeling"
-
-
 class ComponentCountError(KnotoidError):
     kind = "ComponentCountError"
 

@@ -1,25 +1,27 @@
-"""Exact integer invariants computed from arc labelings of Gauss codes.
+"""Exact integer invariants of Gauss codes, most read from the open component's
+arc labels.
 
-The labeling walks the open component starting at 0; passing an arrow head
-raises the running label by one and passing an arrow tail lowers it (classical
-codes are labelled through their flattening). A crossing's flat weight is
+Only the open component is labelled: the label starts at 0 and steps +1 at an
+arrow head and -1 at an arrow tail (classical passages through their
+flattening), one running sum read off the chord table. A crossing's flat weight is
 
     W+(c) = label entering the tail passage - (label entering the head passage + 1)
 
 and the classical weight is W_D(c) = sgn(c) * W+(c). These feed the affine index
-polynomial P, the n-th writhes, the flat writhes f_n with their polynomial Q, and
-the intersection index of ordered two-component flat codes.
+polynomial P, the n-th writhes, and the flat writhes f_n with their polynomial
+Q. The intersection index of an ordered two-component flat code needs no
+labels: it counts the chords joining the components.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .codes import KnotoidCode, OrderedTwoComponent
-from .errors import ComponentCountError, LabelingError, ValidityError
+from .errors import ComponentCountError, ValidityError
 
 __all__ = [
     "LaurentPoly",
-    "ArcLabeling",
     "CrossingReport",
     "label_arcs",
     "writhe",
@@ -127,68 +129,16 @@ class LaurentPoly(IntegerCombination):
         return {str(e): v for e, v in sorted(self._c.items())}
 
 
-@dataclass(frozen=True)
-class ArcLabeling:
-    """Label entering each passage, per component. Closed components that have no
-    crossing shared with a labelled component stay at 0 (diagnostic only)."""
-
-    incoming: tuple[tuple[int, ...], ...]
-
-    def at(self, comp: int, pos: int) -> int:
-        return self.incoming[comp][pos]
-
-
-def label_arcs(code: KnotoidCode) -> ArcLabeling:
-    """Incoming integer label at every passage.
-
-    The open component starts at 0. Closed components are seeded by propagation
-    from the first labelled passage of a chord they share with an already
-    labelled component; a component whose labels fail to close up raises
-    LabelingError. Each passage steps by -1 at a tail and +1 at a head, read
-    off the chord table."""
-    comps = code.components
-    incoming: list[list[int] | None] = [None] * len(comps)
-    steps = [[1] * len(comp) for comp in comps]
+def label_arcs(code: KnotoidCode) -> tuple[int, ...]:
+    """The label entering each passage of the open component: a running sum
+    from 0 that steps -1 at a tail and +1 at a head, read off the chord table.
+    Closed components carry no labels."""
+    steps = [1] * len(code.open_component)
     for cid in code.chord_ids():
         (k, i), _ = code.ends(cid)
-        steps[k][i] = -1
-
-    def fill(k: int, start_pos: int, start_label: int):
-        comp = comps[k]
-        n = len(comp)
-        inc = [0] * n
-        lab = start_label
-        for off in range(n):
-            i = (start_pos + off) % n
-            inc[i] = lab
-            lab += steps[k][i]
-        if k > 0 and lab != start_label:
-            raise LabelingError(
-                f"component {k} labels drift by {lab - start_label} around the cycle")
-        incoming[k] = inc
-
-    fill(0, 0, 0)
-    # propagate into closed components via shared chords, visiting chords in the
-    # order of their first passage and each chord's passages in traversal order
-    places = sorted(sorted(code.ends(cid)) for cid in code.chord_ids()) if len(comps) > 1 else []
-    changed = True
-    while changed:
-        changed = False
-        for (k1, i1), (k2, i2) in places:
-            if (incoming[k1] is None) == (incoming[k2] is None):
-                continue
-            if incoming[k1] is None:
-                (k1, i1), (k2, i2) = (k2, i2), (k1, i1)
-            # label entering the unlabelled twin equals the label entering the
-            # labelled passage adjusted by the crossing's local rule: the two
-            # incoming arcs at one crossing are independent, so seed with the
-            # labelled side's incoming value (diagnostic convention)
-            fill(k2, i2, incoming[k1][i1])
-            changed = True
-    for k, inc in enumerate(incoming):
-        if inc is None:
-            fill(k, 0, 0)
-    return ArcLabeling(tuple(tuple(x) for x in incoming))
+        if k == 0:
+            steps[i] = -1
+    return tuple(itertools.accumulate(steps, initial=0))[:-1]
 
 
 def writhe(code: KnotoidCode) -> int:
@@ -200,7 +150,7 @@ def flat_weights(code: KnotoidCode) -> dict[int, int]:
     """W+ of every flat (or flattened classical) chord, single open component."""
     if len(code.components) != 1:
         raise ComponentCountError("flat weights need a single open component")
-    inc = label_arcs(code).incoming[0]
+    inc = label_arcs(code)
     out = {}
     for cid in code.chord_ids():
         (_, tail), (_, head) = code.ends(cid)

@@ -82,24 +82,25 @@ def _pair_positions(code: KnotoidCode, comp: int, i: int) -> tuple[int, int]:
     return i, (i + 1) % n
 
 
-def _movable(p: Passage, fam: str) -> bool:
-    if fam == "classical":
-        return p.role.is_classical
-    return p.role.is_flat or p.role.is_singular
+def _fixed_chords(code: KnotoidCode, fam: str) -> set[int]:
+    """Chords no pair index or triangle slide may touch: the singular ones
+    under classical moves. `_family` leaves no chord of the other kind, so
+    every flat-family chord moves."""
+    return set(code.singular_chords()) if fam == "classical" else set()
 
 
 def _pair_index(code: KnotoidCode, fam: str) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
-    """Adjacent pairs (comp, i, j) of two different movable chords, keyed by the
-    sorted chord pair (x, y); each key's pairs come in adjacency order.
+    """Adjacent pairs (comp, i, j) of two different chords, neither fixed, keyed
+    by the sorted chord pair (x, y); each key's pairs come in adjacency order.
 
     A chord has two passages, so a key holds at most four pairs."""
+    fixed = _fixed_chords(code, fam)
     index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for k, i, j in _adjacent_pairs(code):
-        a, b = code.components[k][i], code.components[k][j]
-        if a.chord == b.chord or not (_movable(a, fam) and _movable(b, fam)):
+        a, b = code.components[k][i].chord, code.components[k][j].chord
+        if a == b or a in fixed or b in fixed:
             continue
-        key = (a.chord, b.chord) if a.chord < b.chord else (b.chord, a.chord)
-        index.setdefault(key, []).append((k, i, j))
+        index.setdefault((a, b) if a < b else (b, a), []).append((k, i, j))
     return index
 
 
@@ -409,10 +410,10 @@ def _apply_r2_delete(code, move):
 def _apply_r3(code, move):
     """Swap the passages of each pair; the sites alone fix the slide, so the
     variant is not read."""
-    fam = _family(code, None)
+    fixed = _fixed_chords(code, _family(code, None))
     trip = [(k, *_pair_positions(code, k, i)) for (k, i) in move.sites]
-    if not (_is_triangle(code, trip) and all(
-            _movable(code.components[k][pos], fam) for k, i, j in trip for pos in (i, j))):
+    if not _is_triangle(code, trip) or any(
+            code.components[k][pos].chord in fixed for k, i, j in trip for pos in (i, j)):
         raise StaleMoveError("triangle pattern no longer matches")
     comps = [list(c) for c in code.components]
     for (k, i, j) in trip:

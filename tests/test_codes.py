@@ -7,12 +7,11 @@ import pytest
 
 import knotoids as K
 from knotoids.codes import Passage, Role
-from knotoids.errors import (KnotoidError, LabelingError, NotFoundError, ParseError,
-                             ValidityError)
+from knotoids.errors import KnotoidError, NotFoundError, ParseError, ValidityError
 from knotoids.vassiliev import (random_classical_code, random_flat_code, random_singular_code,
                                 random_two_component_flat)
 
-from conftest import VK4, oracle_codes
+from conftest import VK4, oracle_codes, with_preferred
 
 
 def test_parse_trivial():
@@ -201,45 +200,13 @@ def _ref_step(p):
 
 
 def _ref_label_arcs(code):
-    """The labeling as it was: steps read off each passage's role and the chord
-    map rebuilt on every propagation pass."""
-    comps = code.components
-    incoming = [None] * len(comps)
-
-    def fill(k, start_pos, start_label):
-        comp = comps[k]
-        n = len(comp)
-        inc = [0] * n
-        lab = start_label
-        for off in range(n):
-            i = (start_pos + off) % n
-            inc[i] = lab
-            lab += _ref_step(comp[i])
-        if k > 0 and lab != start_label:
-            raise LabelingError(
-                f"component {k} labels drift by {lab - start_label} around the cycle")
-        incoming[k] = inc
-
-    fill(0, 0, 0)
-    changed = True
-    while changed:
-        changed = False
-        chord_pos = {}
-        for k, comp in enumerate(comps):
-            for i, p in enumerate(comp):
-                chord_pos.setdefault(p.chord, []).append((k, i))
-        for places in chord_pos.values():
-            (k1, i1), (k2, i2) = places
-            if (incoming[k1] is None) == (incoming[k2] is None):
-                continue
-            if incoming[k1] is None:
-                (k1, i1), (k2, i2) = (k2, i2), (k1, i1)
-            fill(k2, i2, incoming[k1][i1])
-            changed = True
-    for k, inc in enumerate(incoming):
-        if inc is None:
-            fill(k, 0, 0)
-    return tuple(tuple(x) for x in incoming)
+    """The open component's labels as they were computed: a walk that steps
+    off each passage's role."""
+    out, lab = [], 0
+    for p in code.open_component:
+        out.append(lab)
+        lab += _ref_step(p)
+    return tuple(out)
 
 
 def _classical_of(code, rng):
@@ -252,25 +219,21 @@ def _classical_of(code, rng):
     return K.KnotoidCode(tuple(tuple(conv(p) for p in c) for c in code.components))
 
 
-def _labels_or_error(fn, code):
-    try:
-        return fn(code)
-    except LabelingError as exc:
-        return str(exc)
-
-
 def test_label_arcs_matches_per_pass_chord_scan():
     rng = random.Random(67)
-    outcomes = set()
     for _ in range(300):
         two = random_two_component_flat(rng.randrange(0, 12), rng)
         sing = random_singular_code(rng.randrange(0, 6), rng.randrange(0, 4), rng)
         for code in (two, K.add_unknot(two), _classical_of(two, rng), sing):
-            want = _labels_or_error(_ref_label_arcs, code)
-            got = _labels_or_error(lambda c: K.label_arcs(c).incoming, code)
-            assert got == want, K.serialize(code)
-            outcomes.add(type(want))
-    assert outcomes == {tuple, str}
+            assert K.label_arcs(code) == _ref_label_arcs(code), K.serialize(code)
+    # single open components at the sizes P sees: classical, flat, and flat
+    # singular with a preferred chord, 10-30 chords
+    rng = random.Random(68)
+    for _ in range(60):
+        n = rng.randrange(10, 31)
+        for code in (random_classical_code(n, rng), random_flat_code(n, rng),
+                     with_preferred(random_flat_code(n, rng), rng)):
+            assert K.label_arcs(code) == _ref_label_arcs(code), K.serialize(code)
 
 
 def test_flat_queries_match_flattened_scans():
@@ -280,7 +243,7 @@ def test_flat_queries_match_flattened_scans():
     for _ in range(200):
         code = random_classical_code(rng.randrange(0, 9), rng)
         flat = K.flatten(code)
-        inc = K.label_arcs(flat).incoming[0]
+        inc = K.label_arcs(flat)
         pos = {}
         for i, p in enumerate(flat.open_component):
             pos.setdefault(p.chord, {})["tail" if p.role.is_tail else "head"] = i

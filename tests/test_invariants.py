@@ -4,7 +4,7 @@ import random
 import pytest
 
 import knotoids as K
-from knotoids.errors import LabelingError, ValidityError
+from knotoids.errors import ValidityError
 from knotoids.invariants import LaurentPoly
 from knotoids.vassiliev import (random_classical_code, random_flat_code, random_singular_code,
                                 random_two_component_flat)
@@ -31,13 +31,12 @@ def test_laurent_arithmetic():
 
 
 def test_label_arcs_empty():
-    lab = K.label_arcs(K.parse("E"))
-    assert lab.incoming == ((),)
+    assert K.label_arcs(K.parse("E")) == ()
 
 
 def test_label_arcs_flat3(flat3):
     # incoming labels along the traversal, starting at zero
-    assert K.label_arcs(flat3).incoming[0] == (0, 1, 2, 1, 0, -1)
+    assert K.label_arcs(flat3) == (0, 1, 2, 1, 0, -1)
 
 
 def test_label_telescoping_random():
@@ -45,7 +44,7 @@ def test_label_telescoping_random():
     for _ in range(200):
         code = random_classical_code(rng.randrange(1, 7), rng)
         flat = K.flatten(code)
-        inc = K.label_arcs(flat).incoming[0]
+        inc = K.label_arcs(flat)
         total = 0
         for p, label in zip(flat.open_component, inc):
             assert label == total
@@ -56,7 +55,7 @@ def test_label_telescoping_random():
 def test_label_arcs_independent_of_resolution():
     # singular passages step the label like arrow ends, so resolving a singular
     # chord either way leaves every label in place
-    assert K.label_arcs(K.parse("SA1* SB1*")).incoming == ((0, -1),)
+    assert K.label_arcs(K.parse("SA1* SB1*")) == (0, -1)
     rng = random.Random(29)
     for _ in range(150):
         code = random_singular_code(rng.randrange(0, 6), rng.randrange(1, 3), rng)
@@ -66,19 +65,11 @@ def test_label_arcs_independent_of_resolution():
                     K.serialize(code)
 
 
-def test_label_closed_drift_raises():
-    # a closed component meeting the open one through a single chord cannot close up
-    with pytest.raises(LabelingError):
-        K.label_arcs(K.parse("A1 / B1 A2 B2"))
-
-
-def test_label_closed_propagation():
-    # a balanced closed component is labelled by propagation; a disconnected one
-    # is seeded at zero and walks its own crossings
-    lab = K.label_arcs(K.parse("A1 B2 / B1 A2 / A3 B3"))
-    assert lab.incoming[0] == (0, -1)
-    assert len(lab.incoming[1]) == 2
-    assert lab.incoming[2] == (0, -1)
+def test_label_arcs_open_component_only():
+    # closed components carry no labels, whether their chords balance or not;
+    # the open component's steps still count its ends of shared chords
+    assert K.label_arcs(K.parse("A1 / B1 A2 B2")) == (0,)
+    assert K.label_arcs(K.parse("A1 B2 / B1 A2 / A3 B3")) == (0, -1)
 
 
 def test_writhe_and_reports(vk4):

@@ -257,11 +257,18 @@ def _table_accepts(code, trip, fam):
     return _r3_signature(tuple(_site_tuple(code, *pair) for pair in trip)) in _r3_table()[fam]
 
 
+def _ref_movable(p, fam):
+    """Whether a passage may take part in a triangle, read off its role."""
+    if fam == "classical":
+        return p.role.is_classical
+    return p.role.is_flat or p.role.is_singular
+
+
 def _ref_r3(code, fam):
     pairs = [(k, i, j) for k, i, j in M._adjacent_pairs(code)
              if code.components[k][i].chord != code.components[k][j].chord
-             and M._movable(code.components[k][i], fam)
-             and M._movable(code.components[k][j], fam)]
+             and _ref_movable(code.components[k][i], fam)
+             and _ref_movable(code.components[k][j], fam)]
     out = []
     for trip in itertools.combinations(pairs, 3):
         positions = [(k, p) for (k, i, j) in trip for p in (i, j)]
