@@ -65,10 +65,16 @@ def test_label_arcs_independent_of_resolution():
                     K.serialize(code)
 
 
-def test_label_arcs_open_component_only():
-    # closed components carry no labels, whether their chords balance or not;
-    # the open component's steps still count its ends of shared chords
+def test_label_closed_drift_raises():
+    # a closed component meeting the open one through a single chord cannot close
+    # up; closed components carry no labels, so this no longer raises and only
+    # the open component is labelled
     assert K.label_arcs(K.parse("A1 / B1 A2 B2")) == (0,)
+
+
+def test_label_closed_propagation():
+    # balanced and disconnected closed components carry no labels either; the
+    # open component's steps still count its ends of shared chords
     assert K.label_arcs(K.parse("A1 B2 / B1 A2 / A3 B3")) == (0, -1)
 
 
