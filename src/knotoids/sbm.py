@@ -19,10 +19,13 @@ The element classes (zero rows, copies of row s, complementary pairs, elements
 complementary to d) come from one index of the unmarked rows by value, in
 O(k n) for k unmarked rows of n entries: g's partners are the rows equal to
 row(s) - row(g). Primitivity, reduction, the moves and the closure all read it.
+A reduction step compares its candidates as the indices they keep and builds
+only the one it chooses; every matrix that is built is a checked `SBM`.
 
 The canonical form, the lex-smallest flattened matrix over orders of the
 unmarked elements, is found by ordered partition refinement under a search-node
-budget, not by trying every order (CONVENTIONS.md gives the argument).
+budget, not by trying every order, and stops once one prefix survives with a
+discrete partition, which forces the rest (CONVENTIONS.md gives the argument).
 
 Homology is generated by the elementary extensions (adding an all-zero row, a
 copy of row s, or a complementary pair of rows) and the singularity switch N
@@ -300,11 +303,11 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
         if g not in _classes(m)[3]:
             raise NotApplicableError(f"element {label!r} is not complementary to d")
         return _remark(m, g)
-    # append the new rows after d, then move d back to last
-    n = m.size
-    mat = [list(r) + [-row[i] for row in rows] for i, r in enumerate(m.matrix)] + rows
-    return _take(SBM(m.elements + tuple(labels), tuple([tuple(r) for r in mat])),
-                 [*range(n - 1), *range(n, n + len(rows)), n - 1])
+    # the new rows go between the unmarked elements and d, which stays last
+    d = m.d
+    old = [(*r[:d], *[-row[i] for row in rows], r[d]) for i, r in enumerate(m.matrix)]
+    new = [(*row[:d], *row[d + 1:], row[d]) for row in rows]
+    return SBM(m.elements[:d] + tuple(labels) + m.elements[d:], tuple(old[:d] + new + old[d:]))
 
 
 def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
@@ -350,12 +353,11 @@ def is_primitive(m: SBM) -> bool:
 
 
 def _reductions(m: SBM):
-    """Every inverse extension of every marking of m, in a fixed order."""
+    """Every inverse extension of every marking of m, in a fixed order, as the
+    marking and the indices it keeps."""
     for v, (ann, core, pairs, _) in _markings(m):
-        for g in ann + core:
-            yield _drop(v, {g})
-        for pair in pairs:
-            yield _drop(v, set(pair))
+        for dead in [(g,) for g in ann + core] + pairs:
+            yield v, [i for i in range(v.size) if i not in dead]
 
 
 def reduce_to_primitive(m: SBM) -> SBM:
@@ -363,10 +365,14 @@ def reduce_to_primitive(m: SBM) -> SBM:
 
     Each step keeps the least reduction by (size, matrix), the first one
     generated on ties, so the result is a function of the input alone; a state
-    with no reduction in any marking is primitive by definition."""
-    while (nxt := min(_reductions(m), key=lambda x: (x.size, x.matrix),
-                      default=None)) is not None:
-        m = nxt
+    with no reduction in any marking is primitive by definition. Only the
+    chosen reduction is built."""
+    def key(reduction):
+        mat, kept = reduction[0].matrix, reduction[1]
+        return len(kept), [[mat[i][j] for j in kept] for i in kept]
+
+    while (nxt := min(_reductions(m), key=key, default=None)) is not None:
+        m = _take(*nxt)
     return m
 
 
@@ -386,16 +392,23 @@ def canonical_form(m: SBM) -> bytes:
     twin = {g: twins.setdefault(mat[g], g) for g in m.unmarked()}  # identical rows
     states = [([], _split([list(m.unmarked())], mat[m.s]))]  # (prefix, ordered cells)
     nodes = 0
-    for _ in m.unmarked():
+    for level in range(m.size - 2):
+        if len(states) == 1 and len(states[0][1]) == m.size - 2 - level:
+            # every cell is a singleton: the rest of the order is forced, and
+            # it counts as the one node per level the search would visit
+            prefix, cells = states[0]
+            nodes += len(cells)
+            if nodes > _NODE_BUDGET:
+                raise _over_budget(m)
+            states = [(prefix + [cell[0] for cell in cells], [])]
+            break
         best, survivors = None, []
         for prefix, cells in states:
             first = cells[0]
             for c in {twin[g]: g for g in first}.values():
                 nodes += 1
                 if nodes > _NODE_BUDGET:
-                    raise SizeLimitError(f"the canonical form of {m.size - 2} unmarked "
-                                         f"elements exceeds the search budget of "
-                                         f"{_NODE_BUDGET} nodes")
+                    raise _over_budget(m)
                 row = mat[c]
                 refined = _split([[g for g in first if g != c], *cells[1:]], row)
                 # the row of c in the least order: its entries before c are the
@@ -409,6 +422,11 @@ def canonical_form(m: SBM) -> bytes:
         states = survivors
     order = [m.s, *states[0][0], d]
     return repr(tuple([mat[i][j] for i in order for j in order])).encode()
+
+
+def _over_budget(m: SBM) -> SizeLimitError:
+    return SizeLimitError(f"the canonical form of {m.size - 2} unmarked elements "
+                          f"exceeds the search budget of {_NODE_BUDGET} nodes")
 
 
 def _split(cells: list[list[int]], row: tuple[int, ...]) -> list[list[int]]:

@@ -20,7 +20,9 @@ The invariants sum fingerprints of surgered diagrams with crossing signs:
     G(D) = sum_c sgn(c) [gluing at c]       - w(D) [singular kink]
 
 and the derivative of an invariant resolves singular crossings into the
-alternating sum over all +/- choices.
+alternating sum over all +/- choices. Every glue's based matrix is the singular
+kink's with the glued chord as d and the kink left out (the gluing lemma in
+CONVENTIONS.md), so G builds one based matrix per diagram and no glued code.
 """
 from __future__ import annotations
 
@@ -32,8 +34,9 @@ from .errors import UnsupportedError, ValidityError
 from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomial,
                          flat_affine_polynomial, intersection_index, writhe)
 from .moves import apply_move, enumerate_moves, simplify
-from .sbm import _reverse, _special_closure, build_sbm, canonical_form, reduce_to_primitive
-from .surgery import glue, one_smooth, resolve, singular_kink, zero_smooth
+from .sbm import (SBM, _reverse, _special_closure, _take, build_sbm, canonical_form,
+                  reduce_to_primitive)
+from .surgery import one_smooth, resolve, singular_kink, zero_smooth
 
 __all__ = [
     "Fingerprint",
@@ -132,6 +135,15 @@ def _profile(code: KnotoidCode) -> tuple:
     return (both0, both1, inter)
 
 
+def _singular_fingerprint(m: SBM) -> Fingerprint:
+    """The fingerprint of a flat singular string with based matrix m."""
+    # the reversed string's closure is the reversal of this one (the SBM
+    # reversal lemma in CONVENTIONS.md), so one walk serves both orientations
+    prim = reduce_to_primitive(m)
+    return Fingerprint(1, b"S:" + min(min(canonical_form(x), canonical_form(_reverse(x)))
+                                      for x, _ in _special_closure(prim)))
+
+
 def fingerprint(code: KnotoidCode) -> Fingerprint:
     """Orientation-insensitive class fingerprint of a flat (multi-)knotoid or a
     flat singular knotoid with one preferred chord."""
@@ -143,11 +155,7 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
     if code.singular_chords():
         if ncomp != 1:
             raise UnsupportedError("singular fingerprints need a single open component")
-        # the reversed string's closure is the reversal of this one (the SBM
-        # reversal lemma in CONVENTIONS.md), so one walk serves both orientations
-        prim = reduce_to_primitive(build_sbm(code))
-        return Fingerprint(1, b"S:" + min(min(canonical_form(x), canonical_form(_reverse(x)))
-                                          for x, _ in _special_closure(prim)))
+        return _singular_fingerprint(build_sbm(code))
     if ncomp == 1:
         # reversal keeps every arrow and negates every W+, so Q(reverse) = -Q
         q = flat_affine_polynomial(code)
@@ -161,32 +169,54 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
     return Fingerprint(2, b"M:" + repr((idx, prof)).encode())
 
 
-def _signed_sum(code: KnotoidCode, surgery, correction) -> FormalSum:
-    """sum_c sgn(c) [surgery(code, c)] - w(code) [correction(code)] over the
-    crossings of a purely classical code with a single open component."""
+def _signed_sum(code: KnotoidCode, terms) -> FormalSum:
+    """sum_c sgn(c) [surgery at c] - w(code) [correction] over the crossings of
+    a purely classical code with a single open component. `terms` yields the
+    fingerprints of the surgeries, in chord order, then of the correction; it
+    is read only once the code has passed the checks."""
     if len(code.components) != 1:
         raise ValidityError("invariants expect a single open component")
     if code.flat_chords() or code.singular_chords():
         raise ValidityError("invariants expect a purely classical code")
     acc = FormalSum.zero()
+    coefs = [code.sign_of(c) for c in code.classical_chords()] + [-writhe(code)]
+    for coef, fp in zip(coefs, terms, strict=True):
+        acc = acc + FormalSum.term(fp, coef)
+    return acc
+
+
+def _surgered(code: KnotoidCode, surgery, correction):
+    """The fingerprints of surgery(code, c) at every chord c, then of correction(code)."""
     for c in code.classical_chords():
-        acc = acc + FormalSum.term(fingerprint(surgery(code, c)), code.sign_of(c))
-    return acc - FormalSum.term(fingerprint(correction(code)), writhe(code))
+        yield fingerprint(surgery(code, c))
+    yield fingerprint(correction(code))
+
+
+def _glued(code: KnotoidCode):
+    """The fingerprints of every glue of code, in chord order, then of its
+    singular kink. Each glue's based matrix is the kink's with the glued chord
+    as d and the kink left out (CONVENTIONS.md), so one matrix serves all."""
+    kinked = build_sbm(singular_kink(code))  # s, the chords by id, the kink
+    d = kinked.d
+    for k in range(1, d):
+        yield _singular_fingerprint(_take(kinked, [0, *range(1, k), *range(k + 1, d), k]))
+    yield _singular_fingerprint(kinked)
 
 
 def invariant_F(code: KnotoidCode) -> FormalSum:
     """0-smoothing invariant."""
-    return _signed_sum(code, zero_smooth, flatten)
+    return _signed_sum(code, _surgered(code, zero_smooth, flatten))
 
 
 def invariant_L(code: KnotoidCode) -> FormalSum:
     """1-smoothing invariant."""
-    return _signed_sum(code, lambda d, c: one_smooth(d, c)[0], lambda d: add_unknot(flatten(d)))
+    return _signed_sum(code, _surgered(code, lambda d, c: one_smooth(d, c)[0],
+                                       lambda d: add_unknot(flatten(d))))
 
 
 def invariant_G(code: KnotoidCode) -> FormalSum:
     """Gluing invariant (universal order-one)."""
-    return _signed_sum(code, glue, singular_kink)
+    return _signed_sum(code, _glued(code))
 
 
 # the invariant handles of the CLI and the fixture corpus; a derivative may

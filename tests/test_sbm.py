@@ -293,6 +293,52 @@ def test_canonical_form_matches_brute_force():
     assert sizes == set(range(9)), sizes
 
 
+def _ref_search_nodes(m):
+    """The nodes of the level-by-level search as first written, which places
+    the elements of a discrete partition one level at a time, and the number of
+    levels it enters with one state and a discrete partition."""
+    mat, d = m.matrix, m.d
+    twins = {}
+    twin = {g: twins.setdefault(mat[g], g) for g in m.unmarked()}
+    states = [([], sbm._split([list(m.unmarked())], mat[m.s]))]
+    nodes = forced = 0
+    for level in m.unmarked():
+        forced += len(states) == 1 and len(states[0][1]) == m.size - 1 - level
+        best, survivors = None, []
+        for prefix, cells in states:
+            first = cells[0]
+            for c in {twin[g]: g for g in first}.values():
+                nodes += 1
+                row = mat[c]
+                refined = sbm._split([[g for g in first if g != c], *cells[1:]], row)
+                key = [row[g] for cell in refined for g in cell] + [row[d]]
+                if best is None or key < best:
+                    best, survivors = key, [(prefix + [c], refined)]
+                elif key == best:
+                    survivors.append((prefix + [c], refined))
+        states = survivors
+    return nodes, forced
+
+
+def test_forced_completion_counts_its_nodes(monkeypatch):
+    # the search stops at a discrete partition but counts the placements it
+    # skips, so a budget refuses exactly what the full search refused
+    forced = 0
+    for m in _seeded_sbms(240, 223):
+        k = len(m.unmarked())
+        nodes, skipped = _ref_search_nodes(m)
+        forced += skipped > 0
+        form = canonical_form(m)
+        monkeypatch.setattr(sbm, "_NODE_BUDGET", nodes)
+        assert canonical_form(m) == form
+        for budget in {nodes - 1, k - 1} if k else ():
+            monkeypatch.setattr(sbm, "_NODE_BUDGET", budget)
+            with pytest.raises(SizeLimitError, match=f"search budget of {budget} nodes"):
+                canonical_form(m)
+        monkeypatch.undo()
+    assert forced >= 100, forced
+
+
 def test_canonical_form_of_a_symmetric_matrix():
     # the circulant regular tournament on 9 unmarked elements: every rotation
     # is an automorphism, so the first level ties on all 9 candidates

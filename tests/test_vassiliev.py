@@ -252,6 +252,40 @@ def test_singular_fingerprint_of_both_orientations_at_size():
         assert fp.payload == _ref_singular_payload(glued), K.serialize(glued)
 
 
+def test_glues_are_reorderings_of_the_kink_matrix():
+    # every glue's based matrix is the singular kink's with the glued chord as d
+    # and the kink left out; the kink's row is zero and its gap changes nothing
+    rng = random.Random(181)
+    codes = [K.parse("E")] + [random_classical_code(n, rng) for n in range(31) for _ in range(2)]
+    for code in codes:
+        text = K.serialize(code)
+        kinked = sbm.build_sbm(K.singular_kink(code))
+        d = kinked.d
+        assert kinked.elements == ("s", *map(str, code.chord_ids()), str(code.fresh_chord_id()))
+        assert kinked.matrix[d] == (0,) * kinked.size, text
+        for k, c in enumerate(code.chord_ids(), 1):
+            order = [0, *range(1, k), *range(k + 1, d), k]
+            assert sbm.build_sbm(K.glue(code, c)) == sbm._take(kinked, order), (text, c)
+        length = len(code.open_component)
+        for gap in {length // 3, length // 2, length}:
+            assert sbm.build_sbm(K.singular_kink(code, gap)) == kinked, (text, gap)
+
+
+def _ref_invariant_G(code):
+    """G as first written: one glued code and one based matrix per crossing."""
+    acc = FormalSum.zero()
+    for c in code.classical_chords():
+        acc = acc + FormalSum.term(fingerprint(K.glue(code, c)), code.sign_of(c))
+    return acc - FormalSum.term(fingerprint(K.singular_kink(code)), K.writhe(code))
+
+
+def test_invariant_g_matches_the_glue_reference():
+    rng = random.Random(191)
+    codes = [K.parse("E")] + [random_classical_code(rng.randrange(1, 13), rng) for _ in range(150)]
+    for code in codes:
+        assert K.invariant_G(code) == _ref_invariant_G(code), K.serialize(code)
+
+
 def test_order_check_reports():
     rep = K.order_check("f", 1, 25, 4242)
     assert rep["all_zero"] and rep["singular_crossings"] == 2
