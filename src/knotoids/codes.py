@@ -14,8 +14,9 @@ the passage whose strand sees the other strand cross from right to left.
 Flattening a classical crossing therefore sends the Over passage to the tail for
 positive crossings and to the head for negative ones; orientation reversal keeps
 every arrow's tail and head in place. `_is_tail` holds that rule; `recast`
-uses it to take a passage to the same side of a chord of another kind. `recast`
-runs per passage, so it stays out of `__all__` (and of span tracers).
+uses it to take a passage to the same side of a chord of another kind, and
+`flat_passage` to flatten one. Both run per passage, so they stay out of
+`__all__` (and of span tracers).
 
 Text grammar (whitespace separated, components joined by "/"):
 
@@ -122,6 +123,11 @@ def recast(p: Passage, kind: Role, sign: int | None = None, preferred: bool = Fa
     first, second = _KIND_ROLES[_ROLE_KIND[kind][0]]
     role = first if _is_tail(first, sign) == _is_tail(p.role, p.sign) else second
     return Passage(p.chord, role, sign, preferred)
+
+
+def flat_passage(p: Passage) -> Passage:
+    """`p` with a classical chord flattened to its arrow; other passages as they are."""
+    return recast(p, Role.TAIL) if p.role.is_classical else p
 
 
 def _rotate_canonical(comp: tuple[Passage, ...]) -> tuple[Passage, ...]:
@@ -339,8 +345,7 @@ def flatten(code: KnotoidCode) -> KnotoidCode:
     Flat codes pass through unchanged (flattening is idempotent)."""
     if not code.classical_chords():
         return code
-    return KnotoidCode(tuple(tuple(recast(p, Role.TAIL) if p.role.is_classical else p
-                                   for p in comp) for comp in code.components))
+    return KnotoidCode(tuple(tuple(map(flat_passage, comp)) for comp in code.components))
 
 
 def mirror(code: KnotoidCode) -> KnotoidCode:

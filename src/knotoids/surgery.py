@@ -24,14 +24,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .codes import KnotoidCode, OrderedTwoComponent, Passage, Role, recast
+from .codes import KnotoidCode, OrderedTwoComponent, Passage, Role, flat_passage, recast
 from .errors import NotClassicalError, NotFoundError, NotSingularError, ValidityError
 
 __all__ = ["zero_smooth", "one_smooth", "glue", "singular_kink", "resolve"]
-
-
-def _flat(p: Passage) -> Passage:
-    return recast(p, Role.TAIL) if p.role.is_classical else p
 
 
 def zero_smooth(code: KnotoidCode, cid: int) -> KnotoidCode:
@@ -48,7 +44,7 @@ def zero_smooth(code: KnotoidCode, cid: int) -> KnotoidCode:
     half = {c for c, n in Counter(p.chord for p in middle).items() if n == 1}
 
     def fix(p: Passage) -> Passage:
-        q = _flat(p)
+        q = flat_passage(p)
         return Passage(q.chord, q.role.flipped(), q.sign, q.preferred) if p.chord in half else q
 
     return KnotoidCode((tuple(map(fix, comp[:i] + middle[::-1] + comp[j + 1:])),))
@@ -67,8 +63,8 @@ def one_smooth(code: KnotoidCode, cid: int) -> tuple[KnotoidCode, OrderedTwoComp
         raise NotFoundError(f"chord {cid} not found in the open component") from None
     i, j = sorted((tail, head))
     comp = code.open_component
-    out = KnotoidCode((tuple(map(_flat, comp[:i] + comp[j + 1:])),
-                       tuple(map(_flat, comp[i + 1:j]))))
+    out = KnotoidCode((tuple(map(flat_passage, comp[:i] + comp[j + 1:])),
+                       tuple(map(flat_passage, comp[i + 1:j]))))
     ell1 = 0 if tail < head else 1
     return out, OrderedTwoComponent(out, ell1, 1 - ell1)
 
@@ -84,7 +80,7 @@ def glue(code: KnotoidCode, cid: int) -> KnotoidCode:
         raise ValidityError("glue expects a code without singular chords")
 
     def g(p: Passage) -> Passage:
-        return recast(p, Role.STAIL, None, True) if p.chord == cid else _flat(p)
+        return recast(p, Role.STAIL, None, True) if p.chord == cid else flat_passage(p)
 
     return KnotoidCode(tuple(tuple(g(p) for p in comp) for comp in code.components))
 
@@ -98,8 +94,9 @@ def singular_kink(code: KnotoidCode, gap: int = 0) -> KnotoidCode:
         raise NotFoundError(f"gap {gap} out of range")
     k = code.fresh_chord_id()
     kink = (Passage(k, Role.STAIL, None, True), Passage(k, Role.SHEAD, None, True))
-    return KnotoidCode((tuple(map(_flat, comp[:gap])) + kink + tuple(map(_flat, comp[gap:])),)
-                       + tuple(tuple(map(_flat, c)) for c in code.closed_components))
+    # the kink is singular, so flattening passes it through
+    comps = (comp[:gap] + kink + comp[gap:],) + code.closed_components
+    return KnotoidCode(tuple(tuple(map(flat_passage, c)) for c in comps))
 
 
 def resolve(code: KnotoidCode, cid: int, sign: int) -> KnotoidCode:

@@ -29,7 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .codes import KnotoidCode, OrderedTwoComponent, Passage, Role, add_unknot, flatten, serialize
+from .codes import (_CLASSICAL, _FLAT, _KIND_ROLES, _SINGULAR, KnotoidCode, OrderedTwoComponent,
+                    Passage, add_unknot, flatten, serialize)
 from .errors import UnsupportedError, ValidityError
 from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomial,
                          flat_affine_polynomial, intersection_index, writhe)
@@ -101,30 +102,26 @@ _ORBIT_CAP = 400
 def _minimized(code: KnotoidCode) -> KnotoidCode:
     """Smallest representative reachable by deletions and triangle slides.
 
-    Deletions are applied greedily (`moves.simplify`); when none applies, the
-    (size-preserving) triangle-slide orbit is searched for a member that
-    unlocks one. The orbit search is capped, so this is a normalization, not a
-    canonical form."""
-    code = simplify(code)
-    while True:
-        # breadth-first over the triangle orbit of the current local minimum
-        seen = {code.components}
-        frontier = [code]
-        jumped = None
-        while frontier and len(seen) <= _ORBIT_CAP and jumped is None:
-            cur = frontier.pop(0)
-            for mv in enumerate_moves(cur, "flat", rules=("R3",)):
-                nxt = apply_move(cur, mv)
-                if nxt.components in seen:
-                    continue
-                seen.add(nxt.components)
-                if enumerate_moves(nxt, "flat", rules=("R1_delete", "R2_delete")):
-                    jumped = nxt
-                    break
-                frontier.append(nxt)
-        if jumped is None:
-            return code
-        code = simplify(jumped)
+    Deletions are applied greedily (`moves.simplify`) to give a root. The
+    (size-preserving) triangle-slide orbit of the root is searched breadth
+    first; the first new member with a deletion is simplified into the next
+    root, and the search starts again from it. The orbit search is capped at
+    `_ORBIT_CAP` members, so this is a normalization, not a canonical form."""
+    root = simplify(code)
+    seen, frontier = {root.components}, [root]
+    while frontier and len(seen) <= _ORBIT_CAP:
+        cur = frontier.pop(0)
+        for mv in enumerate_moves(cur, "flat", rules=("R3",)):
+            nxt = apply_move(cur, mv)
+            if nxt.components in seen:
+                continue
+            if enumerate_moves(nxt, "flat", rules=("R1_delete", "R2_delete")):
+                root = simplify(nxt)
+                seen, frontier = {root.components}, [root]
+                break
+            seen.add(nxt.components)
+            frontier.append(nxt)
+    return root
 
 
 def _profile(code: KnotoidCode) -> tuple:
@@ -230,21 +227,17 @@ def derivative(inv, code: KnotoidCode):
 
     `inv` is a callable on classical codes or a handle of `_HANDLES` ("f",
     "l", "g", or "p" for the affine index polynomial); an unknown handle raises
-    ValidityError. The result does not depend on the resolution order."""
+    ValidityError. The sum recurses on the last singular chord s,
+    d(code) = d(code with s at +) - d(code with s at -), so the first chord
+    varies fastest among the evaluated resolutions; the result does not depend
+    on that order."""
     fn = _HANDLES.get(inv) if isinstance(inv, str) else inv
     if fn is None:
         raise ValidityError(f"unknown invariant handle {inv!r}")
     sing = code.singular_chords()
-    acc = None
-    # bit i of `bits` resolves the i-th singular chord negatively
-    for bits in range(1 << len(sing)):
-        resolved = code
-        for i, cid in enumerate(sing):
-            resolved = resolve(resolved, cid, -1 if bits >> i & 1 else 1)
-        val = fn(resolved)
-        val = -val if bits.bit_count() & 1 else val
-        acc = val if acc is None else acc + val
-    return acc
+    if not sing:
+        return fn(code)
+    return derivative(fn, resolve(code, sing[-1], 1)) - derivative(fn, resolve(code, sing[-1], -1))
 
 
 def order_check(inv, n: int, samples: int, seed: int) -> dict:
@@ -272,17 +265,14 @@ def order_check(inv, n: int, samples: int, seed: int) -> dict:
 # -- seeded random code generators ----------------------------------------------
 
 
-_CLASSICAL, _FLAT, _SINGULAR = ((Role.OVER, Role.UNDER), (Role.TAIL, Role.HEAD),
-                               (Role.STAIL, Role.SHEAD))
-
-
 def _random_open_code(kinds, rng: random.Random) -> KnotoidCode:
-    """One open component with chords 1, 2, ... of the given role pairs: each
-    draws a sign (classical only) and an order of its two passages, then
-    inserts them at uniform positions."""
+    """One open component with chords 1, 2, ... of the given kinds (indices
+    into `codes._KIND_ROLES`): each draws a sign (classical only) and an order
+    of its two passages, then inserts them at uniform positions."""
     seq: list[Passage] = []
-    for cid, roles in enumerate(kinds, 1):
-        sign = rng.choice((1, -1)) if roles[0].is_classical else None
+    for cid, kind in enumerate(kinds, 1):
+        sign = rng.choice((1, -1)) if kind == _CLASSICAL else None
+        roles = _KIND_ROLES[kind]
         first, second = roles if rng.random() < 0.5 else roles[::-1]
         i, j = rng.randrange(len(seq) + 1), rng.randrange(len(seq) + 2)
         seq.insert(i, Passage(cid, first, sign))
@@ -304,8 +294,9 @@ def random_singular_code(classical: int, singular: int, rng: random.Random) -> K
 
 def random_two_component_flat(chords: int, rng: random.Random) -> KnotoidCode:
     comps: list[list[Passage]] = [[], []]
+    flat = _KIND_ROLES[_FLAT]
     for cid in range(1, chords + 1):
-        roles = _FLAT if rng.random() < 0.5 else _FLAT[::-1]
+        roles = flat if rng.random() < 0.5 else flat[::-1]
         k1, k2 = rng.randrange(2), rng.randrange(2)
         comps[k1].insert(rng.randrange(len(comps[k1]) + 1), Passage(cid, roles[0]))
         comps[k2].insert(rng.randrange(len(comps[k2]) + 1), Passage(cid, roles[1]))

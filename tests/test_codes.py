@@ -19,6 +19,8 @@ def test_parse_trivial():
     assert code.chord_count() == 0
     assert len(code.components) == 1
     assert K.serialize(code) == "E"
+    with pytest.raises(ValidityError, match="at least the open component"):
+        K.KnotoidCode(())
 
 
 def test_parse_kink():
@@ -26,6 +28,7 @@ def test_parse_kink():
     assert code.kind == "Classical"
     assert len(code.open_component) == 2
     assert code.sign_of(1) == 1
+    assert str(code) == K.serialize(code)
 
 
 def test_parse_rejects_bad_tokens():
@@ -79,6 +82,10 @@ def test_flatten_is_identity_on_flat():
 
 def test_mirror_kink():
     assert K.serialize(K.mirror(K.parse("O1+ U1+"))) == "U1- O1-"
+    # singular passages are kept; flat input has no over/under to switch
+    assert K.serialize(K.mirror(K.parse("O1+ SA2 U1+ SB2"))) == "U1- SA2 O1- SB2"
+    with pytest.raises(ValidityError, match="mirror expects a classical"):
+        K.mirror(K.parse("A1 B1"))
 
 
 def test_mirror_reverse_involutions():
@@ -132,6 +139,8 @@ def test_ordered_view_requires_two_components():
 
     with pytest.raises(ComponentCountError):
         K.OrderedTwoComponent(K.parse("A1 B1"), 0, 1)
+    with pytest.raises(ValidityError, match="the two component indices"):
+        K.OrderedTwoComponent(K.parse("A1 B2 / B1 A2"), 0, 0)
 
 
 # -- oracle: the passage scans the chord table replaces ---------------------------

@@ -24,6 +24,7 @@ def test_laurent_arithmetic():
     assert str(LaurentPoly({0: -5})) == "-5"
     assert str(LaurentPoly({-2: 1, -1: -2, 0: 1})) == "1-2t^-1+t^-2"
     assert str(LaurentPoly({-1: -1, 3: 4})) == "4t^3-t^-1"
+    assert str(LaurentPoly.zero()) == "0"
     # a coefficient must be an int: no silent truncation, no zero kept as "0t"
     for bad in (0.5, 2.7, 1.0, "1", True, None):
         with pytest.raises(ValidityError):
@@ -137,6 +138,8 @@ def test_flat_weights_flat3(flat3):
     assert K.flat_weights(flat3) == {1: -1, 2: 2, 3: -1}
     assert K.flat_nth_writhe(flat3, 1) == -2
     assert K.flat_nth_writhe(flat3, 2) == 1
+    with pytest.raises(ValidityError, match="n > 0"):
+        K.flat_nth_writhe(flat3, 0)
     assert K.flat_affine_polynomial(flat3) == LaurentPoly({2: 1, 1: -2})
 
 

@@ -185,6 +185,8 @@ def test_family_mismatch_raises(vk4):
         enumerate_moves(vk4, "flat")
     with pytest.raises(ValidityError):
         enumerate_moves(flat, "classical")
+    with pytest.raises(ValidityError, match="unknown move family 'spiral'"):
+        enumerate_moves(flat, "spiral")
     with pytest.raises(ValidityError):
         K.random_walk(vk4, 3, 1, "flat")
     with pytest.raises(ValidityError):

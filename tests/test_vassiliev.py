@@ -293,6 +293,10 @@ def test_order_check_reports():
     assert rep["all_zero"]
     rep = K.order_check("g", 1, 8, 4244)
     assert rep["all_zero"]
+    # F has order one, so its first derivative need not vanish
+    rep = K.order_check("f", 0, 6, 1)
+    assert not rep["all_zero"] and rep["singular_crossings"] == 1
+    assert rep["counterexamples"] == ["U1- SA2 O1- SB2"]
     # no samples, or a negative order, would test nothing
     for n, samples in ((0, -3), (1, 0), (-1, 5)):
         with pytest.raises(ValidityError):
@@ -464,13 +468,28 @@ def test_generators_match_reference():
         assert got_rng.getstate() == ref_rng.getstate()
 
 
-def test_minimized_matches_reference():
+def test_minimized_matches_reference(monkeypatch):
     rng = random.Random(163)
+    codes = []
     for t in range(200):
         n = rng.randrange(0, 11)
         base = random_two_component_flat(n, rng) if t % 3 == 0 else random_flat_code(n, rng)
-        code = K.random_walk(base, rng.randrange(0, 4), rng.randrange(10**6), "flat")
+        codes.append(K.random_walk(base, rng.randrange(0, 4), rng.randrange(10**6), "flat"))
+    # no code above reaches the default orbit cap, and only cap 0 cuts their
+    # searches short. Two walked codes: the first needs three orbit members to
+    # shrink; the second shrinks at cap 1 only if every slide of the member
+    # that passes the cap is still checked
+    codes.append(K.parse("B15 A16 B3 B6 B9 A7 A2 B10 A13 B14 B2 B19 A20 A19 B20 B4 A5 A6 A10 "
+                         "B5 A9 A3 B8 B7 B11 B17 A18 A12 B12 A11 B1 B16 A15 A17 B18 A14 B13 A1 "
+                         "A4 A8"))
+    codes.append(K.parse("B2 B5 B4 B1 B3 A1 A6 A2 / A3 A4 B6 A5"))
+    for code in codes:
         assert V._minimized(code) == _ref_minimized(code), K.serialize(code)
+    for cap in (0, 1, 2, 3):
+        monkeypatch.setattr(V, "_ORBIT_CAP", cap)
+        for code in codes:
+            got = V._minimized(code)
+            assert got == _ref_minimized(code, orbit_cap=cap), (cap, K.serialize(code))
 
 
 def _outcome(fn, *args):
