@@ -58,8 +58,9 @@ class NotApplicableError(KnotoidError):
 
 
 class SizeLimitError(KnotoidError):
-    """Canonical-form search refused: it would visit more than the search-node
-    budget (`sbm._NODE_BUDGET`)."""
+    """Input refused by size: a canonical-form search that would visit more
+    than the search-node budget (`sbm._NODE_BUDGET`), or a derivative over
+    more singular chords than `vassiliev._MAX_SINGULAR`."""
 
     kind = "SizeLimit"
 

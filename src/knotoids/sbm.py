@@ -34,7 +34,9 @@ homologous exactly when one is the other's image under an isomorphism,
 optionally composed with a single N, delete-zero-row . N . add-s-copy, or
 delete-s-copy . N . add-zero-row move; `homologous` decides that directly.
 `_special_closure` lists a primitive with those single-move relatives, and
-both `homologous` and the singular fingerprint read that one walk.
+both `homologous` and the singular fingerprint read that one walk. When rows s
+and d are nonzero and differ, the relatives are the switches alone and no
+extension is built (the closure lemma in CONVENTIONS.md).
 
 Reversing the string's orientation changes its SBM by a fixed transform,
 `_reverse`: b(x, s) negates and b(x, y) becomes b(x, y) - b(x, s) + b(y, s).
@@ -456,6 +458,11 @@ def _special_closure(p: SBM) -> list[tuple[SBM, str]]:
     list cover the whole homology class of p at the primitive level."""
     out = [(p, "identity")]
     out += [(_remark(p, g), f"N({p.elements[g]})") for g in _classes(p)[3]]
+    srow, drow = p.row(p.s), p.row(p.d)
+    if any(srow) and any(drow) and drow != srow:
+        # no marking of either extension has a row to drop (the closure lemma
+        # in CONVENTIONS.md)
+        return out
     # add an s-copy, switch, then delete a zero row; and the other way round
     for ext, cls, name in (("M2", 0, "M2;N;M1_inverse"), ("M1", 1, "M1;N;M2_inverse")):
         for v, classes in _markings(apply_ext(p, (ext,))):

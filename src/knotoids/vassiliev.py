@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .codes import (_CLASSICAL, _FLAT, _KIND_ROLES, _SINGULAR, KnotoidCode, OrderedTwoComponent,
                     Passage, add_unknot, flatten, serialize)
-from .errors import UnsupportedError, ValidityError
+from .errors import SizeLimitError, UnsupportedError, ValidityError
 from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomial,
                          flat_affine_polynomial, intersection_index, writhe)
 from .moves import apply_move, enumerate_moves, simplify
@@ -221,6 +221,9 @@ def invariant_G(code: KnotoidCode) -> FormalSum:
 INVARIANTS = {"f": invariant_F, "l": invariant_L, "g": invariant_G}
 _HANDLES = {**INVARIANTS, "p": affine_index_polynomial}
 
+# most singular chords `derivative` resolves: 2^24 evaluations of the invariant
+_MAX_SINGULAR = 24
+
 
 def derivative(inv, code: KnotoidCode):
     """Alternating sum of `inv` over all resolutions of the singular crossings.
@@ -230,11 +233,15 @@ def derivative(inv, code: KnotoidCode):
     ValidityError. The sum recurses on the last singular chord s,
     d(code) = d(code with s at +) - d(code with s at -), so the first chord
     varies fastest among the evaluated resolutions; the result does not depend
-    on that order."""
+    on that order. More than `_MAX_SINGULAR` singular chords raise
+    SizeLimitError."""
     fn = _HANDLES.get(inv) if isinstance(inv, str) else inv
     if fn is None:
         raise ValidityError(f"unknown invariant handle {inv!r}")
     sing = code.singular_chords()
+    if len(sing) > _MAX_SINGULAR:
+        raise SizeLimitError(f"a derivative over {len(sing)} singular chords exceeds the "
+                             f"limit of {_MAX_SINGULAR} (2^{_MAX_SINGULAR} evaluations)")
     if not sing:
         return fn(code)
     return derivative(fn, resolve(code, sing[-1], 1)) - derivative(fn, resolve(code, sing[-1], -1))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import knotoids as K
+from knotoids import sbm
 from knotoids.codes import Passage, Role
 from knotoids.vassiliev import (random_classical_code, random_flat_code,
                                 random_singular_code, random_two_component_flat)
@@ -91,6 +92,18 @@ def with_preferred(code, rng):
         return Passage(p.chord, Role.STAIL if p.role.is_tail else Role.SHEAD,
                        None, p.chord == marked[0])
     return K.KnotoidCode(tuple(tuple(conv(p) for p in c) for c in code.components))
+
+
+def ref_special_closure(p):
+    """`sbm._special_closure` as first written: p, its switches, and the drops
+    found by walking every marking of the extensions M2(p) and M1(p), with no
+    closed form for any case."""
+    out = [(p, "identity")]
+    out += [(sbm._remark(p, g), f"N({p.elements[g]})") for g in sbm._classes(p)[3]]
+    for ext, cls, name in (("M2", 0, "M2;N;M1_inverse"), ("M1", 1, "M1;N;M2_inverse")):
+        for v, classes in sbm._markings(sbm.apply_ext(p, (ext,))):
+            out += [(sbm._drop(v, {g}), name) for g in classes[cls]]
+    return out
 
 
 def oracle_codes(count, seed):

@@ -1,9 +1,12 @@
 """CLI surface: subcommands, JSON stability, exit codes, corpus run."""
 import json
+import random
 
 import pytest
 
 from knotoids import cli
+from knotoids.codes import serialize
+from knotoids.vassiliev import random_singular_code
 
 from conftest import SING1, STRING_G5, STRING_G6, VK4
 
@@ -81,6 +84,14 @@ def test_vassiliev_commands(run, codefile):
     rc, out = run("vassiliev", "derivative", "--inv", "f", codefile(SING1))
     assert rc == 0
     assert sorted(t["coef"] for t in out["terms"]) == [-2, 2]
+
+
+def test_derivative_refuses_too_many_singular_chords(run, codefile):
+    code = random_singular_code(0, 1100, random.Random(1))
+    rc, out = run("vassiliev", "derivative", "--inv", "g", codefile(serialize(code)))
+    assert rc == 1
+    assert out["error"] == "SizeLimit"
+    assert out["detail"].startswith("a derivative over 1100 singular chords exceeds the limit")
 
 
 def test_sbm_commands(run, codefile, tmp_path):

@@ -16,7 +16,8 @@ from knotoids.sbm import (SBM, apply_ext, apply_ext_inverse, build_sbm, canonica
                           reduce_to_primitive)
 from knotoids.vassiliev import random_classical_code, random_flat_code, random_singular_code
 
-from conftest import B3, B4, B5, B6, STRING_G3, STRING_G4, STRING_G5, STRING_G6, with_preferred
+from conftest import (B3, B4, B5, B6, STRING_G3, STRING_G4, STRING_G5, STRING_G6,
+                      ref_special_closure, with_preferred)
 
 
 def _matrix(m):
@@ -478,6 +479,52 @@ def test_reverse_maps_the_closure_onto_the_reversed_closure():
         own = reduce_to_primitive(build_sbm(K.reverse(code)))
         assert forms == {canonical_form(x) for x, _ in sbm._special_closure(own)}, \
             K.serialize(code)
+
+
+def _seeded_primitives(count, seed):
+    """Primitives of seeded strings of 0-12 chords: the singular kink of a
+    classical code and each of its glues (as `invariant_G` reads them), or a
+    flat string with a preferred chord and maybe another singular one."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randrange(0, 13)
+        if t % 2:
+            matrices = [build_sbm(with_preferred(random_flat_code(max(n, 1), rng), rng))]
+        else:
+            kinked = build_sbm(K.singular_kink(random_classical_code(n, rng), 0))
+            d = kinked.d
+            matrices = [kinked] + [sbm._take(kinked, [0, *range(1, k), *range(k + 1, d), k])
+                                   for k in range(1, d)]
+        yield from map(reduce_to_primitive, matrices)
+
+
+def test_closure_matches_the_extension_walk():
+    # the closed form for nonzero rows s and d with row d != row s gives the
+    # walk's list exactly: elements, matrices, move names and order
+    counts = dict.fromkeys(("exit", "exit_switch", "s_zero", "d_zero", "d_copy"), 0)
+    prims = list(_seeded_primitives(500, 227))
+    assert len(prims) >= 2000, len(prims)
+    for p in prims:
+        for q in (p, sbm._reverse(p)):
+            assert sbm._special_closure(q) == ref_special_closure(q), q
+            srow, drow = q.row(q.s), q.row(q.d)
+            if any(srow) and any(drow) and drow != srow:
+                counts["exit_switch" if sbm._classes(q)[3] else "exit"] += 1
+            counts["s_zero"] += not any(srow)
+            counts["d_zero"] += not any(drow)
+            counts["d_copy"] += drow == srow
+    assert all(counts.values()), counts
+
+
+def test_primitive_has_at_most_one_switch():
+    # the closure lemma's first two steps: at most one element is complementary
+    # to d, and one exists only if row d is neither zero nor a copy of row s
+    for p in _seeded_primitives(200, 229):
+        for q in (p, sbm._reverse(p)):
+            comp = sbm._classes(q)[3]
+            assert len(comp) <= 1, q
+            if comp:
+                assert any(q.row(q.d)) and q.row(q.d) != q.row(q.s), q
 
 
 # -- test-local references: the based-matrix layer as first written -----------

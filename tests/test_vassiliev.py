@@ -7,13 +7,13 @@ import knotoids as K
 from knotoids import sbm
 from knotoids import vassiliev as V
 from knotoids.codes import Passage, Role
-from knotoids.errors import KnotoidError, UnsupportedError, ValidityError
+from knotoids.errors import KnotoidError, SizeLimitError, UnsupportedError, ValidityError
 from knotoids.moves import apply_move, enumerate_moves
 from knotoids.vassiliev import (FormalSum, fingerprint, random_classical_code, random_flat_code,
                                 random_singular_code, random_two_component_flat)
 
 from conftest import (FLAT3, HEX1, HEX2, QUAD3, QUAD4, SING1, SING1_MINUS,
-                      SING1_PLUS, VK4)
+                      SING1_PLUS, VK4, ref_special_closure)
 
 
 def test_formal_sum_arithmetic(flat3):
@@ -209,6 +209,16 @@ def test_p_derivative_handle(sing1):
             K.derivative(handle, sing1)
 
 
+def test_derivative_refuses_too_many_singular_chords():
+    # refused before any resolution: 1100 chords would pass the recursion limit,
+    # and one chord over the limit would already take 2^25 evaluations
+    for k in (V._MAX_SINGULAR + 1, 1100):
+        code = random_singular_code(0, k, random.Random(1))
+        for handle in ("f", "l", "g", "p"):
+            with pytest.raises(SizeLimitError, match=f"over {k} singular chords"):
+                K.derivative(handle, code)
+
+
 def test_second_derivatives_vanish():
     rng = random.Random(149)
     for _ in range(30):
@@ -237,8 +247,8 @@ def test_g_is_reversal_invariant():
 
 def _ref_singular_payload(code):
     """The singular fingerprint as first written: a based matrix, primitive and
-    closure for each orientation."""
-    return b"S:" + min(min(sbm.canonical_form(x) for x, _ in sbm._special_closure(
+    walked closure for each orientation."""
+    return b"S:" + min(min(sbm.canonical_form(x) for x, _ in ref_special_closure(
         sbm.reduce_to_primitive(sbm.build_sbm(orient)))) for orient in (code, K.reverse(code)))
 
 
