@@ -26,6 +26,9 @@ Application is checked once, at entry: `apply_move`'s site gate checks the rule
 and the count, shape and components of its sites, then hands the move to the one
 applier of its family. Kink and poke inserts share one applier that reads their
 passages from site-pattern tables. A move that does not fit is a StaleMoveError.
+A triangle slide has one swap rule, `_slid`, which the R3 applier runs after its
+gate and the flat orbit search (`vassiliev._minimized`) runs on slides that
+`_r3_moves` has just listed.
 """
 from __future__ import annotations
 
@@ -415,10 +418,19 @@ def _apply_r3(code, move):
     if not _is_triangle(code, trip) or any(
             code.components[k][pos].chord in fixed for k, i, j in trip for pos in (i, j)):
         raise StaleMoveError("triangle pattern no longer matches")
+    return KnotoidCode(_slid(code, move.sites))
+
+
+def _slid(code, sites) -> tuple[tuple[Passage, ...], ...]:
+    """The components of `code` with the passages of the adjacent pair at each
+    site (k, i) swapped, the pair (i, i+1 cyclic). Closed components are not
+    rotated; `KnotoidCode` rotates them. The sites are not checked."""
     comps = [list(c) for c in code.components]
-    for (k, i, j) in trip:
-        comps[k][i], comps[k][j] = comps[k][j], comps[k][i]
-    return KnotoidCode(tuple(tuple(c) for c in comps))
+    for k, i in sites:
+        comp = comps[k]
+        j = (i + 1) % len(comp)
+        comp[i], comp[j] = comp[j], comp[i]
+    return tuple(map(tuple, comps))
 
 
 def _apply_switch(code, move):

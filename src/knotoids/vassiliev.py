@@ -30,11 +30,12 @@ import random
 from dataclasses import dataclass
 
 from .codes import (_CLASSICAL, _FLAT, _KIND_ROLES, _SINGULAR, KnotoidCode, OrderedTwoComponent,
-                    Passage, add_unknot, flatten, serialize)
+                    Passage, _rotate_canonical, add_unknot, flatten, serialize)
 from .errors import SizeLimitError, UnsupportedError, ValidityError
 from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomial,
                          flat_affine_polynomial, intersection_index, writhe)
-from .moves import apply_move, enumerate_moves, simplify
+from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_moves, _slid,
+                    simplify)
 from .sbm import (SBM, _reverse, _special_closure, _take, build_sbm, canonical_form,
                   reduce_to_primitive)
 from .surgery import one_smooth, resolve, singular_kink, zero_smooth
@@ -106,21 +107,29 @@ def _minimized(code: KnotoidCode) -> KnotoidCode:
     (size-preserving) triangle-slide orbit of the root is searched breadth
     first; the first new member with a deletion is simplified into the next
     root, and the search starts again from it. The orbit search is capped at
-    `_ORBIT_CAP` members, so this is a normalization, not a canonical form."""
+    `_ORBIT_CAP` members, so this is a normalization, not a canonical form.
+
+    The frontier carries each member with its pair index, which lists both
+    its deletions and its slides. A slide is keyed by its swapped components
+    with the closed ones rotated, as `KnotoidCode` stores them, so a slide back
+    into `seen` builds nothing; only a new member is built and checked."""
     root = simplify(code)
-    seen, frontier = {root.components}, [root]
+    seen, frontier = {root.components}, [(root, _pair_index(root, "flat"))]
     while frontier and len(seen) <= _ORBIT_CAP:
-        cur = frontier.pop(0)
-        for mv in enumerate_moves(cur, "flat", rules=("R3",)):
-            nxt = apply_move(cur, mv)
-            if nxt.components in seen:
+        cur, index = frontier.pop(0)
+        for mv in sorted(_r3_moves(cur, "flat", index), key=MoveInstance.sort_key):
+            slid = _slid(cur, mv.sites)
+            key = (slid[0], *map(_rotate_canonical, slid[1:]))
+            if key in seen:
                 continue
-            if enumerate_moves(nxt, "flat", rules=("R1_delete", "R2_delete")):
+            nxt = KnotoidCode(slid)
+            nxt_index = _pair_index(nxt, "flat")
+            if _r1_deletes(nxt) or _r2_deletes(nxt, "flat", nxt_index):
                 root = simplify(nxt)
-                seen, frontier = {root.components}, [root]
+                seen, frontier = {root.components}, [(root, _pair_index(root, "flat"))]
                 break
-            seen.add(nxt.components)
-            frontier.append(nxt)
+            seen.add(key)
+            frontier.append((nxt, nxt_index))
     return root
 
 

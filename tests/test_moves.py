@@ -478,6 +478,29 @@ def _ref_r3_apply(code, move):
     return tuple(tuple(c) for c in comps)
 
 
+def test_slid_matches_reference_swap():
+    # the one swap rule of a triangle slide, on every listed slide of walked
+    # codes; the key the flat orbit search reads rotates the closed components
+    # of the unrotated swap, as KnotoidCode does
+    rng = random.Random(71)
+    gens = ((random_flat_code, "flat"), (random_two_component_flat, "flat"),
+            (random_classical_code, "classical"))
+    slides = rotations = 0
+    for t in range(1200):
+        gen, fam = gens[t % 3]
+        code = K.random_walk(gen(rng.randrange(0, 13), rng), rng.randrange(0, 4),
+                             rng.randrange(10**6), fam)
+        for mv in enumerate_moves(code, fam, ("R3",)):
+            slid = M._slid(code, mv.sites)
+            assert slid == _ref_r3_apply(code, mv), (K.serialize(code), mv)
+            moved = K.apply_move(code, mv)
+            assert K.KnotoidCode(slid) == moved
+            assert (slid[0], *map(_rotate_canonical, slid[1:])) == moved.components
+            rotations += slid[1:] != moved.components[1:]
+            slides += 1
+    assert slides >= 200 and rotations >= 10, (slides, rotations)
+
+
 def _ref_preferred_switches(code):
     comp = code.open_component
     pref = code.preferred_chord()

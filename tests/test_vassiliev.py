@@ -4,7 +4,7 @@ import random
 import pytest
 
 import knotoids as K
-from knotoids import sbm
+from knotoids import moves, sbm
 from knotoids import vassiliev as V
 from knotoids.codes import Passage, Role
 from knotoids.errors import KnotoidError, SizeLimitError, UnsupportedError, ValidityError
@@ -350,6 +350,19 @@ def test_long_walks_keep_f_and_l():
         assert inv(walked) == inv(base), K.serialize(walked)
 
 
+def test_f_and_l_at_every_step_of_walks_at_size():
+    # both invariants after each step of 6-step walks from 10-16 crossings,
+    # where the flat minimization searches larger triangle orbits
+    rng = random.Random(167)
+    for n in (10, 11, 12, 14, 15, 16):
+        walked = base = random_classical_code(n, rng)
+        f_base, l_base = K.invariant_F(base), K.invariant_L(base)
+        for _ in range(6):
+            walked = K.random_walk(walked, 1, rng.randrange(10**6), "classical")
+            assert K.invariant_F(walked) == f_base, K.serialize(walked)
+            assert K.invariant_L(walked) == l_base, K.serialize(walked)
+
+
 def test_long_walks_keep_g():
     # G at sizes the canonical form once refused (above 9 unmarked elements); a
     # step adds up to two crossings, and G's cost grows steeply past 30
@@ -364,9 +377,11 @@ def test_long_walks_keep_g():
 
 # -- the invariant layer as it was, kept as references -------------------------
 
-def _ref_minimized(code, orbit_cap=400):
+def _ref_minimized(code, orbit_cap=400, log=None):
     """Greedy first deletion, then a capped breadth-first triangle-orbit search
-    for a member that unlocks a deletion."""
+    for a member that unlocks a deletion. `log`, when given, receives
+    ("root", components) for each root and ("member", components) for each
+    orbit member when the search first meets it."""
     def greedy(c):
         while True:
             dels = enumerate_moves(c, "flat", rules=("R1_delete", "R2_delete"))
@@ -376,6 +391,8 @@ def _ref_minimized(code, orbit_cap=400):
 
     code = greedy(code)
     while True:
+        if log is not None:
+            log.append(("root", code.components))
         seen = {K.serialize(code)}
         frontier = [code]
         jumped = None
@@ -387,6 +404,8 @@ def _ref_minimized(code, orbit_cap=400):
                 if s in seen:
                     continue
                 seen.add(s)
+                if log is not None:
+                    log.append(("member", nxt.components))
                 if enumerate_moves(nxt, "flat", rules=("R1_delete", "R2_delete")):
                     jumped = nxt
                     break
@@ -478,7 +497,7 @@ def test_generators_match_reference():
         assert got_rng.getstate() == ref_rng.getstate()
 
 
-def test_minimized_matches_reference(monkeypatch):
+def _minimized_cases():
     rng = random.Random(163)
     codes = []
     for t in range(200):
@@ -493,6 +512,11 @@ def test_minimized_matches_reference(monkeypatch):
                          "B5 A9 A3 B8 B7 B11 B17 A18 A12 B12 A11 B1 B16 A15 A17 B18 A14 B13 A1 "
                          "A4 A8"))
     codes.append(K.parse("B2 B5 B4 B1 B3 A1 A6 A2 / A3 A4 B6 A5"))
+    return codes
+
+
+def test_minimized_matches_reference(monkeypatch):
+    codes = _minimized_cases()
     for code in codes:
         assert V._minimized(code) == _ref_minimized(code), K.serialize(code)
     for cap in (0, 1, 2, 3):
@@ -500,6 +524,42 @@ def test_minimized_matches_reference(monkeypatch):
         for code in codes:
             got = V._minimized(code)
             assert got == _ref_minimized(code, orbit_cap=cap), (cap, K.serialize(code))
+
+
+def test_minimized_builds_only_new_members(monkeypatch):
+    # within one search every built code is a new orbit member, met in the
+    # reference's breadth-first, sorted order, and each root and member gets
+    # exactly one pair index, in the order the reference meets them
+    codes = _minimized_cases()
+    built, indexed = [], []
+
+    def build(comps):
+        code = K.KnotoidCode(comps)
+        built.append(code.components)
+        return code
+
+    def index(code, fam):
+        indexed.append(code.components)
+        return moves._pair_index(code, fam)
+
+    monkeypatch.setattr(V, "KnotoidCode", build)
+    monkeypatch.setattr(V, "_pair_index", index)
+    members = restarts = 0
+    for cap in (0, 1, 2, 3, 400):
+        monkeypatch.setattr(V, "_ORBIT_CAP", cap)
+        for code in codes:
+            built.clear()
+            indexed.clear()
+            V._minimized(code)
+            log = []
+            _ref_minimized(code, orbit_cap=cap, log=log)
+            met = [comps for kind, comps in log if kind == "member"]
+            assert built == met, (cap, K.serialize(code))
+            assert len(set(built)) == len(built), (cap, K.serialize(code))
+            assert indexed == [comps for _, comps in log], (cap, K.serialize(code))
+            members += len(met)
+            restarts += len(log) - len(met) - 1
+    assert members >= 80 and restarts >= 10, (members, restarts)
 
 
 def _outcome(fn, *args):
