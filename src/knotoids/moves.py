@@ -14,11 +14,12 @@ recorded) and are therefore not represented.
 Moves never connect the open component's two ends: adjacency is linear on the
 open component and cyclic on closed ones.
 
-Enumeration is driven by one index of adjacent passage pairs keyed by their
-chord pair {x, y}: poke deletions pair up two entries of one key, triangle
-slides join the keys {x,y}, {x,z}, {y,z}. The insert families are not scanned
-but counted in closed form and decoded by index in the (rule, sites, variant)
-order, so `random_walk` samples a move without listing the O(n) kink and O(n^2)
+Enumeration is driven by one table, `_FAMILIES`, of the rule families in
+rule-name order, which is the (rule, sites, variant) order. The scanned families
+read one index of adjacent passage pairs keyed by their chord pair {x, y}: poke
+deletions pair up two entries of one key, triangle slides join the keys {x,y},
+{x,z}, {y,z}. The insert families are counted in closed form and decoded by
+index, so `random_walk` samples a move without listing the O(n) kink and O(n^2)
 poke inserts. A family that does not match the code's chords (classical moves
 on flat arrows or the reverse) is a ValidityError.
 
@@ -109,40 +110,23 @@ def _pair_index(code: KnotoidCode, fam: str) -> dict[tuple[int, int], list[tuple
 
 # -- enumeration ------------------------------------------------------------
 
-# families listed by scanning the diagram; the insert families are counted in
-# closed form and decoded by index instead
-_LISTED = ("PreferredSwitch", "R1_delete", "R2_delete", "R3")
-
-
 def enumerate_moves(code: KnotoidCode, family: str | None = None,
                     rules: tuple[str, ...] | None = None) -> list[MoveInstance]:
     """All applicable moves, sorted by (rule, sites, variant).
 
-    `rules` restricts which rule families are generated (all by default).
-    Poke deletions and triangle slides are found through one index of adjacent
-    passage pairs keyed by chord pair: a poke pair is two disjoint pairs with the
-    same key, a triangle three disjoint pairs with keys {x,y}, {x,z}, {y,z}.
-    Raises ValidityError when `family` does not match the code's chords."""
+    `rules` restricts which rule families are generated (all by default). The
+    wanted families of `_FAMILIES` are joined in table order, each sorted on its
+    own. Raises ValidityError when `family` does not match the code's chords."""
     fam = _family(code, family)
-
-    def want(rule):
-        return rules is None or rule in rules
-
-    index = _pair_index(code, fam) if want("R2_delete") or want("R3") else None
+    index = _pair_index(code, fam)
     out = []
-    if want("R1_delete"):
-        out += _r1_deletes(code)
-    if want("R2_delete"):
-        out += _r2_deletes(code, fam, index)
-    if want("R3"):
-        out += _r3_moves(code, fam, index)
-    if want("R1_insert"):
-        out += _r1_inserts(code, fam)
-    if want("R2_insert"):
-        out += _r2_inserts(code, fam)
-    if want("PreferredSwitch") and fam == "flat":
-        out += _preferred_switches(code)
-    out.sort(key=MoveInstance.sort_key)
+    for rule, find, at in _FAMILIES:
+        if rules is not None and rule not in rules:
+            continue
+        if at is None:
+            out += sorted(find(code, fam, index), key=MoveInstance.sort_key)
+        else:
+            out += [at(code, fam, i) for i in range(find(code, fam))]
     return out
 
 
@@ -227,10 +211,6 @@ def _r1_insert_at(code, fam, idx: int) -> MoveInstance:
     return MoveInstance("R1_insert", (_gap(code, g),), variants[v])
 
 
-def _r1_inserts(code, fam):
-    return [_r1_insert_at(code, fam, i) for i in range(_r1_insert_count(code, fam))]
-
-
 # a poke is two sites, each holding one passage of both fresh chords; classical
 # signs are s and -s
 _R2_CLASSICAL = {}
@@ -268,10 +248,6 @@ def _r2_insert_at(code, fam, idx: int) -> MoveInstance:
     g1 = g - m
     g2 = g1 + m * (m + 1) // 2 - rest
     return MoveInstance("R2_insert", (_gap(code, g1), _gap(code, g2)), variants[v])
-
-
-def _r2_inserts(code, fam):
-    return [_r2_insert_at(code, fam, i) for i in range(_r2_insert_count(code, fam))]
 
 
 def _r3_moves(code, fam, index):
@@ -341,6 +317,22 @@ def _preferred_switches(code):
     return moves
 
 
+# The rule families in rule-name order, which is the (rule, sites, variant)
+# order: (rule, find, at). A scanned family (`at` None) lists its instances,
+# unsorted, with find(code, fam, index); an insert family counts them in closed
+# form with find(code, fam) and decodes the idx-th in sort order with at(code,
+# fam, idx). Classical moves leave no flat chord to switch with, so the switch
+# lister finds none under them.
+_FAMILIES = (
+    ("PreferredSwitch", lambda code, fam, index: _preferred_switches(code), None),
+    ("R1_delete", lambda code, fam, index: _r1_deletes(code), None),
+    ("R1_insert", _r1_insert_count, _r1_insert_at),
+    ("R2_delete", _r2_deletes, None),
+    ("R2_insert", _r2_insert_count, _r2_insert_at),
+    ("R3", _r3_moves, None),
+)
+
+
 # -- application -------------------------------------------------------------
 
 def apply_move(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
@@ -350,7 +342,7 @@ def apply_move(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     many (component, position) int pairs as `_APPLIERS` gives the rule, each
     component an index of `code.components`. The rule's applier then checks the
     pattern it expects at those sites; inserts read theirs from `_INSERTS`."""
-    count, applier = _APPLIERS.get(move.rule, (0, None))
+    count, applier = _APPLIERS.get(move.rule if isinstance(move.rule, str) else None, (0, None))
     if applier is None:
         raise StaleMoveError(f"unknown rule {move.rule!r}")
     sites = move.sites
@@ -381,7 +373,7 @@ def _apply_r1_delete(code, move):
 
 def _apply_insert(code, move):
     """Insert each site's pattern at its gap, later gap first so earlier gaps stay put."""
-    pattern = _INSERTS[move.rule].get(move.variant)
+    pattern = _INSERTS[move.rule].get(move.variant) if isinstance(move.variant, str) else None
     if pattern is None:
         raise StaleMoveError(f"bad {move.rule} variant {move.variant!r}")
     if len(move.sites) == 2 and move.sites[0][0] == move.sites[1][0] \
@@ -466,31 +458,24 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
     """Apply `steps` uniformly chosen applicable moves; deterministic in `seed`.
 
     Each step is `rng.choice(enumerate_moves(code, family))` without building
-    that list: the families of `_LISTED` are enumerated, the kink and poke
-    inserts (O(n) and O(n^2) instances) are counted in closed form, and the
-    drawn index is decoded at its place in the (rule, sites, variant) order.
+    that list: the scanned families of `_FAMILIES` are listed, the kink and poke
+    inserts (O(n) and O(n^2) instances) are only counted, and the drawn index is
+    decoded in the family it falls in, the only one sorted.
     A negative `steps` is a ValidityError; zero steps return `code`."""
     if steps < 0:
         raise ValidityError(f"steps must be >= 0, got {steps}")
     rng = random.Random(seed)
     for _ in range(steps):
         fam = _family(code, family)
-        listed = enumerate_moves(code, fam, _LISTED)
-        n1, n2 = _r1_insert_count(code, fam), _r2_insert_count(code, fam)
-        # full order: listed[:c1], R1 inserts, listed[c1:c2], R2 inserts, listed[c2:]
-        c1 = sum(m.rule < "R1_insert" for m in listed)
-        c2 = sum(m.rule < "R2_insert" for m in listed)
-        idx = rng.randrange(len(listed) + n1 + n2)  # the draw rng.choice makes
-        if idx < c1:
-            move = listed[idx]
-        elif idx < c1 + n1:
-            move = _r1_insert_at(code, fam, idx - c1)
-        elif idx < n1 + c2:
-            move = listed[idx - n1]
-        elif idx < n1 + c2 + n2:
-            move = _r2_insert_at(code, fam, idx - n1 - c2)
-        else:
-            move = listed[idx - n1 - n2]
+        index = _pair_index(code, fam)
+        found = [find(code, fam, index) if at is None else range(find(code, fam))
+                 for _, find, at in _FAMILIES]
+        idx = rng.randrange(sum(map(len, found)))  # the draw rng.choice makes
+        for (_, _, at), got in zip(_FAMILIES, found):
+            if idx < len(got):
+                break
+            idx -= len(got)
+        move = sorted(got, key=MoveInstance.sort_key)[idx] if at is None else at(code, fam, idx)
         code = apply_move(code, move)
     return code
 
@@ -499,9 +484,13 @@ def simplify(code: KnotoidCode) -> KnotoidCode:
     """Greedily delete kinks and poke pairs until none applies.
 
     Always applies the first deletion in (rule, sites) order, so results are
-    reproducible; no canonical-form claim is made."""
+    reproducible; no canonical-form claim is made. Kinks come first in that
+    order, so the pair index is built only when no kink is found. The family
+    is inferred at every step, as deleting the last classical chord of a
+    classical+singular code leaves it flat."""
     while True:
-        dels = enumerate_moves(code, rules=("R1_delete", "R2_delete"))
+        fam = _family(code, None)
+        dels = _r1_deletes(code) or _r2_deletes(code, fam, _pair_index(code, fam))
         if not dels:
             return code
-        code = apply_move(code, dels[0])
+        code = apply_move(code, min(dels, key=MoveInstance.sort_key))

@@ -344,6 +344,115 @@ def test_random_walk_matches_choice_over_enumeration():
         assert K.random_walk(code, steps, seed, family) == ref, (K.serialize(code), seed)
 
 
+def test_rules_filter_keeps_table_order():
+    # the family table is in rule-name order and names exactly the rules that
+    # have an applier, so a rule added to one table but not the other fails
+    rules = [rule for rule, _, _ in M._FAMILIES]
+    assert rules == sorted(rules)
+    assert len(rules) == len(M._APPLIERS) and set(rules) == set(M._APPLIERS)
+    rng = random.Random(67)
+    seen = set()
+    for code, fam in oracle_codes(40, 67):
+        full = enumerate_moves(code, fam)
+        seen.update(m.rule for m in full)
+        for rule in rules:
+            part = [m for m in full if m.rule == rule]
+            assert part == sorted(part, key=MoveInstance.sort_key), (K.serialize(code), rule)
+        if code.chord_count() > 4:
+            continue
+        for n in range(len(rules) + 1):
+            for subset in itertools.combinations(rules, n):
+                # the output follows the table, whatever order `rules` names them in
+                subset = tuple(rng.sample(subset, n))
+                assert enumerate_moves(code, fam, subset) == \
+                    [m for m in full if m.rule in subset], (K.serialize(code), subset)
+    assert seen == set(rules)
+
+
+def _sized_codes(seed, count):
+    """(code, move family) pairs of 10-20 chords, cycling through classical,
+    flat and two-component flat codes."""
+    rng = random.Random(seed)
+    gens = ((random_classical_code, "classical"), (random_flat_code, "flat"),
+            (random_two_component_flat, "flat"))
+    for t in range(count):
+        gen, fam = gens[t % 3]
+        yield gen(rng.randrange(10, 21), rng), fam
+
+
+def test_random_walk_matches_choice_at_size():
+    for t, (code, fam) in enumerate(_sized_codes(71, 3)):
+        for seed, family in ((2 * t, None), (2 * t + 1, fam)):
+            steps = 2 + t % 2
+            rng = random.Random(seed)
+            ref = code
+            for _ in range(steps):
+                ref = K.apply_move(ref, rng.choice(enumerate_moves(ref, family)))
+            assert K.random_walk(code, steps, seed, family) == ref, (K.serialize(code), seed)
+
+
+class _Drawn:
+    """A stand-in for `random.Random(seed)` whose one draw is the seed itself."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def randrange(self, n):
+        assert 0 <= self.seed < n
+        return self.seed
+
+
+def test_random_walk_decodes_every_scanned_index_at_size(monkeypatch):
+    # one step whose draw is index t applies the t-th enumerated move: every
+    # scanned instance, and the first and last instance of each insert family,
+    # on codes of 10-24 chords and on the oracle codes
+    cases = [(K.random_walk(code, 2, seed, fam), fam)
+             for seed, (code, fam) in enumerate(_sized_codes(73, 6))]
+    cases += oracle_codes(25, 73)
+    expected = []
+    for code, fam in cases:
+        full = enumerate_moves(code, fam)
+        rules = [m.rule for m in full]
+        picks = {t for t, rule in enumerate(rules) if not rule.endswith("insert")}
+        picks |= {rules.index(r) for r in ("R1_insert", "R2_insert")}
+        picks |= {len(rules) - 1 - rules[::-1].index(r) for r in ("R1_insert", "R2_insert")}
+        expected += [(code, fam, t, full[t]) for t in sorted(picks)]
+    assert {mv.rule for *_, mv in expected} == set(M._APPLIERS) and len(expected) > 100
+    expected = [(code, fam, t, K.apply_move(code, mv)) for code, fam, t, mv in expected]
+    monkeypatch.setattr(M.random, "Random", _Drawn)
+    for code, fam, t, moved in expected:
+        assert K.random_walk(code, 1, t, fam) == moved, (K.serialize(code), t)
+
+
+def _ref_simplify(code):
+    """The greedy loop as first written: the first of all listed deletions."""
+    while True:
+        dels = enumerate_moves(code, rules=("R1_delete", "R2_delete"))
+        if not dels:
+            return code
+        code = K.apply_move(code, dels[0])
+
+
+def test_simplify_matches_reference_at_size():
+    rng = random.Random(79)
+    for code, fam in _sized_codes(79, 30):
+        walked = K.random_walk(code, 8, rng.randrange(10**6), fam)
+        assert K.simplify(walked) == _ref_simplify(walked), K.serialize(walked)
+    # deleting the poke pairs before the kinks would keep chord 3, not chord 10
+    code = K.parse("A3 A6 B7 B4 A5 B9 A10 A2 A7 B6 B2 / A1 B1 B3 B10 A9 A8 B8 B5 A4")
+    assert K.serialize(K.simplify(code)) == K.serialize(_ref_simplify(code)) == "A10 / B10"
+    # kinks and pokes on a singular string: every classical chord deletes, and
+    # deleting the last one turns the inferred family from classical to flat
+    code = K.parse("SA1 SB1 SA2 SB2 SA3 SB3")
+    while code.chord_count() < 15:
+        inserts = enumerate_moves(code, "classical", ("R1_insert", "R2_insert"))
+        code = K.apply_move(code, rng.choice(inserts))
+    out = K.simplify(code)
+    assert out == _ref_simplify(code)
+    assert M._family(code, None) == "classical" and M._family(out, None) == "flat"
+    assert not out.classical_chords() and len(out.singular_chords()) == 3
+
+
 def test_long_walks_keep_p_q_and_index():
     # 25-step walks from 10-20-chord codes
     rng = random.Random(53)
@@ -632,6 +741,21 @@ def test_apply_gate_pins_old_defects():
             K.apply_move(two, MoveInstance("R1_delete", sites))
     with pytest.raises(StaleMoveError, match="unknown rule"):
         K.apply_move(two, MoveInstance("R4", ((0, 0),)))
+    # a rule or an insert variant that is not a str failed to hash; a variant
+    # the rule does not read is still ignored
+    arrow = K.parse("A1 B1")
+    with pytest.raises(TypeError):
+        _ref_apply_move(arrow, MoveInstance(["R1_insert"], ((0, 0),), "AB"))
+    for rule in (["R1_insert"], ("R1_insert",), None):
+        with pytest.raises(StaleMoveError, match="unknown rule"):
+            K.apply_move(arrow, MoveInstance(rule, ((0, 0),), "AB"))
+    for variant in (["AB"], {"AB": 0}, 1):
+        with pytest.raises(StaleMoveError, match="bad R1_insert variant"):
+            K.apply_move(arrow, MoveInstance("R1_insert", ((0, 0),), variant))
+        with pytest.raises(StaleMoveError, match="bad R2_insert variant"):
+            K.apply_move(arrow, MoveInstance("R2_insert", ((0, 0), (0, 1)), variant))
+    assert K.serialize(K.apply_move(K.parse("O1+ U1+"),
+                                    MoveInstance("R1_delete", ((0, 0),), ["AB"]))) == "E"
     # the old kink parser read two characters, so a poke variant made a kink
     poke_variant = MoveInstance("R1_insert", ((0, 0),), "O+f")
     assert K.serialize(_ref_apply_move(K.parse("E"), poke_variant)) == "O1+ U1+"
