@@ -36,7 +36,11 @@ delete-s-copy . N . add-zero-row move; `homologous` decides that directly.
 `_special_closure` lists a primitive with those single-move relatives, and
 both `homologous` and the singular fingerprint read that one walk. When rows s
 and d are nonzero and differ, the relatives are the switches alone and no
-extension is built (the closure lemma in CONVENTIONS.md).
+extension is built (the closure lemma in CONVENTIONS.md). Any primitive of a
+class has the same closure forms, so `G` reduces its kinked matrix once, by
+inverse extensions alone (`_plain_reduction`); the result, with the kink or
+any chord it keeps as d, is already a primitive (the shared reduction lemma
+in CONVENTIONS.md).
 
 Reversing the string's orientation changes its SBM by a fixed transform,
 `_reverse`: b(x, s) negates and b(x, y) becomes b(x, y) - b(x, s) + b(y, s).
@@ -376,6 +380,23 @@ def reduce_to_primitive(m: SBM) -> SBM:
     while (nxt := min(_reductions(m), key=key, default=None)) is not None:
         m = _take(*nxt)
     return m
+
+
+def _plain_reduction(m: SBM) -> SBM:
+    """m with its unmarked zero rows, copies of row s and complementary pairs
+    deleted until none is left, d kept and never switched. Each pass deletes a
+    disjoint batch from one `_classes` index: a zero row, a copy or a pair stays
+    one when other elements are dropped, so the batch is a chain of inverse
+    extensions and the result is homologous to m."""
+    while True:
+        ann, core, pairs, _ = _classes(m)
+        dead = {*ann, *core}
+        for g, h in pairs:
+            if g not in dead and h not in dead:
+                dead.update((g, h))
+        if not dead:
+            return m
+        m = _drop(m, dead)
 
 
 # -- canonical form, isomorphism, homology -------------------------------------

@@ -23,6 +23,8 @@ and the derivative of an invariant resolves singular crossings into the
 alternating sum over all +/- choices. Every glue's based matrix is the singular
 kink's with the glued chord as d and the kink left out (the gluing lemma in
 CONVENTIONS.md), so G builds one based matrix per diagram and no glued code.
+One reduction of it serves the kink term and every glue whose chord it keeps
+(the shared reduction lemma).
 """
 from __future__ import annotations
 
@@ -36,8 +38,8 @@ from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomia
                          flat_affine_polynomial, intersection_index, writhe)
 from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_moves, _slid,
                     simplify)
-from .sbm import (SBM, _reverse, _special_closure, _take, build_sbm, canonical_form,
-                  reduce_to_primitive)
+from .sbm import (SBM, _plain_reduction, _reverse, _special_closure, _take, build_sbm,
+                  canonical_form, reduce_to_primitive)
 from .surgery import one_smooth, resolve, singular_kink, zero_smooth
 
 __all__ = [
@@ -141,11 +143,11 @@ def _profile(code: KnotoidCode) -> tuple:
     return (both0, both1, inter)
 
 
-def _singular_fingerprint(m: SBM) -> Fingerprint:
-    """The fingerprint of a flat singular string with based matrix m."""
+def _singular_fingerprint(prim: SBM) -> Fingerprint:
+    """The fingerprint of a flat singular string whose based matrix reduces to
+    the primitive prim; it does not depend on which primitive of the class."""
     # the reversed string's closure is the reversal of this one (the SBM
     # reversal lemma in CONVENTIONS.md), so one walk serves both orientations
-    prim = reduce_to_primitive(m)
     return Fingerprint(1, b"S:" + min(min(canonical_form(x), canonical_form(_reverse(x)))
                                       for x, _ in _special_closure(prim)))
 
@@ -161,7 +163,7 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
     if code.singular_chords():
         if ncomp != 1:
             raise UnsupportedError("singular fingerprints need a single open component")
-        return _singular_fingerprint(build_sbm(code))
+        return _singular_fingerprint(reduce_to_primitive(build_sbm(code)))
     if ncomp == 1:
         # reversal keeps every arrow and negates every W+, so Q(reverse) = -Q
         q = flat_affine_polynomial(code)
@@ -201,12 +203,22 @@ def _surgered(code: KnotoidCode, surgery, correction):
 def _glued(code: KnotoidCode):
     """The fingerprints of every glue of code, in chord order, then of its
     singular kink. Each glue's based matrix is the kink's with the glued chord
-    as d and the kink left out (CONVENTIONS.md), so one matrix serves all."""
+    as d and the kink left out (the gluing lemma in CONVENTIONS.md), so one
+    matrix serves all. It is reduced once: the result is the kink term's
+    primitive and, re-marked to a chord it keeps, that glue's (the shared
+    reduction lemma); a glue whose chord it deleted is reduced on its own."""
     kinked = build_sbm(singular_kink(code))  # s, the chords by id, the kink
-    d = kinked.d
-    for k in range(1, d):
-        yield _singular_fingerprint(_take(kinked, [0, *range(1, k), *range(k + 1, d), k]))
-    yield _singular_fingerprint(kinked)
+    shared = _plain_reduction(kinked)  # s, the chords kept, the kink
+    at = {label: g for g, label in enumerate(shared.elements)}
+    for k, label in enumerate(kinked.elements[1:-1], 1):
+        g = at.get(label)
+        if g is not None:
+            prim = _take(shared, [*range(g), *range(g + 1, shared.d), g])
+        else:
+            glue = _take(kinked, [*range(k), *range(k + 1, kinked.d), k])
+            prim = reduce_to_primitive(_plain_reduction(glue))
+        yield _singular_fingerprint(prim)
+    yield _singular_fingerprint(shared)
 
 
 def invariant_F(code: KnotoidCode) -> FormalSum:

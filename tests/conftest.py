@@ -7,7 +7,7 @@ import pytest
 import knotoids as K
 from knotoids import sbm
 from knotoids.codes import Passage, Role
-from knotoids.vassiliev import (random_classical_code, random_flat_code,
+from knotoids.vassiliev import (_singular_fingerprint, random_classical_code, random_flat_code,
                                 random_singular_code, random_two_component_flat)
 
 # four-crossing virtual knotoid with signs (-1,-1,-1,+1); its 0-smoothing at
@@ -104,6 +104,26 @@ def ref_special_closure(p):
         for v, classes in sbm._markings(sbm.apply_ext(p, (ext,))):
             out += [(sbm._drop(v, {g}), name) for g in classes[cls]]
     return out
+
+
+def ref_glued(code):
+    """`vassiliev._glued` before the shared reduction: the fingerprints of every
+    glue of code, in chord order, then of its singular kink, each term's based
+    matrix reduced to a primitive on its own."""
+    kinked = sbm.build_sbm(K.singular_kink(code))  # s, the chords by id, the kink
+    d = kinked.d
+    out = [_singular_fingerprint(sbm.reduce_to_primitive(
+        sbm._take(kinked, [0, *range(1, k), *range(k + 1, d), k]))) for k in range(1, d)]
+    return out + [_singular_fingerprint(sbm.reduce_to_primitive(kinked))]
+
+
+def glue_codes():
+    """300 seeded classical codes for the glue tests: 280 of 0-16 crossings,
+    then 20 of 17-24, one `random.Random(seed)` each."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        yield random_classical_code(rng.randrange(0, 17) if seed < 280 else rng.randrange(17, 25),
+                                    rng)
 
 
 def oracle_codes(count, seed):

@@ -17,7 +17,7 @@ from knotoids.sbm import (SBM, apply_ext, apply_ext_inverse, build_sbm, canonica
 from knotoids.vassiliev import random_classical_code, random_flat_code, random_singular_code
 
 from conftest import (B3, B4, B5, B6, STRING_G3, STRING_G4, STRING_G5, STRING_G6,
-                      ref_special_closure, with_preferred)
+                      glue_codes, ref_special_closure, with_preferred)
 
 
 def _matrix(m):
@@ -868,3 +868,31 @@ def test_grown_matrices_match_reference():
         for other in (start, rng.choice(seeds)):
             assert homologous(m, other) == _ref_homologous(m, other)
             assert homologous(other, m) == _ref_homologous(other, m)
+
+
+def test_shared_reduction_leaves_primitives():
+    # the plain reduction of the kinked matrix has no zero row, copy of row s
+    # or complementary pair, so it is primitive with the kink as d, and so is
+    # each re-marking with a chord it keeps as d and the kink left out
+    for code in glue_codes():
+        kinked = build_sbm(K.singular_kink(code))
+        shared = sbm._plain_reduction(kinked)
+        text = K.serialize(code)
+        assert shared == sbm._take(kinked, [kinked.elements.index(e) for e in shared.elements])
+        cls = _ref_classify(shared)
+        assert cls["annihilating"] == cls["core"] == cls["complementary_pairs"] == [], text
+        glues = [sbm._take(shared, [*range(g), *range(g + 1, shared.d), g])
+                 for g in shared.unmarked()]
+        for prim in [shared, *glues]:
+            assert is_primitive(prim), (text, prim.elements[-1])
+            if code.chord_count() <= 8:
+                assert _ref_is_primitive(prim), (text, prim.elements[-1])
+        # a glue whose chord was deleted keeps it as d through its own plain
+        # reduction, which leaves no zero row, copy or pair
+        for k in range(1, kinked.d):
+            if kinked.elements[k] not in shared.elements:
+                glue = sbm._take(kinked, [*range(k), *range(k + 1, kinked.d), k])
+                kept = sbm._plain_reduction(glue)
+                assert kept.elements[-1] == kinked.elements[k]
+                cls = _ref_classify(kept)
+                assert cls["annihilating"] == cls["core"] == cls["complementary_pairs"] == []

@@ -13,7 +13,7 @@ from knotoids.vassiliev import (FormalSum, fingerprint, random_classical_code, r
                                 random_singular_code, random_two_component_flat)
 
 from conftest import (FLAT3, HEX1, HEX2, QUAD3, QUAD4, SING1, SING1_MINUS,
-                      SING1_PLUS, VK4, ref_special_closure)
+                      SING1_PLUS, VK4, glue_codes, ref_glued, ref_special_closure)
 
 
 def test_formal_sum_arithmetic(flat3):
@@ -294,6 +294,30 @@ def test_invariant_g_matches_the_glue_reference():
     codes = [K.parse("E")] + [random_classical_code(rng.randrange(1, 13), rng) for _ in range(150)]
     for code in codes:
         assert K.invariant_G(code) == _ref_invariant_G(code), K.serialize(code)
+
+
+def test_glues_match_the_per_glue_reduction():
+    # term by term, since terms of the summed G can cancel; both the glues
+    # whose chord the shared reduction keeps and those whose chord it deletes
+    # are met
+    left = 0
+    for code in glue_codes():
+        assert list(V._glued(code)) == ref_glued(code), K.serialize(code)
+        kinked = sbm.build_sbm(K.singular_kink(code))
+        left += kinked.size - sbm._plain_reduction(kinked).size
+    assert left > 0
+
+
+@pytest.mark.parametrize("text, left", [("E", 0), ("O1+ U1+", 1), ("U1- O1-", 1)])
+def test_glues_of_the_smallest_codes(text, left):
+    # no crossing: the kinked matrix is s and the kink alone, and there is no
+    # glue; one crossing: the only chord's row is zero, so the shared
+    # reduction deletes it
+    code = K.parse(text)
+    kinked = sbm.build_sbm(K.singular_kink(code))
+    assert kinked.size - sbm._plain_reduction(kinked).size == left
+    assert list(V._glued(code)) == ref_glued(code)
+    assert K.invariant_G(code) == _ref_invariant_G(code)
 
 
 def test_order_check_reports():
