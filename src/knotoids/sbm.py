@@ -18,7 +18,9 @@ one preferred chord:
 The element classes (zero rows, copies of row s, complementary pairs, elements
 complementary to d) come from one index of the unmarked rows by value, in
 O(k n) for k unmarked rows of n entries: g's partners are the rows equal to
-row(s) - row(g). Primitivity, reduction, the moves and the closure all read it.
+row(s) - row(g). Primitivity, reduction and the inverse moves read it; the
+switch N and the closure need only d's partners, one scan of the unmarked rows
+for row(s) - row(d) (`_switches`).
 A reduction step compares its candidates as the indices they keep and builds
 only the one it chooses; every matrix that is built is a checked `SBM`.
 
@@ -26,6 +28,11 @@ The canonical form, the lex-smallest flattened matrix over orders of the
 unmarked elements, is found by ordered partition refinement under a search-node
 budget, not by trying every order, and stops once one prefix survives with a
 discrete partition, which forces the rest (CONVENTIONS.md gives the argument).
+Its first row is row s with the unmarked entries sorted, then b(s, d), so
+`_leading_key` reads that row's bytes, a prefix of the canonical form, with
+no search; of SBMs of one size, only those with the least key can have the
+least form (the leading-row lemma in CONVENTIONS.md). `isomorphic`,
+`homologous` and the singular fingerprint search only where the keys allow.
 
 Homology is generated by the elementary extensions (adding an all-zero row, a
 copy of row s, or a complementary pair of rows) and the singularity switch N
@@ -221,6 +228,14 @@ def build_sbm(code: KnotoidCode) -> SBM:
 
 # -- element classification ---------------------------------------------------
 
+def _switches(m: SBM) -> list[int]:
+    """The unmarked indices complementary to d (row + row d = row s), in index
+    order: one lookup of row(s) - row(d) among the unmarked rows."""
+    mat = m.matrix
+    want = tuple([a - b for a, b in zip(mat[0], mat[-1])])
+    return [g for g in m.unmarked() if mat[g] == want]
+
+
 def _classes(m: SBM):
     """Unmarked indices with a zero row, copies of row s, index pairs (g1 < g2,
     in index order) whose rows sum to row s, and indices complementary to d
@@ -306,7 +321,7 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
             g = m.elements.index(label)
         except ValueError:
             raise NotApplicableError(f"no element {label!r}")
-        if g not in _classes(m)[3]:
+        if g not in _switches(m):
             raise NotApplicableError(f"element {label!r} is not complementary to d")
         return _remark(m, g)
     # the new rows go between the unmarked elements and d, which stays last
@@ -447,6 +462,15 @@ def canonical_form(m: SBM) -> bytes:
     return repr(tuple([mat[i][j] for i in order for j in order])).encode()
 
 
+def _leading_key(srow) -> bytes:
+    """The first row of the canonical form of an SBM whose row s is srow, as
+    the prefix of the canonical form's bytes through that row's last comma:
+    0, the unmarked entries sorted ascending, then b(s, d) (the leading-row
+    lemma in CONVENTIONS.md). Of two SBMs of one size, a smaller key means a
+    smaller canonical form; equal keys decide nothing."""
+    return repr((0, *sorted(srow[1:-1]), srow[-1])).encode()[:-1] + b","
+
+
 def _over_budget(m: SBM) -> SizeLimitError:
     return SizeLimitError(f"the canonical form of {m.size - 2} unmarked elements "
                           f"exceeds the search budget of {_NODE_BUDGET} nodes")
@@ -468,7 +492,9 @@ def _split(cells: list[list[int]], row: tuple[int, ...]) -> list[list[int]]:
 
 
 def isomorphic(m1: SBM, m2: SBM) -> bool:
-    return m1.size == m2.size and canonical_form(m1) == canonical_form(m2)
+    # equal keys have as many entries, so the SBMs are of one size
+    return (_leading_key(m1.matrix[0]) == _leading_key(m2.matrix[0])
+            and canonical_form(m1) == canonical_form(m2))
 
 
 def _special_closure(p: SBM) -> list[tuple[SBM, str]]:
@@ -478,7 +504,7 @@ def _special_closure(p: SBM) -> list[tuple[SBM, str]]:
     isomorphism with exactly one of these moves, so the canonical forms of this
     list cover the whole homology class of p at the primitive level."""
     out = [(p, "identity")]
-    out += [(_remark(p, g), f"N({p.elements[g]})") for g in _classes(p)[3]]
+    out += [(_remark(p, g), f"N({p.elements[g]})") for g in _switches(p)]
     srow, drow = p.row(p.s), p.row(p.d)
     if any(srow) and any(drow) and drow != srow:
         # no marking of either extension has a row to drop (the closure lemma
@@ -492,11 +518,12 @@ def _special_closure(p: SBM) -> list[tuple[SBM, str]]:
 
 
 def homologous(m1: SBM, m2: SBM) -> tuple[bool, str]:
-    """Decide homology; the certificate names the witnessing move chain."""
-    forms: dict[bytes, str] = {}
+    """Decide homology; the certificate names the first closure member, in
+    closure order, isomorphic to m2's primitive. Only the members whose leading
+    row is that primitive's are searched (the leading-row lemma)."""
+    p2 = reduce_to_primitive(m2)
+    key, form = _leading_key(p2.matrix[0]), canonical_form(p2)
     for x, via in _special_closure(reduce_to_primitive(m1)):
-        forms.setdefault(canonical_form(x), via)
-    via = forms.get(canonical_form(reduce_to_primitive(m2)))
-    if via is None:
-        return False, "none"
-    return True, "isomorphism" if via == "identity" else via
+        if _leading_key(x.matrix[0]) == key and canonical_form(x) == form:
+            return True, "isomorphism" if via == "identity" else via
+    return False, "none"

@@ -38,8 +38,8 @@ from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomia
                          flat_affine_polynomial, intersection_index, writhe)
 from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_moves, _slid,
                     simplify)
-from .sbm import (SBM, _plain_reduction, _reverse, _special_closure, _take, build_sbm,
-                  canonical_form, reduce_to_primitive)
+from .sbm import (SBM, _leading_key, _plain_reduction, _reverse, _special_closure, _take,
+                  build_sbm, canonical_form, reduce_to_primitive)
 from .surgery import one_smooth, resolve, singular_kink, zero_smooth
 
 __all__ = [
@@ -145,11 +145,22 @@ def _profile(code: KnotoidCode) -> tuple:
 
 def _singular_fingerprint(prim: SBM) -> Fingerprint:
     """The fingerprint of a flat singular string whose based matrix reduces to
-    the primitive prim; it does not depend on which primitive of the class."""
-    # the reversed string's closure is the reversal of this one (the SBM
-    # reversal lemma in CONVENTIONS.md), so one walk serves both orientations
-    return Fingerprint(1, b"S:" + min(min(canonical_form(x), canonical_form(_reverse(x)))
-                                      for x, _ in _special_closure(prim)))
+    the primitive prim; it does not depend on which primitive of the class.
+
+    It is the least canonical form over the closure of prim and the reversal
+    of each member. The reversed string's closure is the reversal of this one
+    (the SBM reversal lemma in CONVENTIONS.md), so one walk serves both
+    orientations. A canonical form starts with its leading-row key, and the
+    reversal's row s is the negated row s (the leading-row lemma), so only
+    the candidates with the least key are searched, and only those reversals
+    are built."""
+    keyed = []
+    for x, _ in _special_closure(prim):
+        srow = x.matrix[0]
+        keyed += [(_leading_key(srow), x, False), (_leading_key([-v for v in srow]), x, True)]
+    least = min(key for key, _, _ in keyed)
+    return Fingerprint(1, b"S:" + min(canonical_form(_reverse(x) if rev else x)
+                                      for key, x, rev in keyed if key == least))
 
 
 def fingerprint(code: KnotoidCode) -> Fingerprint:

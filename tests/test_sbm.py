@@ -294,6 +294,40 @@ def test_canonical_form_matches_brute_force():
     assert sizes == set(range(9)), sizes
 
 
+def test_leading_key_orders_as_the_canonical_form():
+    # the key is the canonical form's first row through its last comma, so it
+    # is a prefix of the form, and of two forms of one size the smaller key
+    # has the smaller form. Byte order is not numeric order: -1 sorts before
+    # -12 and 1 before 10, because "," sorts before every digit
+    def sbm_of(srow, rest):
+        n = len(srow)
+        mat = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(itertools.combinations(range(n), 2), [*srow[1:], *rest]):
+            mat[i][j], mat[j][i] = v, -v
+        return SBM(("s", *[f"e{i}" for i in range(n - 2)], "d"), tuple(map(tuple, mat)))
+
+    low, high = sbm_of((0, -1, 1, 0), (0, 0, 0)), sbm_of((0, -12, 10, 0), (0, 0, 0))
+    assert sbm._leading_key(low.matrix[0]) == b"(0, -1, 1, 0,"
+    assert high.matrix[0] < low.matrix[0] and canonical_form(low) < canonical_form(high)
+    assert sbm._leading_key(low.matrix[0]) < sbm._leading_key(high.matrix[0])
+    rng = random.Random(233)
+    by_size: dict[int, list] = {}
+    for _ in range(300):
+        n = rng.randrange(2, 7)
+        srow = (0, *rng.choices((-12, -1, 0, 1, 10), k=n - 1))
+        m = sbm_of(srow, rng.choices((-1, 0, 1), k=(n - 1) * (n - 2) // 2))
+        rev = sbm._reverse(m)
+        assert rev.row(rev.s) == tuple(-v for v in srow)
+        for x in (m, rev):
+            key, form = sbm._leading_key(x.row(x.s)), canonical_form(x)
+            assert form.startswith(key), x
+            by_size.setdefault(n, []).append((key, form))
+    for pairs in by_size.values():
+        for (key1, form1), (key2, form2) in itertools.combinations(pairs, 2):
+            if key1 != key2:
+                assert (key1 < key2) == (form1 < form2), (form1, form2)
+
+
 def _ref_search_nodes(m):
     """The nodes of the level-by-level search as first written, which places
     the elements of a discrete partition one level at a time, and the number of

@@ -13,7 +13,7 @@ from knotoids.vassiliev import (FormalSum, fingerprint, random_classical_code, r
                                 random_singular_code, random_two_component_flat)
 
 from conftest import (FLAT3, HEX1, HEX2, QUAD3, QUAD4, SING1, SING1_MINUS,
-                      SING1_PLUS, VK4, glue_codes, ref_glued, ref_special_closure)
+                      SING1_PLUS, VK4, glue_codes, ref_glued, ref_special_closure, with_preferred)
 
 
 def test_formal_sum_arithmetic(flat3):
@@ -260,6 +260,57 @@ def test_singular_fingerprint_of_both_orientations_at_size():
         fp = fingerprint(glued)
         assert fingerprint(K.reverse(glued)) == fp, K.serialize(glued)
         assert fp.payload == _ref_singular_payload(glued), K.serialize(glued)
+
+
+def _ref_closure_payload(prim):
+    """The singular fingerprint of a primitive as first written: the least
+    canonical form over the walked closure and the reversal of each member."""
+    return b"S:" + min(min(sbm.canonical_form(x), sbm.canonical_form(sbm._reverse(x)))
+                       for x, _ in ref_special_closure(prim))
+
+
+def _fingerprint_primitives(count, seed):
+    """Primitives of seeded strings of 0-16 chords, each with its kind: the
+    kink term and every glue of a classical code that the shared reduction
+    keeps (as `_glued` reads them), or a flat string with a preferred chord
+    and maybe another singular one."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randrange(0, 17)
+        if t % 3:
+            kinked = sbm.build_sbm(K.singular_kink(random_classical_code(n, rng)))
+            shared = sbm._plain_reduction(kinked)
+            yield "kink", shared
+            for g in shared.unmarked():
+                yield "glue", sbm._take(shared, [*range(g), *range(g + 1, shared.d), g])
+        else:
+            code = with_preferred(random_flat_code(max(n, 1), rng), rng)
+            yield "flat", sbm.reduce_to_primitive(sbm.build_sbm(code))
+
+
+def test_pruned_fingerprint_is_the_full_min():
+    # only the candidates with the least leading-row key are searched; the
+    # result is still the least form over the whole closure and its reversals
+    counts = dict.fromkeys(("kink", "glue", "flat", "s_zero", "d_zero", "d_copy", "pruned",
+                            "glue_tie"), 0)
+    prims = list(_fingerprint_primitives(90, 241))
+    assert len(prims) >= 300, len(prims)
+    for kind, p in prims:
+        assert V._singular_fingerprint(p).payload == _ref_closure_payload(p), p
+        counts[kind] += 1
+        srow, drow = p.row(p.s), p.row(p.d)
+        # the closure walks an extension
+        counts["s_zero"] += not any(srow)
+        counts["d_zero"] += not any(drow)
+        counts["d_copy"] += drow == srow
+        # each member's key, then its reversal's
+        keys = [sbm._leading_key(row) for x, _ in sbm._special_closure(p)
+                for row in (x.row(x.s), [-v for v in x.row(x.s)])]
+        least = min(keys)
+        counts["pruned"] += keys.count(least) < len(keys)
+        counts["glue_tie"] += kind == "glue" and any(
+            keys[i] == keys[i + 1] == least for i in range(0, len(keys), 2))
+    assert all(counts.values()), counts
 
 
 def test_glues_are_reorderings_of_the_kink_matrix():
