@@ -30,6 +30,11 @@ passages from site-pattern tables. A move that does not fit is a StaleMoveError.
 A triangle slide has one swap rule, `_slid`, which the R3 applier runs after its
 gate and the flat orbit search (`vassiliev._minimized`) runs on slides that
 `_r3_moves` has just listed.
+
+The pair index and the deletion listers read a components tuple, so `simplify`
+deletes on raw tuples, every kink in one pass (kink deletion is confluent;
+CONVENTIONS.md, "Kink deletion") and then the first poke pair, until none is
+left; it builds at most one `KnotoidCode`, at the end.
 """
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .codes import KnotoidCode, Passage, Role, recast
+from .codes import KnotoidCode, Passage, Role, _rotate_canonical, recast
 from .errors import StaleMoveError, ValidityError
 
 __all__ = ["MoveInstance", "enumerate_moves", "apply_move", "random_walk", "simplify"]
@@ -68,9 +73,9 @@ def _family(code: KnotoidCode, family: str | None) -> str:
     return family
 
 
-def _adjacent_pairs(code: KnotoidCode):
+def _adjacent_pairs(comps):
     """All (comp, i) with the pair (i, i+1 cyclic); linear on the open component."""
-    for k, comp in enumerate(code.components):
+    for k, comp in enumerate(comps):
         n = len(comp)
         if n < 2:
             continue
@@ -93,15 +98,14 @@ def _fixed_chords(code: KnotoidCode, fam: str) -> set[int]:
     return set(code.singular_chords()) if fam == "classical" else set()
 
 
-def _pair_index(code: KnotoidCode, fam: str) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
-    """Adjacent pairs (comp, i, j) of two different chords, neither fixed, keyed
+def _pair_index(comps, fixed=frozenset()) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    """Adjacent pairs (comp, i, j) of two different chords, neither `fixed`, keyed
     by the sorted chord pair (x, y); each key's pairs come in adjacency order.
 
     A chord has two passages, so a key holds at most four pairs."""
-    fixed = _fixed_chords(code, fam)
     index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for k, i, j in _adjacent_pairs(code):
-        a, b = code.components[k][i].chord, code.components[k][j].chord
+    for k, i, j in _adjacent_pairs(comps):
+        a, b = comps[k][i].chord, comps[k][j].chord
         if a == b or a in fixed or b in fixed:
             continue
         index.setdefault((a, b) if a < b else (b, a), []).append((k, i, j))
@@ -118,7 +122,7 @@ def enumerate_moves(code: KnotoidCode, family: str | None = None,
     wanted families of `_FAMILIES` are joined in table order, each sorted on its
     own. Raises ValidityError when `family` does not match the code's chords."""
     fam = _family(code, family)
-    index = _pair_index(code, fam)
+    index = _pair_index(code.components, _fixed_chords(code, fam))
     out = []
     for rule, find, at in _FAMILIES:
         if rules is not None and rule not in rules:
@@ -130,19 +134,12 @@ def enumerate_moves(code: KnotoidCode, family: str | None = None,
     return out
 
 
-def _r1_deletes(code):
-    moves = []
-    seen = set()
-    for k, i, j in _adjacent_pairs(code):
-        a, b = code.components[k][i], code.components[k][j]
-        if a.chord != b.chord or a.role.is_singular:
-            continue
-        key = (k, frozenset((i, j)))
-        if key in seen:
-            continue
-        seen.add(key)
-        moves.append(MoveInstance("R1_delete", ((k, i),)))
-    return moves
+def _r1_deletes(comps):
+    """One R1_delete per kink: `_adjacent_pairs` gives a closed component of two
+    passages one pair twice, as (0, 1) and (1, 0), and only the first counts."""
+    return [MoveInstance("R1_delete", ((k, i),)) for k, i, j in _adjacent_pairs(comps)
+            if (i, j) != (1, 0) and comps[k][i].chord == comps[k][j].chord
+            and not comps[k][i].role.is_singular]
 
 
 def _r2_pair_ok(a1, a2, b1, b2, fam) -> bool:
@@ -162,14 +159,14 @@ def _r2_pair_ok(a1, a2, b1, b2, fam) -> bool:
     return a1.role != a2.role and b1.role != b2.role
 
 
-def _r2_deletes(code, fam, index):
+def _r2_deletes(comps, fam, index):
     moves = []
     for pairs in index.values():
         for (ka, ia, ja), (kb, ib, jb) in itertools.combinations(pairs, 2):
             if ka == kb and {ia, ja} & {ib, jb}:
                 continue
-            a1, a2 = code.components[ka][ia], code.components[ka][ja]
-            b1, b2 = code.components[kb][ib], code.components[kb][jb]
+            a1, a2 = comps[ka][ia], comps[ka][ja]
+            b1, b2 = comps[kb][ib], comps[kb][jb]
             if _r2_pair_ok(a1, a2, b1, b2, fam):
                 moves.append(MoveInstance("R2_delete", ((ka, ia), (kb, ib))))
     return moves
@@ -325,9 +322,9 @@ def _preferred_switches(code):
 # lister finds none under them.
 _FAMILIES = (
     ("PreferredSwitch", lambda code, fam, index: _preferred_switches(code), None),
-    ("R1_delete", lambda code, fam, index: _r1_deletes(code), None),
+    ("R1_delete", lambda code, fam, index: _r1_deletes(code.components), None),
     ("R1_insert", _r1_insert_count, _r1_insert_at),
-    ("R2_delete", _r2_deletes, None),
+    ("R2_delete", lambda code, fam, index: _r2_deletes(code.components, fam, index), None),
     ("R2_insert", _r2_insert_count, _r2_insert_at),
     ("R3", _r3_moves, None),
 )
@@ -357,9 +354,10 @@ def apply_move(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
         raise StaleMoveError(str(exc)) from exc
 
 
-def _delete_positions(code, doomed: set[tuple[int, int]]) -> KnotoidCode:
-    return KnotoidCode(tuple(tuple(p for i, p in enumerate(comp) if (k, i) not in doomed)
-                             for k, comp in enumerate(code.components)))
+def _deleted(comps, doomed: set[tuple[int, int]]):
+    """`comps` without the passages at the (component, position) pairs `doomed`."""
+    return tuple(tuple(p for i, p in enumerate(comp) if (k, i) not in doomed)
+                 for k, comp in enumerate(comps))
 
 
 def _apply_r1_delete(code, move):
@@ -368,7 +366,7 @@ def _apply_r1_delete(code, move):
     a, b = code.components[k][i], code.components[k][j]
     if a.chord != b.chord or a.role.is_singular:
         raise StaleMoveError("no kink at site")
-    return _delete_positions(code, {(k, i), (k, j)})
+    return KnotoidCode(_deleted(code.components, {(k, i), (k, j)}))
 
 
 def _apply_insert(code, move):
@@ -399,7 +397,7 @@ def _apply_r2_delete(code, move):
     fam = "classical" if a1.role.is_classical else "flat"
     if not _r2_pair_ok(a1, a2, b1, b2, fam):
         raise StaleMoveError("no poke pair at sites")
-    return _delete_positions(code, {(ka, ia), (ka, ja), (kb, ib), (kb, jb)})
+    return KnotoidCode(_deleted(code.components, {(ka, ia), (ka, ja), (kb, ib), (kb, jb)}))
 
 
 def _apply_r3(code, move):
@@ -467,7 +465,7 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
     rng = random.Random(seed)
     for _ in range(steps):
         fam = _family(code, family)
-        index = _pair_index(code, fam)
+        index = _pair_index(code.components, _fixed_chords(code, fam))
         found = [find(code, fam, index) if at is None else range(find(code, fam))
                  for _, find, at in _FAMILIES]
         idx = rng.randrange(sum(map(len, found)))  # the draw rng.choice makes
@@ -480,17 +478,49 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
     return code
 
 
+def _unkinked(comps):
+    """`comps` with every kink deleted, closed components rotated as
+    `KnotoidCode` stores them: one stack pass per component, then on a closed
+    one its matching ends stripped. Singular kinks stay. Kink deletion is
+    confluent (CONVENTIONS.md, "Kink deletion"), so this is where deleting the
+    first kink until none is left ends."""
+    out = []
+    for k, comp in enumerate(comps):
+        stack = []
+        for p in comp:
+            if stack and stack[-1].chord == p.chord and not p.role.is_singular:
+                stack.pop()
+            else:
+                stack.append(p)
+        lo, hi = 0, len(stack)
+        while k and hi - lo > 1 and stack[lo].chord == stack[hi - 1].chord \
+                and not stack[lo].role.is_singular:
+            lo, hi = lo + 1, hi - 1
+        out.append(_rotate_canonical(tuple(stack[lo:hi])) if k else tuple(stack))
+    return tuple(out)
+
+
 def simplify(code: KnotoidCode) -> KnotoidCode:
     """Greedily delete kinks and poke pairs until none applies.
 
-    Always applies the first deletion in (rule, sites) order, so results are
-    reproducible; no canonical-form claim is made. Kinks come first in that
-    order, so the pair index is built only when no kink is found. The family
-    is inferred at every step, as deleting the last classical chord of a
-    classical+singular code leaves it flat."""
+    The result is that of always applying the first deletion in (rule, sites)
+    order, so it is reproducible; no canonical-form claim is made. Kinks come
+    first in that order and deleting them is confluent, so each round deletes
+    every kink at once (`_unkinked`), then the first poke pair, on the raw
+    component tuples. One `KnotoidCode` is built at the end; when nothing
+    deletes, `code` itself is returned. The family is read once: deleting the
+    last classical chord of a classical+singular code leaves it flat, but the
+    singular passages left hold no poke."""
+    fam = _family(code, None)
+    fixed = _fixed_chords(code, fam)
+    comps = code.components
     while True:
-        fam = _family(code, None)
-        dels = _r1_deletes(code) or _r2_deletes(code, fam, _pair_index(code, fam))
-        if not dels:
-            return code
-        code = apply_move(code, min(dels, key=MoveInstance.sort_key))
+        comps = _unkinked(comps)
+        pokes = _r2_deletes(comps, fam, _pair_index(comps, fixed))
+        if not pokes:
+            break
+        sites = min(pokes, key=MoveInstance.sort_key).sites
+        comps = _deleted(comps, {(k, (i + d) % len(comps[k])) for k, i in sites for d in (0, 1)})
+    if sum(map(len, comps)) == sum(map(len, code.components)):
+        return code
+    return KnotoidCode(comps)

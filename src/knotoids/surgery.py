@@ -4,8 +4,10 @@ All smoothing and gluing outputs are flat (flattened immediately): every
 consumer of a surgery result reads flat data only. Flattening moves no
 passage, so each surgery reads the surgered chord's positions from the
 input's chord table (`KnotoidCode.ends`), flattens passage by passage while it
-builds its result, and so builds exactly one `KnotoidCode`. The flattening
-rule, like the same-side re-kinding of gluing and resolution, is `codes.recast`.
+builds its result, and so builds exactly one `KnotoidCode`; `zero_smooth` is
+its checks, the flattening and a core, `_zero_smoothed`, that `invariant_F`
+runs on one flattened open component for every chord. The flattening rule,
+like the same-side re-kinding of gluing and resolution, is `codes.recast`.
 Reconnection rules, writing the open component as prefix . p1 . middle . p2 .
 suffix around the surgered chord:
 
@@ -38,14 +40,18 @@ def zero_smooth(code: KnotoidCode, cid: int) -> KnotoidCode:
         raise NotFoundError(f"chord {cid} not found")
     if cid not in code.classical_chords():
         raise NotClassicalError(f"chord {cid} is not classical")
-    i, j = sorted(pos for _, pos in code.ends(cid))
-    comp = code.open_component
+    return _zero_smoothed(tuple(map(flat_passage, code.open_component)), code.ends(cid))
+
+
+def _zero_smoothed(comp: tuple[Passage, ...], ends) -> KnotoidCode:
+    """The 0-smoothing of the flattened open component `comp` at the chord whose
+    (component, position) ends are `ends`; the checks are the caller's."""
+    i, j = sorted(pos for _, pos in ends)
     middle = comp[i + 1:j]
     half = {c for c, n in Counter(p.chord for p in middle).items() if n == 1}
 
     def fix(p: Passage) -> Passage:
-        q = flat_passage(p)
-        return Passage(q.chord, q.role.flipped(), q.sign, q.preferred) if p.chord in half else q
+        return Passage(p.chord, p.role.flipped(), p.sign, p.preferred) if p.chord in half else p
 
     return KnotoidCode((tuple(map(fix, comp[:i] + middle[::-1] + comp[j + 1:])),))
 

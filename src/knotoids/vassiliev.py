@@ -40,7 +40,7 @@ from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_mov
                     simplify)
 from .sbm import (SBM, _leading_key, _plain_reduction, _reverse, _special_closure, _take,
                   build_sbm, canonical_form, reduce_to_primitive)
-from .surgery import one_smooth, resolve, singular_kink, zero_smooth
+from .surgery import _zero_smoothed, one_smooth, resolve, singular_kink
 
 __all__ = [
     "Fingerprint",
@@ -105,18 +105,19 @@ _ORBIT_CAP = 400
 def _minimized(code: KnotoidCode) -> KnotoidCode:
     """Smallest representative reachable by deletions and triangle slides.
 
-    Deletions are applied greedily (`moves.simplify`) to give a root. The
-    (size-preserving) triangle-slide orbit of the root is searched breadth
-    first; the first new member with a deletion is simplified into the next
-    root, and the search starts again from it. The orbit search is capped at
-    `_ORBIT_CAP` members, so this is a normalization, not a canonical form.
+    Deletions are applied greedily (`moves.simplify`, at most one code built
+    per call) to give a root. The (size-preserving) triangle-slide orbit of
+    the root is searched breadth first; the first new member with a deletion
+    is simplified into the next root, and the search starts again from it.
+    The orbit search is capped at `_ORBIT_CAP` members, so this is a
+    normalization, not a canonical form.
 
     The frontier carries each member with its pair index, which lists both
     its deletions and its slides. A slide is keyed by its swapped components
     with the closed ones rotated, as `KnotoidCode` stores them, so a slide back
     into `seen` builds nothing; only a new member is built and checked."""
     root = simplify(code)
-    seen, frontier = {root.components}, [(root, _pair_index(root, "flat"))]
+    seen, frontier = {root.components}, [(root, _pair_index(root.components))]
     while frontier and len(seen) <= _ORBIT_CAP:
         cur, index = frontier.pop(0)
         for mv in sorted(_r3_moves(cur, "flat", index), key=MoveInstance.sort_key):
@@ -125,10 +126,10 @@ def _minimized(code: KnotoidCode) -> KnotoidCode:
             if key in seen:
                 continue
             nxt = KnotoidCode(slid)
-            nxt_index = _pair_index(nxt, "flat")
-            if _r1_deletes(nxt) or _r2_deletes(nxt, "flat", nxt_index):
+            nxt_index = _pair_index(nxt.components)
+            if _r1_deletes(nxt.components) or _r2_deletes(nxt.components, "flat", nxt_index):
                 root = simplify(nxt)
-                seen, frontier = {root.components}, [(root, _pair_index(root, "flat"))]
+                seen, frontier = {root.components}, [(root, _pair_index(root.components))]
                 break
             seen.add(key)
             frontier.append((nxt, nxt_index))
@@ -204,11 +205,14 @@ def _signed_sum(code: KnotoidCode, terms) -> FormalSum:
     return acc
 
 
-def _surgered(code: KnotoidCode, surgery, correction):
-    """The fingerprints of surgery(code, c) at every chord c, then of correction(code)."""
+def _smoothings(code: KnotoidCode, smooth, correction):
+    """The fingerprints of smooth(flat, c) at every chord c, then of
+    correction(flat), where flat is `code` flattened once: flattening moves no
+    passage, so every smoothing reads its chord's positions from it."""
+    flat = flatten(code)
     for c in code.classical_chords():
-        yield fingerprint(surgery(code, c))
-    yield fingerprint(correction(code))
+        yield fingerprint(smooth(flat, c))
+    yield fingerprint(correction(flat))
 
 
 def _glued(code: KnotoidCode):
@@ -234,13 +238,13 @@ def _glued(code: KnotoidCode):
 
 def invariant_F(code: KnotoidCode) -> FormalSum:
     """0-smoothing invariant."""
-    return _signed_sum(code, _surgered(code, zero_smooth, flatten))
+    return _signed_sum(code, _smoothings(
+        code, lambda flat, c: _zero_smoothed(flat.open_component, flat.ends(c)), lambda flat: flat))
 
 
 def invariant_L(code: KnotoidCode) -> FormalSum:
     """1-smoothing invariant."""
-    return _signed_sum(code, _surgered(code, lambda d, c: one_smooth(d, c)[0],
-                                       lambda d: add_unknot(flatten(d))))
+    return _signed_sum(code, _smoothings(code, lambda flat, c: one_smooth(flat, c)[0], add_unknot))
 
 
 def invariant_G(code: KnotoidCode) -> FormalSum:

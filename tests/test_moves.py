@@ -12,7 +12,8 @@ from knotoids import moves as M
 from knotoids.codes import Passage, Role, _rotate_canonical
 from knotoids.errors import StaleMoveError, ValidityError
 from knotoids.moves import MoveInstance, enumerate_moves
-from knotoids.vassiliev import random_classical_code, random_flat_code, random_two_component_flat
+from knotoids.vassiliev import (random_classical_code, random_flat_code, random_singular_code,
+                                random_two_component_flat)
 
 from conftest import VK4, oracle_codes
 
@@ -201,7 +202,7 @@ def test_family_mismatch_raises(vk4):
 # -- oracle: the brute-force scans the pair index and the insert decoders replace
 
 def _ref_r2_deletes(code, fam):
-    pairs = list(M._adjacent_pairs(code))
+    pairs = list(M._adjacent_pairs(code.components))
     out = []
     for (ka, ia, ja), (kb, ib, jb) in itertools.combinations(pairs, 2):
         if ka == kb and {ia, ja} & {ib, jb}:
@@ -267,7 +268,7 @@ def _ref_movable(p, fam):
 
 
 def _ref_r3(code, fam):
-    pairs = [(k, i, j) for k, i, j in M._adjacent_pairs(code)
+    pairs = [(k, i, j) for k, i, j in M._adjacent_pairs(code.components)
              if code.components[k][i].chord != code.components[k][j].chord
              and _ref_movable(code.components[k][i], fam)
              and _ref_movable(code.components[k][j], fam)]
@@ -297,7 +298,7 @@ def _ref_inserts(code, fam):
 
 
 def _ref_enumerate(code, fam):
-    out = M._r1_deletes(code) + _ref_r2_deletes(code, fam) + _ref_r3(code, fam)
+    out = M._r1_deletes(code.components) + _ref_r2_deletes(code, fam) + _ref_r3(code, fam)
     out += _ref_inserts(code, fam)
     if fam == "flat" and code.preferred_chord() is not None:
         out += M._preferred_switches(code)
@@ -451,6 +452,101 @@ def test_simplify_matches_reference_at_size():
     assert out == _ref_simplify(code)
     assert M._family(code, None) == "classical" and M._family(out, None) == "flat"
     assert not out.classical_chords() and len(out.singular_chords()) == 3
+
+
+def _first_kink_loop(code):
+    """Kink deletion as `simplify` once ran it: the first listed kink until none is left."""
+    while True:
+        kinks = enumerate_moves(code, rules=("R1_delete",))
+        if not kinks:
+            return code
+        code = K.apply_move(code, kinks[0])
+
+
+def _kinked_codes(seed, count):
+    """Seeded codes with kinks inserted at random gaps, so nested and adjacent
+    ones: classical, flat, two-component flat, and classical or flat singular
+    codes that also get singular kinks, beside and inside the others. Chord
+    ids are shuffled at the end, so a closed component's canonical start can
+    fall inside a kink, which then wraps around its ends."""
+    rng = random.Random(seed)
+    kinds = {"classical": (Role.OVER, Role.UNDER), "flat": (Role.TAIL, Role.HEAD),
+             "singular": (Role.STAIL, Role.SHEAD)}
+    for t in range(count):
+        n = rng.randrange(0, 9)
+        if t % 4 == 0:
+            code = random_classical_code(n, rng)
+        elif t % 4 == 1:
+            code = random_flat_code(n, rng)
+        elif t % 4 == 2:
+            code = random_two_component_flat(n, rng)
+        else:
+            code = random_singular_code(rng.randrange(0, 4), rng.randrange(1, 4), rng)
+            if rng.random() < 0.5:
+                code = K.flatten(code)
+        native = "flat" if code.flat_chords() or t % 4 in (1, 2) else "classical"
+        comps = [list(c) for c in code.components]
+        cid = code.fresh_chord_id()
+        for _ in range(rng.randrange(1, 10)):
+            kind = "singular" if t % 4 == 3 and rng.random() < 0.4 else native
+            sign = rng.choice((1, -1)) if kind == "classical" else None
+            roles = kinds[kind] if rng.random() < 0.5 else kinds[kind][::-1]
+            comp = comps[rng.randrange(len(comps))]
+            gap = rng.randrange(len(comp) + 1)
+            comp[gap:gap] = [Passage(cid, role, sign) for role in roles]
+            cid += 1
+        ids = list(range(1, cid))
+        rng.shuffle(ids)
+        yield K.KnotoidCode(tuple(tuple(Passage(ids[p.chord - 1], p.role, p.sign) for p in comp)
+                                  for comp in comps))
+
+
+def test_one_pass_kink_deletion_matches_first_kink_loop():
+    cases = list(_kinked_codes(83, 600))
+    wrapped = 0
+    for code in cases:
+        ref = _first_kink_loop(code)
+        assert M._unkinked(code.components) == ref.components, K.serialize(code)
+        wrapped += any(len(c) > 1 and c[0].chord == c[-1].chord and not c[0].role.is_singular
+                       for c in code.closed_components)
+    assert {code.kind for code in cases} == {"Classical", "Flat", "ClassicalSingular",
+                                             "FlatSingular"}
+    assert sum(len(code.components) == 2 for code in cases) >= 100 and wrapped >= 20
+    # a closed kink reduces to a crossing-free circle; a kink wrapping a closed
+    # component's ends deletes, and singular kinks stay, with flat ones around them
+    for text, out in (("E / A1 B1", "E / E"), ("A3 B3 / A1 B2 A2 B1", "E / E"),
+                      ("E / A1 A2 A3 B2 B3 B1", "E / A2 A3 B2 B3"),
+                      ("A2 SA1 SB1 B2 A3 B3 SB4 SA4", "A2 SA1 SB1 B2 SB4 SA4"),
+                      ("O2+ SB1 SA1 O3- U3- U2+", "O2+ SB1 SA1 U2+")):
+        code = K.parse(text)
+        assert K.serialize(K.KnotoidCode(M._unkinked(code.components))) == out
+        assert _first_kink_loop(code) == K.parse(out)
+
+
+def test_simplify_builds_at_most_one_code(monkeypatch):
+    rng = random.Random(89)
+    cases = list(_kinked_codes(89, 150))
+    cases += [gen(rng.randrange(4, 13), rng) for _ in range(40)
+              for gen in (random_classical_code, random_flat_code, random_two_component_flat)]
+    refs = [_ref_simplify(code) for code in cases]
+    built = []
+
+    def build(comps):
+        built.append(comps)
+        return K.KnotoidCode(comps)
+
+    monkeypatch.setattr(M, "KnotoidCode", build)
+    unchanged = 0
+    for code, ref in zip(cases, refs):
+        built.clear()
+        out = K.simplify(code)
+        assert out == ref, K.serialize(code)
+        if ref.chord_count() == code.chord_count():
+            assert out is code and not built, K.serialize(code)
+            unchanged += 1
+        else:
+            assert len(built) == 1, K.serialize(code)
+    assert 20 <= unchanged <= len(cases) - 150
 
 
 def test_long_walks_keep_p_q_and_index():

@@ -1,4 +1,5 @@
 """Fingerprints, formal sums, the three invariants, derivatives."""
+import functools
 import random
 
 import pytest
@@ -340,6 +341,38 @@ def _ref_invariant_G(code):
     return acc - FormalSum.term(fingerprint(K.singular_kink(code)), K.writhe(code))
 
 
+def _ref_surgered(code, surgery, correction):
+    """The fingerprints of surgery(code, c) at every chord c, then of correction(code)."""
+    for c in code.classical_chords():
+        yield V.fingerprint(surgery(code, c))
+    yield V.fingerprint(correction(code))
+
+
+def _ref_invariant_F(code):
+    """F as it was: every 0-smoothing through the public `zero_smooth`."""
+    return V._signed_sum(code, _ref_surgered(code, K.zero_smooth, K.flatten))
+
+
+def _ref_invariant_L(code):
+    """L as it was: every 1-smoothing through `one_smooth` on the classical code."""
+    return V._signed_sum(code, _ref_surgered(code, lambda d, c: K.one_smooth(d, c)[0],
+                                             lambda d: K.add_unknot(K.flatten(d))))
+
+
+def test_f_and_l_match_the_per_surgery_reference(monkeypatch):
+    # a code is fingerprinted once: both sides meet equal codes when their
+    # surgeries agree, and a surgery that differs misses the cache
+    monkeypatch.setattr(V, "fingerprint", functools.cache(V.fingerprint))
+    rng = random.Random(193)
+    codes = [random_classical_code(rng.randrange(0, 25), rng) for _ in range(300)]
+    twins = [twin for code in codes[:50] for twin in (K.reverse(code), K.mirror(code))]
+    for code in codes + twins:
+        assert K.invariant_F(code).to_json() == _ref_invariant_F(code).to_json(), \
+            K.serialize(code)
+        assert K.invariant_L(code).to_json() == _ref_invariant_L(code).to_json(), \
+            K.serialize(code)
+
+
 def test_invariant_g_matches_the_glue_reference():
     rng = random.Random(191)
     codes = [K.parse("E")] + [random_classical_code(rng.randrange(1, 13), rng) for _ in range(150)]
@@ -613,9 +646,9 @@ def test_minimized_builds_only_new_members(monkeypatch):
         built.append(code.components)
         return code
 
-    def index(code, fam):
-        indexed.append(code.components)
-        return moves._pair_index(code, fam)
+    def index(comps, *fixed):
+        indexed.append(comps)
+        return moves._pair_index(comps, *fixed)
 
     monkeypatch.setattr(V, "KnotoidCode", build)
     monkeypatch.setattr(V, "_pair_index", index)
