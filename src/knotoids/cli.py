@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.cmd == "sbm" and args.which == "compare" and not args.b:
-        ap.error("sbm compare needs two files")
+    if args.cmd == "sbm" and (args.which == "compare") != bool(args.b):
+        ap.error(f"sbm {args.which} {'takes one file' if args.b else 'needs two files'}")
     try:
         result = args.fn(args)
     except KnotoidError as exc:

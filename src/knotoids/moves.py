@@ -31,10 +31,12 @@ A triangle slide has one swap rule, `_slid`, which the R3 applier runs after its
 gate and the flat orbit search (`vassiliev._minimized`) runs on slides that
 `_r3_moves` has just listed.
 
-The pair index and the deletion listers read a components tuple, so `simplify`
-deletes on raw tuples, every kink in one pass (kink deletion is confluent;
-CONVENTIONS.md, "Kink deletion") and then the first poke pair, until none is
-left; it builds at most one `KnotoidCode`, at the end.
+The pair index, the deletion listers, `_r3_moves` and `_slid` read a components
+tuple alone, with no family and no chord table: a triangle's tails come from its
+passages (`codes._is_tail`), a poke's rule from their roles. `_simplified` deletes
+every kink in one pass (kink deletion is confluent; CONVENTIONS.md, "Kink
+deletion"), then the first poke pair, until none is left; `simplify` wraps it
+and builds at most one `KnotoidCode`, the flat orbit search none.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .codes import KnotoidCode, Passage, Role, _rotate_canonical, recast
+from .codes import KnotoidCode, Passage, Role, _is_tail, _rotate_canonical, recast
 from .errors import StaleMoveError, ValidityError
 
 __all__ = ["MoveInstance", "enumerate_moves", "apply_move", "random_walk", "simplify"]
@@ -128,7 +130,7 @@ def enumerate_moves(code: KnotoidCode, family: str | None = None,
         if rules is not None and rule not in rules:
             continue
         if at is None:
-            out += sorted(find(code, fam, index), key=MoveInstance.sort_key)
+            out += sorted(find(code, index), key=MoveInstance.sort_key)
         else:
             out += [at(code, fam, i) for i in range(find(code, fam))]
     return out
@@ -142,14 +144,15 @@ def _r1_deletes(comps):
             and not comps[k][i].role.is_singular]
 
 
-def _r2_pair_ok(a1, a2, b1, b2, fam) -> bool:
-    """Do passages (a1,a2) at one site and (b1,b2) at the other form a poke pair?"""
+def _r2_pair_ok(a1, a2, b1, b2) -> bool:
+    """Do passages (a1,a2) at one site and (b1,b2) at the other form a poke pair?
+    A code never mixes classical and flat chords, so a1 tells which rule holds."""
     x, y = a1.chord, a2.chord
     if x == y or {b1.chord, b2.chord} != {x, y}:
         return False
     if any(p.role.is_singular for p in (a1, a2, b1, b2)):
         return False
-    if fam == "classical":
+    if a1.role.is_classical:
         if a1.sign != -a2.sign:
             return False
         roles1 = {a1.role, a2.role}
@@ -159,7 +162,7 @@ def _r2_pair_ok(a1, a2, b1, b2, fam) -> bool:
     return a1.role != a2.role and b1.role != b2.role
 
 
-def _r2_deletes(comps, fam, index):
+def _r2_deletes(comps, index):
     moves = []
     for pairs in index.values():
         for (ka, ia, ja), (kb, ib, jb) in itertools.combinations(pairs, 2):
@@ -167,22 +170,21 @@ def _r2_deletes(comps, fam, index):
                 continue
             a1, a2 = comps[ka][ia], comps[ka][ja]
             b1, b2 = comps[kb][ib], comps[kb][jb]
-            if _r2_pair_ok(a1, a2, b1, b2, fam):
+            if _r2_pair_ok(a1, a2, b1, b2):
                 moves.append(MoveInstance("R2_delete", ((ka, ia), (kb, ib))))
     return moves
 
 
 # -- inserts: counted in closed form, decoded by index in sort order ----------
 
-_R1_VARIANTS = {"classical": ("O+", "O-", "U+", "U-"), "flat": ("AB", "BA")}
-
 # insert patterns: variant -> one site pattern per gap, in site order; entries are
 # (fresh chord, role, sign), fresh chord 0 the first fresh id and 1 the next.
 # A kink is one site holding both passages of one fresh chord.
-_R1_PATTERNS = {f"{r.value}{'+' if s > 0 else '-'}": (((0, r, s), (0, r.flipped(), s)),)
-                for r, s in itertools.product((Role.OVER, Role.UNDER), (1, -1))}
-_R1_PATTERNS.update({f"{r.value}{r.flipped().value}": (((0, r, None), (0, r.flipped(), None)),)
-                     for r in (Role.TAIL, Role.HEAD)})
+_R1_CLASSICAL = {f"{r.value}{'+' if s > 0 else '-'}": (((0, r, s), (0, r.flipped(), s)),)
+                 for r, s in itertools.product((Role.OVER, Role.UNDER), (1, -1))}
+_R1_FLAT = {f"{r.value}{r.flipped().value}": (((0, r, None), (0, r.flipped(), None)),)
+            for r in (Role.TAIL, Role.HEAD)}
+_R1_VARIANTS = {"classical": tuple(sorted(_R1_CLASSICAL)), "flat": tuple(sorted(_R1_FLAT))}
 
 
 def _gap_count(code) -> int:
@@ -223,7 +225,7 @@ for _r, _rev in itertools.product((Role.TAIL, Role.HEAD), (False, True)):
         ((0, _r, None), (1, _r.flipped(), None)), _site2[::-1] if _rev else _site2)
 
 _R2_VARIANTS = {"classical": tuple(sorted(_R2_CLASSICAL)), "flat": tuple(sorted(_R2_FLAT))}
-_INSERTS = {"R1_insert": _R1_PATTERNS, "R2_insert": {**_R2_CLASSICAL, **_R2_FLAT}}
+_INSERTS = {"R1_insert": {**_R1_CLASSICAL, **_R1_FLAT}, "R2_insert": {**_R2_CLASSICAL, **_R2_FLAT}}
 
 
 def _r2_insert_count(code, fam) -> int:
@@ -247,7 +249,7 @@ def _r2_insert_at(code, fam, idx: int) -> MoveInstance:
     return MoveInstance("R2_insert", (_gap(code, g1), _gap(code, g2)), variants[v])
 
 
-def _r3_moves(code, fam, index):
+def _r3_moves(comps, index):
     """Triangle slides: for chords x < y < z, one pair from each of the keys
     (x, y), (x, z), (y, z) that `_is_triangle` accepts."""
     partners: dict[int, set[int]] = {}
@@ -261,32 +263,32 @@ def _r3_moves(code, fam, index):
                 continue
             for trip in itertools.product(xy, index[(x, z)], index[(y, z)]):
                 trip = sorted(trip)
-                if _is_triangle(code, trip):
+                if _is_triangle(comps, trip):
                     moves.append(MoveInstance("R3", tuple((k, i) for (k, i, j) in trip)))
     return moves
 
 
-def _is_triangle(code, trip) -> bool:
-    """Do the adjacent pairs `trip` = ((k, i, j), ...), numbered 0-2, bound a
-    triangle? The six positions are distinct, every chord lies in two pairs,
-    every chord gives the same bit (its tail is in its lower pair) ^ (it is
-    first there) ^ (it is first in its other pair) ^ (it joins pairs 0 and 2),
-    the triangle's orientation, and on classical passages some pair holds two
-    Over passages (an acyclic sheet order); see CONVENTIONS.md."""
+def _is_triangle(comps, trip) -> bool:
+    """Do the adjacent pairs `trip` = ((k, i, j), ...) of `comps`, numbered 0-2,
+    bound a triangle? The six positions are distinct, every chord lies in two
+    pairs, every chord gives the same bit (its tail, by `_is_tail`, is in its
+    lower pair) ^ (it is first there) ^ (it is first in its other pair) ^ (it
+    joins pairs 0 and 2), the triangle's orientation, and on classical passages
+    some pair holds two Over passages (an acyclic sheet order); see CONVENTIONS.md."""
     spots = [(k, pos) for k, i, j in trip for pos in (i, j)]
     if len(set(spots)) != 6:
         return False
-    passages = [code.components[k][pos] for k, pos in spots]
+    passages = [comps[k][pos] for k, pos in spots]
     where: dict[int, list[int]] = {}
     for n, p in enumerate(passages):
         where.setdefault(p.chord, []).append(n)
     # spot n is in pair n // 2, first in it when n is even
     bits = set()
-    for chord, ns in where.items():
+    for ns in where.values():
         if len(ns) != 2 or ns[0] // 2 == ns[1] // 2:
             return False
         a, b = ns
-        bits.add((code.ends(chord)[0] == spots[a]) ^ (a % 2 == 0) ^ (b % 2 == 0)
+        bits.add(_is_tail(passages[a].role, passages[a].sign) ^ (a % 2 == 0) ^ (b % 2 == 0)
                  ^ (a // 2 + b // 2 == 2))
     if len(bits) != 1:
         return False
@@ -316,17 +318,17 @@ def _preferred_switches(code):
 
 # The rule families in rule-name order, which is the (rule, sites, variant)
 # order: (rule, find, at). A scanned family (`at` None) lists its instances,
-# unsorted, with find(code, fam, index); an insert family counts them in closed
-# form with find(code, fam) and decodes the idx-th in sort order with at(code,
-# fam, idx). Classical moves leave no flat chord to switch with, so the switch
-# lister finds none under them.
+# unsorted, with find(code, index); an insert family counts them in closed form
+# with find(code, fam) and decodes the idx-th in sort order with at(code, fam,
+# idx). Only the inserts read the family. Classical moves leave no flat chord
+# to switch with, so the switch lister finds none under them.
 _FAMILIES = (
-    ("PreferredSwitch", lambda code, fam, index: _preferred_switches(code), None),
-    ("R1_delete", lambda code, fam, index: _r1_deletes(code.components), None),
+    ("PreferredSwitch", lambda code, index: _preferred_switches(code), None),
+    ("R1_delete", lambda code, index: _r1_deletes(code.components), None),
     ("R1_insert", _r1_insert_count, _r1_insert_at),
-    ("R2_delete", lambda code, fam, index: _r2_deletes(code.components, fam, index), None),
+    ("R2_delete", lambda code, index: _r2_deletes(code.components, index), None),
     ("R2_insert", _r2_insert_count, _r2_insert_at),
-    ("R3", _r3_moves, None),
+    ("R3", lambda code, index: _r3_moves(code.components, index), None),
 )
 
 
@@ -394,8 +396,7 @@ def _apply_r2_delete(code, move):
         raise StaleMoveError("overlapping sites")
     a1, a2 = code.components[ka][ia], code.components[ka][ja]
     b1, b2 = code.components[kb][ib], code.components[kb][jb]
-    fam = "classical" if a1.role.is_classical else "flat"
-    if not _r2_pair_ok(a1, a2, b1, b2, fam):
+    if not _r2_pair_ok(a1, a2, b1, b2):
         raise StaleMoveError("no poke pair at sites")
     return KnotoidCode(_deleted(code.components, {(ka, ia), (ka, ja), (kb, ib), (kb, jb)}))
 
@@ -405,17 +406,17 @@ def _apply_r3(code, move):
     variant is not read."""
     fixed = _fixed_chords(code, _family(code, None))
     trip = [(k, *_pair_positions(code, k, i)) for (k, i) in move.sites]
-    if not _is_triangle(code, trip) or any(
+    if not _is_triangle(code.components, trip) or any(
             code.components[k][pos].chord in fixed for k, i, j in trip for pos in (i, j)):
         raise StaleMoveError("triangle pattern no longer matches")
-    return KnotoidCode(_slid(code, move.sites))
+    return KnotoidCode(_slid(code.components, move.sites))
 
 
-def _slid(code, sites) -> tuple[tuple[Passage, ...], ...]:
-    """The components of `code` with the passages of the adjacent pair at each
-    site (k, i) swapped, the pair (i, i+1 cyclic). Closed components are not
-    rotated; `KnotoidCode` rotates them. The sites are not checked."""
-    comps = [list(c) for c in code.components]
+def _slid(comps, sites) -> tuple[tuple[Passage, ...], ...]:
+    """`comps` with the passages of the adjacent pair at each site (k, i)
+    swapped, the pair (i, i+1 cyclic). Closed components are not rotated;
+    `KnotoidCode` rotates them. The sites are not checked."""
+    comps = [list(c) for c in comps]
     for k, i in sites:
         comp = comps[k]
         j = (i + 1) % len(comp)
@@ -466,7 +467,7 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
     for _ in range(steps):
         fam = _family(code, family)
         index = _pair_index(code.components, _fixed_chords(code, fam))
-        found = [find(code, fam, index) if at is None else range(find(code, fam))
+        found = [find(code, index) if at is None else range(find(code, fam))
                  for _, find, at in _FAMILIES]
         idx = rng.randrange(sum(map(len, found)))  # the draw rng.choice makes
         for (_, _, at), got in zip(_FAMILIES, found):
@@ -500,27 +501,30 @@ def _unkinked(comps):
     return tuple(out)
 
 
+def _simplified(comps):
+    """`comps` after deleting every kink (`_unkinked`), then the first poke
+    pair, until neither is left; closed components come out rotated as
+    `KnotoidCode` stores them. No family is read and no chord is fixed:
+    `_r2_pair_ok` refuses singular passages, and a singular kink stays."""
+    while True:
+        comps = _unkinked(comps)
+        pokes = _r2_deletes(comps, _pair_index(comps))
+        if not pokes:
+            return comps
+        sites = min(pokes, key=MoveInstance.sort_key).sites
+        comps = _deleted(comps, {(k, (i + d) % len(comps[k])) for k, i in sites for d in (0, 1)})
+
+
 def simplify(code: KnotoidCode) -> KnotoidCode:
     """Greedily delete kinks and poke pairs until none applies.
 
     The result is that of always applying the first deletion in (rule, sites)
     order, so it is reproducible; no canonical-form claim is made. Kinks come
-    first in that order and deleting them is confluent, so each round deletes
-    every kink at once (`_unkinked`), then the first poke pair, on the raw
+    first in that order and deleting them is confluent, so `_simplified`
+    deletes every kink at once, then the first poke pair, on the raw
     component tuples. One `KnotoidCode` is built at the end; when nothing
-    deletes, `code` itself is returned. The family is read once: deleting the
-    last classical chord of a classical+singular code leaves it flat, but the
-    singular passages left hold no poke."""
-    fam = _family(code, None)
-    fixed = _fixed_chords(code, fam)
-    comps = code.components
-    while True:
-        comps = _unkinked(comps)
-        pokes = _r2_deletes(comps, fam, _pair_index(comps, fixed))
-        if not pokes:
-            break
-        sites = min(pokes, key=MoveInstance.sort_key).sites
-        comps = _deleted(comps, {(k, (i + d) % len(comps[k])) for k, i in sites for d in (0, 1)})
+    deletes, `code` itself is returned."""
+    comps = _simplified(code.components)
     if sum(map(len, comps)) == sum(map(len, code.components)):
         return code
     return KnotoidCode(comps)

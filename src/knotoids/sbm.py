@@ -15,12 +15,12 @@ one preferred chord:
   from tail to head along the orientation and pass through the string's
   endpoints when the tail sits after the head.
 
-The element classes (zero rows, copies of row s, complementary pairs, elements
-complementary to d) come from one index of the unmarked rows by value, in
-O(k n) for k unmarked rows of n entries: g's partners are the rows equal to
-row(s) - row(g). Primitivity, reduction and the inverse moves read it; the
-switch N and the closure need only d's partners, one scan of the unmarked rows
-for row(s) - row(d) (`_switches`).
+The element classes (zero rows, copies of row s, complementary pairs) come
+from one index of the unmarked rows by value, in O(k n) for k unmarked rows of
+n entries: g's partners are the rows equal to row(s) - row(g). Primitivity,
+reduction and the inverse moves read it. The elements complementary to d,
+which the switch N, the markings walk and the closure read, have one rule:
+one scan of the unmarked rows for row(s) - row(d) (`_switches`).
 A reduction step compares its candidates as the indices they keep and builds
 only the one it chooses; every matrix that is built is a checked `SBM`.
 
@@ -237,9 +237,9 @@ def _switches(m: SBM) -> list[int]:
 
 
 def _classes(m: SBM):
-    """Unmarked indices with a zero row, copies of row s, index pairs (g1 < g2,
-    in index order) whose rows sum to row s, and indices complementary to d
-    (row + row d = row s); an index may fall in several."""
+    """Unmarked indices with a zero row, copies of row s, and index pairs
+    (g1 < g2, in index order) whose rows sum to row s; an index may fall in
+    several. The indices complementary to d are `_switches`."""
     srow = m.row(m.s)
     by_row: dict[tuple[int, ...], list[int]] = {}
     for g in m.unmarked():
@@ -249,13 +249,12 @@ def _classes(m: SBM):
         return by_row.get(tuple([a - b for a, b in zip(srow, m.row(g))]), [])
 
     return (by_row.get((0,) * m.size, []), by_row.get(srow, []),
-            [(g1, g2) for g1 in m.unmarked() for g2 in partners(g1) if g2 > g1],
-            partners(m.d))
+            [(g1, g2) for g1 in m.unmarked() for g2 in partners(g1) if g2 > g1])
 
 
 def classify(m: SBM) -> dict:
     """Exact linear classifications of unmarked elements and of d."""
-    ann, core, pairs, _ = _classes(m)
+    ann, core, pairs = _classes(m)
     e = m.elements
     return {"annihilating": [e[g] for g in ann], "core": [e[g] for g in core],
             "complementary_pairs": [(e[g1], e[g2]) for g1, g2 in pairs],
@@ -338,7 +337,7 @@ def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
     kind = _move_kind(move, True)
     if kind == "N":
         return apply_ext(m, move)
-    ann, core, pairs, _ = _classes(m)
+    ann, core, pairs = _classes(m)
     labels = [str(x) for x in move[1:]]
     index = {e: i for i, e in enumerate(m.elements)}
     gs = [index.get(label) for label in labels]  # None for an unknown label
@@ -354,13 +353,13 @@ def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
 # -- primitivity and reduction -------------------------------------------------
 
 def _markings(m: SBM):
-    """All SBMs reachable by singularity switches, m itself first, each with its
-    `_classes`."""
+    """All SBMs reachable by singularity switches (`_switches`), m itself
+    first, each with its `_classes`."""
     seen = {m.matrix: (m, _classes(m))}
     frontier = [m]
     while frontier:
         cur = frontier.pop()
-        for g in seen[cur.matrix][1][3]:  # the elements complementary to d
+        for g in _switches(cur):
             nxt = _remark(cur, g)
             if nxt.matrix not in seen:
                 seen[nxt.matrix] = (nxt, _classes(nxt))
@@ -376,7 +375,7 @@ def is_primitive(m: SBM) -> bool:
 def _reductions(m: SBM):
     """Every inverse extension of every marking of m, in a fixed order, as the
     marking and the indices it keeps."""
-    for v, (ann, core, pairs, _) in _markings(m):
+    for v, (ann, core, pairs) in _markings(m):
         for dead in [(g,) for g in ann + core] + pairs:
             yield v, [i for i in range(v.size) if i not in dead]
 
@@ -404,7 +403,7 @@ def _plain_reduction(m: SBM) -> SBM:
     one when other elements are dropped, so the batch is a chain of inverse
     extensions and the result is homologous to m."""
     while True:
-        ann, core, pairs, _ = _classes(m)
+        ann, core, pairs = _classes(m)
         dead = {*ann, *core}
         for g, h in pairs:
             if g not in dead and h not in dead:

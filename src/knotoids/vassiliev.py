@@ -7,7 +7,8 @@ fingerprints certify inequivalence (the converse is not claimed).
 * one open component, flat: the flat affine polynomial canonicalized over the
   two orientations, plus the chord count of a move-minimized representative;
 * two components, flat: the absolute intersection index plus the per-component
-  chord profile of a move-minimized representative;
+  chord profile of a move-minimized representative. `_minimized` finds it on
+  component tuples, building no code, and both counts are read from them;
 * flat singular with one preferred chord: the least canonical form over the
   single-move homology closure of the reduced based matrix, for both
   orientations; the reversed string's closure is a fixed transform of this
@@ -36,8 +37,8 @@ from .codes import (_CLASSICAL, _FLAT, _KIND_ROLES, _SINGULAR, KnotoidCode, Orde
 from .errors import SizeLimitError, UnsupportedError, ValidityError
 from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomial,
                          flat_affine_polynomial, intersection_index, writhe)
-from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_moves, _slid,
-                    simplify)
+from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_moves, _simplified,
+                    _slid)
 from .sbm import (SBM, _leading_key, _plain_reduction, _reverse, _special_closure, _take,
                   build_sbm, canonical_form, reduce_to_primitive)
 from .surgery import _zero_smoothed, one_smooth, resolve, singular_kink
@@ -102,46 +103,41 @@ def _q_bytes(q: LaurentPoly) -> bytes:
 _ORBIT_CAP = 400
 
 
-def _minimized(code: KnotoidCode) -> KnotoidCode:
-    """Smallest representative reachable by deletions and triangle slides.
+def _minimized(code: KnotoidCode) -> tuple:
+    """The components of the smallest representative reachable by deletions
+    and triangle slides, found on component tuples: no code is built.
 
-    Deletions are applied greedily (`moves.simplify`, at most one code built
-    per call) to give a root. The (size-preserving) triangle-slide orbit of
-    the root is searched breadth first; the first new member with a deletion
-    is simplified into the next root, and the search starts again from it.
-    The orbit search is capped at `_ORBIT_CAP` members, so this is a
-    normalization, not a canonical form.
-
-    The frontier carries each member with its pair index, which lists both
-    its deletions and its slides. A slide is keyed by its swapped components
-    with the closed ones rotated, as `KnotoidCode` stores them, so a slide back
-    into `seen` builds nothing; only a new member is built and checked."""
-    root = simplify(code)
-    seen, frontier = {root.components}, [(root, _pair_index(root.components))]
+    Deletions are applied greedily (`moves._simplified`) to give a root. The
+    (size-preserving) triangle-slide orbit of the root is searched breadth
+    first; the first new member with a deletion is simplified into the next
+    root, and the search starts again from it. The orbit search is capped at
+    `_ORBIT_CAP` members, so this is a normalization, not a canonical form.
+    Each member's closed components are rotated as `KnotoidCode` stores them,
+    and the frontier carries it with its pair index, which lists both its
+    deletions and its slides."""
+    root = _simplified(code.components)
+    seen, frontier = {root}, [(root, _pair_index(root))]
     while frontier and len(seen) <= _ORBIT_CAP:
         cur, index = frontier.pop(0)
-        for mv in sorted(_r3_moves(cur, "flat", index), key=MoveInstance.sort_key):
+        for mv in sorted(_r3_moves(cur, index), key=MoveInstance.sort_key):
             slid = _slid(cur, mv.sites)
-            key = (slid[0], *map(_rotate_canonical, slid[1:]))
-            if key in seen:
+            nxt = (slid[0], *map(_rotate_canonical, slid[1:]))
+            if nxt in seen:
                 continue
-            nxt = KnotoidCode(slid)
-            nxt_index = _pair_index(nxt.components)
-            if _r1_deletes(nxt.components) or _r2_deletes(nxt.components, "flat", nxt_index):
-                root = simplify(nxt)
-                seen, frontier = {root.components}, [(root, _pair_index(root.components))]
+            nxt_index = _pair_index(nxt)
+            if _r1_deletes(nxt) or _r2_deletes(nxt, nxt_index):
+                root = _simplified(nxt)
+                seen, frontier = {root}, [(root, _pair_index(root))]
                 break
-            seen.add(key)
+            seen.add(nxt)
             frontier.append((nxt, nxt_index))
     return root
 
 
-def _profile(code: KnotoidCode) -> tuple:
-    sides = [(tail, head) for (tail, _), (head, _) in map(code.ends, code.chord_ids())]
-    both0 = sum(1 for t, h in sides if t == h == 0)
-    both1 = sum(1 for t, h in sides if t == h == 1)
-    inter = sum(1 for t, h in sides if t != h)
-    return (both0, both1, inter)
+def _profile(comps) -> tuple:
+    """Chords with both passages on component 0, both on 1, and one on each."""
+    on0, on1 = ({p.chord for p in comp} for comp in comps)
+    return (len(on0 - on1), len(on1 - on0), len(on0 & on1))
 
 
 def _singular_fingerprint(prim: SBM) -> Fingerprint:
@@ -182,7 +178,7 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
         # the polynomial alone misses some small nontrivial classes (it vanishes
         # on the two-crossing interleaved knotoid), so carry the size of a
         # move-minimized representative as well
-        n_min = _minimized(code).chord_count()
+        n_min = len(_minimized(code)[0]) // 2
         return Fingerprint(1, b"Q:" + min(_q_bytes(q), _q_bytes(-q)) + b"|n%d" % n_min)
     idx = abs(intersection_index(OrderedTwoComponent(code, 0, 1)))
     prof = _profile(_minimized(code))

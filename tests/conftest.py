@@ -99,7 +99,7 @@ def ref_special_closure(p):
     found by walking every marking of the extensions M2(p) and M1(p), with no
     closed form for any case."""
     out = [(p, "identity")]
-    out += [(sbm._remark(p, g), f"N({p.elements[g]})") for g in sbm._classes(p)[3]]
+    out += [(sbm._remark(p, g), f"N({p.elements[g]})") for g in sbm._switches(p)]
     for ext, cls, name in (("M2", 0, "M2;N;M1_inverse"), ("M1", 1, "M1;N;M2_inverse")):
         for v, classes in sbm._markings(sbm.apply_ext(p, (ext,))):
             out += [(sbm._drop(v, {g}), name) for g in classes[cls]]

@@ -42,8 +42,11 @@ def test_validate_error_exit_code(run, codefile):
 
 
 def test_usage_error_exit_code(codefile, capsys):
+    two = (codefile(VK4), codefile(VK4, "other.gauss"))
     for argv, message in ((["invariant", "bogus", "nofile"], "invalid choice: 'bogus'"),
-                          (["sbm", "compare", codefile(VK4)], "sbm compare needs two files")):
+                          (["sbm", "compare", two[0]], "sbm compare needs two files"),
+                          (["sbm", "build", *two], "sbm build takes one file"),
+                          (["sbm", "primitive", *two], "sbm primitive takes one file")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2

@@ -201,7 +201,7 @@ def test_family_mismatch_raises(vk4):
 
 # -- oracle: the brute-force scans the pair index and the insert decoders replace
 
-def _ref_r2_deletes(code, fam):
+def _ref_r2_deletes(code):
     pairs = list(M._adjacent_pairs(code.components))
     out = []
     for (ka, ia, ja), (kb, ib, jb) in itertools.combinations(pairs, 2):
@@ -209,7 +209,7 @@ def _ref_r2_deletes(code, fam):
             continue
         a1, a2 = code.components[ka][ia], code.components[ka][ja]
         b1, b2 = code.components[kb][ib], code.components[kb][jb]
-        if M._r2_pair_ok(a1, a2, b1, b2, fam):
+        if M._r2_pair_ok(a1, a2, b1, b2):
             out.append(MoveInstance("R2_delete", ((ka, ia), (kb, ib))))
     return out
 
@@ -298,7 +298,7 @@ def _ref_inserts(code, fam):
 
 
 def _ref_enumerate(code, fam):
-    out = M._r1_deletes(code.components) + _ref_r2_deletes(code, fam) + _ref_r3(code, fam)
+    out = M._r1_deletes(code.components) + _ref_r2_deletes(code) + _ref_r3(code, fam)
     out += _ref_inserts(code, fam)
     if fam == "flat" and code.preferred_chord() is not None:
         out += M._preferred_switches(code)
@@ -535,7 +535,12 @@ def test_simplify_builds_at_most_one_code(monkeypatch):
         built.append(comps)
         return K.KnotoidCode(comps)
 
+    def refuse(*args):
+        raise AssertionError("simplify reads no family and fixes no chord")
+
     monkeypatch.setattr(M, "KnotoidCode", build)
+    monkeypatch.setattr(M, "_family", refuse)
+    monkeypatch.setattr(M, "_fixed_chords", refuse)
     unchanged = 0
     for code, ref in zip(cases, refs):
         built.clear()
@@ -634,8 +639,7 @@ def _ref_r2_delete(code, move):
         raise StaleMoveError("overlapping sites")
     a1, a2 = code.components[ka][ia], code.components[ka][ja]
     b1, b2 = code.components[kb][ib], code.components[kb][jb]
-    fam = "classical" if a1.role.is_classical else "flat"
-    if not M._r2_pair_ok(a1, a2, b1, b2, fam):
+    if not M._r2_pair_ok(a1, a2, b1, b2):
         raise StaleMoveError("no poke pair at sites")
     doomed = {}
     doomed.setdefault(ka, set()).update((ia, ja))
@@ -696,7 +700,7 @@ def test_slid_matches_reference_swap():
         code = K.random_walk(gen(rng.randrange(0, 13), rng), rng.randrange(0, 4),
                              rng.randrange(10**6), fam)
         for mv in enumerate_moves(code, fam, ("R3",)):
-            slid = M._slid(code, mv.sites)
+            slid = M._slid(code.components, mv.sites)
             assert slid == _ref_r3_apply(code, mv), (K.serialize(code), mv)
             moved = K.apply_move(code, mv)
             assert K.KnotoidCode(slid) == moved
@@ -890,7 +894,7 @@ def test_triangle_rule_matches_table_on_every_configuration():
         for order in sorted(set(itertools.permutations((1, 1, 2, 2, 3, 3)))):
             codes = list(_six_passage_codes(fam, order))
             assert len(set(codes)) == per_order
-            got = [M._is_triangle(code, trip) for code in codes]
+            got = [M._is_triangle(code.components, trip) for code in codes]
             assert got == [_table_accepts(code, trip, fam) for code in codes], (fam, order)
             count += sum(got) if order in triangles else 0
         assert count == accepted

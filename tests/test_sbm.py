@@ -543,7 +543,7 @@ def test_closure_matches_the_extension_walk():
             assert sbm._special_closure(q) == ref_special_closure(q), q
             srow, drow = q.row(q.s), q.row(q.d)
             if any(srow) and any(drow) and drow != srow:
-                counts["exit_switch" if sbm._classes(q)[3] else "exit"] += 1
+                counts["exit_switch" if sbm._switches(q) else "exit"] += 1
             counts["s_zero"] += not any(srow)
             counts["d_zero"] += not any(drow)
             counts["d_copy"] += drow == srow
@@ -555,7 +555,7 @@ def test_primitive_has_at_most_one_switch():
     # to d, and one exists only if row d is neither zero nor a copy of row s
     for p in _seeded_primitives(200, 229):
         for q in (p, sbm._reverse(p)):
-            comp = sbm._classes(q)[3]
+            comp = sbm._switches(q)
             assert len(comp) <= 1, q
             if comp:
                 assert any(q.row(q.d)) and q.row(q.d) != q.row(q.s), q
