@@ -25,18 +25,24 @@ on flat arrows or the reverse) is a ValidityError.
 
 Application is checked once, at entry: `apply_move`'s site gate checks the rule
 and the count, shape and components of its sites, then hands the move to the one
-applier of its family. Kink and poke inserts share one applier that reads their
-passages from site-pattern tables. A move that does not fit is a StaleMoveError.
-A triangle slide has one swap rule, `_slid`, which the R3 applier runs after its
-gate and the flat orbit search (`vassiliev._minimized`) runs on slides that
-`_r3_moves` has just listed.
+applier of its family, which checks its pattern there and rewrites the
+components tuple; `apply_move` builds the checked code from it. Kink and poke
+inserts share one applier that reads their passages from site-pattern tables. A
+move that does not fit is a StaleMoveError. A triangle slide has one swap rule,
+`_slid`, which the R3 applier runs after its gate and the flat orbit search
+(`vassiliev._minimized`) runs on slides that `_r3_moves` has just listed.
 
-The pair index, the deletion listers, `_r3_moves` and `_slid` read a components
-tuple alone, with no family and no chord table: a triangle's tails come from its
-passages (`codes._is_tail`), a poke's rule from their roles. `_simplified` deletes
-every kink in one pass (kink deletion is confluent; CONVENTIONS.md, "Kink
-deletion"), then the first poke pair, until none is left; `simplify` wraps it
-and builds at most one `KnotoidCode`, the flat orbit search none.
+Every lister and applier reads a components tuple alone, with no chord table:
+`_family`, `_fixed_chords` and `_preferred_switches` read the passages' roles,
+a triangle's tails come from its passages (`codes._is_tail`), a poke's rule
+from their roles. `random_walk` carries the tuple from step to step: it lists
+and draws a move, runs its family's applier and rotates the closed components
+as `KnotoidCode` stores them, so the next step sees the sites a built code
+would show, and builds one checked code at the end (CONVENTIONS.md, "Random
+walks"). `_simplified` deletes every kink in one pass (kink deletion is
+confluent; CONVENTIONS.md, "Kink deletion"), then the first poke pair, until
+none is left; `simplify` wraps it and builds at most one `KnotoidCode`, the
+flat orbit search none.
 """
 from __future__ import annotations
 
@@ -61,15 +67,18 @@ class MoveInstance:
         return (self.rule, self.sites, self.variant)
 
 
-def _family(code: KnotoidCode, family: str | None) -> str:
+def _family(comps, family: str | None) -> str:
+    """`family` checked against the chords of `comps`, or under None inferred:
+    flat when some chord is flat or every chord is singular. A chord of each
+    kind has one passage of its tail-side role (Over, ArrowTail, SingTail)."""
+    roles = {p.role for comp in comps for p in comp}
     if family is None:
-        if code.flat_chords() or (code.singular_chords() and not code.classical_chords()):
+        if Role.TAIL in roles or (Role.STAIL in roles and Role.OVER not in roles):
             return "flat"
         return "classical"
     if family not in ("classical", "flat"):
         raise ValidityError(f"unknown move family {family!r}")
-    other = code.classical_chords() if family == "flat" else code.flat_chords()
-    if other:
+    if (Role.OVER if family == "flat" else Role.TAIL) in roles:
         kind = "classical" if family == "flat" else "flat"
         raise ValidityError(f"{family} moves do not apply to a code with {kind} chords")
     return family
@@ -86,18 +95,20 @@ def _adjacent_pairs(comps):
             yield k, i, (i + 1) % n
 
 
-def _pair_positions(code: KnotoidCode, comp: int, i: int) -> tuple[int, int]:
-    n = len(code.components[comp])
+def _pair_positions(comps, comp: int, i: int) -> tuple[int, int]:
+    n = len(comps[comp])
     if not 0 <= i < (n - 1 if comp == 0 else n):
         raise StaleMoveError("site out of range")
     return i, (i + 1) % n
 
 
-def _fixed_chords(code: KnotoidCode, fam: str) -> set[int]:
+def _fixed_chords(comps, fam: str) -> set[int]:
     """Chords no pair index or triangle slide may touch: the singular ones
     under classical moves. `_family` leaves no chord of the other kind, so
     every flat-family chord moves."""
-    return set(code.singular_chords()) if fam == "classical" else set()
+    if fam != "classical":
+        return set()
+    return {p.chord for comp in comps for p in comp if p.role is Role.STAIL}
 
 
 def _pair_index(comps, fixed=frozenset()) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
@@ -123,16 +134,17 @@ def enumerate_moves(code: KnotoidCode, family: str | None = None,
     `rules` restricts which rule families are generated (all by default). The
     wanted families of `_FAMILIES` are joined in table order, each sorted on its
     own. Raises ValidityError when `family` does not match the code's chords."""
-    fam = _family(code, family)
-    index = _pair_index(code.components, _fixed_chords(code, fam))
+    comps = code.components
+    fam = _family(comps, family)
+    index = _pair_index(comps, _fixed_chords(comps, fam))
     out = []
     for rule, find, at in _FAMILIES:
         if rules is not None and rule not in rules:
             continue
         if at is None:
-            out += sorted(find(code, index), key=MoveInstance.sort_key)
+            out += sorted(find(comps, index), key=MoveInstance.sort_key)
         else:
-            out += [at(code, fam, i) for i in range(find(code, fam))]
+            out += [at(comps, fam, i) for i in range(find(comps, fam))]
     return out
 
 
@@ -187,27 +199,27 @@ _R1_FLAT = {f"{r.value}{r.flipped().value}": (((0, r, None), (0, r.flipped(), No
 _R1_VARIANTS = {"classical": tuple(sorted(_R1_CLASSICAL)), "flat": tuple(sorted(_R1_FLAT))}
 
 
-def _gap_count(code) -> int:
-    return len(code.components) + sum(map(len, code.components))
+def _gap_count(comps) -> int:
+    return len(comps) + sum(map(len, comps))
 
 
-def _gap(code, g: int) -> tuple[int, int]:
+def _gap(comps, g: int) -> tuple[int, int]:
     """The g-th (component, gap) in sort order."""
-    for k, comp in enumerate(code.components):
+    for k, comp in enumerate(comps):
         if g <= len(comp):
             return k, g
         g -= len(comp) + 1
     raise IndexError("gap index out of range")
 
 
-def _r1_insert_count(code, fam) -> int:
-    return _gap_count(code) * len(_R1_VARIANTS[fam])
+def _r1_insert_count(comps, fam) -> int:
+    return _gap_count(comps) * len(_R1_VARIANTS[fam])
 
 
-def _r1_insert_at(code, fam, idx: int) -> MoveInstance:
+def _r1_insert_at(comps, fam, idx: int) -> MoveInstance:
     variants = _R1_VARIANTS[fam]
     g, v = divmod(idx, len(variants))
-    return MoveInstance("R1_insert", (_gap(code, g),), variants[v])
+    return MoveInstance("R1_insert", (_gap(comps, g),), variants[v])
 
 
 # a poke is two sites, each holding one passage of both fresh chords; classical
@@ -228,12 +240,12 @@ _R2_VARIANTS = {"classical": tuple(sorted(_R2_CLASSICAL)), "flat": tuple(sorted(
 _INSERTS = {"R1_insert": {**_R1_CLASSICAL, **_R1_FLAT}, "R2_insert": {**_R2_CLASSICAL, **_R2_FLAT}}
 
 
-def _r2_insert_count(code, fam) -> int:
-    g = _gap_count(code)
+def _r2_insert_count(comps, fam) -> int:
+    g = _gap_count(comps)
     return g * (g + 1) // 2 * len(_R2_VARIANTS[fam])
 
 
-def _r2_insert_at(code, fam, idx: int) -> MoveInstance:
+def _r2_insert_at(comps, fam, idx: int) -> MoveInstance:
     """The idx-th poke insert: gap pairs g1 <= g2 in lexicographic order, then variants.
 
     Row g1 holds the m = g - g1 pairs (g1, g1..g-1), so counting from the last
@@ -241,12 +253,12 @@ def _r2_insert_at(code, fam, idx: int) -> MoveInstance:
     m(m+1)/2 >= rest."""
     variants = _R2_VARIANTS[fam]
     pair, v = divmod(idx, len(variants))
-    g = _gap_count(code)
+    g = _gap_count(comps)
     rest = g * (g + 1) // 2 - pair
     m = (math.isqrt(8 * rest - 7) + 1) // 2
     g1 = g - m
     g2 = g1 + m * (m + 1) // 2 - rest
-    return MoveInstance("R2_insert", (_gap(code, g1), _gap(code, g2)), variants[v])
+    return MoveInstance("R2_insert", (_gap(comps, g1), _gap(comps, g2)), variants[v])
 
 
 def _r3_moves(comps, index):
@@ -296,18 +308,24 @@ def _is_triangle(comps, trip) -> bool:
         passages[n].role is passages[n + 1].role is Role.OVER for n in (0, 2, 4))
 
 
-def _preferred_switches(code):
-    comp = code.open_component
-    pref = code.preferred_chord()
+def _preferred_switches(comps):
+    """Switches of the preferred chord with a flat chord, both with their two
+    ends on the open component, read from its positions; a classical passage
+    is never a tail, so no classical chord is switched with."""
+    comp = comps[0]
+    pref = next((p.chord for p in comp if p.preferred), None)
     if pref is None:
         return []
-    (ptk, pt), (phk, ph) = code.ends(pref)
-    if ptk or phk:
+    tails, heads = {}, {}
+    for i, p in enumerate(comp):
+        (tails if p.role.is_tail else heads)[p.chord] = i
+    if pref not in tails or pref not in heads:
         return []
+    pt, ph = tails[pref], heads[pref]
     moves = []
-    for cid in code.chord_ids():
-        (tk, t), (hk, h) = code.ends(cid)
-        if cid == pref or tk or hk or not comp[t].role.is_flat:
+    for cid, t in sorted(tails.items()):
+        h = heads.get(cid)
+        if cid == pref or h is None or not comp[t].role.is_flat:
             continue
         # every position is an arrow endpoint, so an arc's interior is empty iff
         # its two ends are adjacent
@@ -318,17 +336,17 @@ def _preferred_switches(code):
 
 # The rule families in rule-name order, which is the (rule, sites, variant)
 # order: (rule, find, at). A scanned family (`at` None) lists its instances,
-# unsorted, with find(code, index); an insert family counts them in closed form
-# with find(code, fam) and decodes the idx-th in sort order with at(code, fam,
-# idx). Only the inserts read the family. Classical moves leave no flat chord
-# to switch with, so the switch lister finds none under them.
+# unsorted, with find(comps, index); an insert family counts them in closed
+# form with find(comps, fam) and decodes the idx-th in sort order with
+# at(comps, fam, idx). Only the inserts read the family. Classical moves leave
+# no flat chord to switch with, so the switch lister finds none under them.
 _FAMILIES = (
-    ("PreferredSwitch", lambda code, index: _preferred_switches(code), None),
-    ("R1_delete", lambda code, index: _r1_deletes(code.components), None),
+    ("PreferredSwitch", lambda comps, index: _preferred_switches(comps), None),
+    ("R1_delete", lambda comps, index: _r1_deletes(comps), None),
     ("R1_insert", _r1_insert_count, _r1_insert_at),
-    ("R2_delete", lambda code, index: _r2_deletes(code.components, index), None),
+    ("R2_delete", _r2_deletes, None),
     ("R2_insert", _r2_insert_count, _r2_insert_at),
-    ("R3", lambda code, index: _r3_moves(code.components, index), None),
+    ("R3", _r3_moves, None),
 )
 
 
@@ -340,7 +358,8 @@ def apply_move(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
     The site gate runs first: the rule must be known and `sites` a tuple of as
     many (component, position) int pairs as `_APPLIERS` gives the rule, each
     component an index of `code.components`. The rule's applier then checks the
-    pattern it expects at those sites; inserts read theirs from `_INSERTS`."""
+    pattern it expects at those sites (inserts read theirs from `_INSERTS`) and
+    rewrites the components tuple, from which the checked code is built."""
     count, applier = _APPLIERS.get(move.rule if isinstance(move.rule, str) else None, (0, None))
     if applier is None:
         raise StaleMoveError(f"unknown rule {move.rule!r}")
@@ -351,7 +370,7 @@ def apply_move(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
         raise StaleMoveError(f"{move.rule} takes {count} (component, position) sites, "
                              f"got {sites!r}")
     try:
-        return applier(code, move)
+        return KnotoidCode(applier(code.components, move))
     except ValidityError as exc:
         raise StaleMoveError(str(exc)) from exc
 
@@ -362,16 +381,20 @@ def _deleted(comps, doomed: set[tuple[int, int]]):
                  for k, comp in enumerate(comps))
 
 
-def _apply_r1_delete(code, move):
+# Each applier takes a components tuple and a move whose sites passed the
+# gate, checks the move's pattern there, and returns the rewritten tuple with
+# its closed components unrotated; `KnotoidCode` rotates them.
+
+def _apply_r1_delete(comps, move):
     (k, i), = move.sites
-    i, j = _pair_positions(code, k, i)
-    a, b = code.components[k][i], code.components[k][j]
+    i, j = _pair_positions(comps, k, i)
+    a, b = comps[k][i], comps[k][j]
     if a.chord != b.chord or a.role.is_singular:
         raise StaleMoveError("no kink at site")
-    return KnotoidCode(_deleted(code.components, {(k, i), (k, j)}))
+    return _deleted(comps, {(k, i), (k, j)})
 
 
-def _apply_insert(code, move):
+def _apply_insert(comps, move):
     """Insert each site's pattern at its gap, later gap first so earlier gaps stay put."""
     pattern = _INSERTS[move.rule].get(move.variant) if isinstance(move.variant, str) else None
     if pattern is None:
@@ -379,37 +402,39 @@ def _apply_insert(code, move):
     if len(move.sites) == 2 and move.sites[0][0] == move.sites[1][0] \
             and move.sites[0][1] > move.sites[1][1]:
         raise StaleMoveError("gaps must be ordered")
-    comps, cid = list(code.components), code.fresh_chord_id()
+    # the fresh chord id, as `KnotoidCode.fresh_chord_id` reads it
+    cid = max((p.chord for comp in comps for p in comp), default=0) + 1
+    comps = list(comps)
     for (k, gap), site in zip(reversed(move.sites), reversed(pattern)):
         if not 0 <= gap <= len(comps[k]):
             raise StaleMoveError("gap out of range")
         ins = tuple(Passage(cid + w, role, sign) for w, role, sign in site)
         comps[k] = comps[k][:gap] + ins + comps[k][gap:]
-    return KnotoidCode(tuple(comps))
+    return tuple(comps)
 
 
-def _apply_r2_delete(code, move):
+def _apply_r2_delete(comps, move):
     (ka, ia), (kb, ib) = move.sites
-    ia, ja = _pair_positions(code, ka, ia)
-    ib, jb = _pair_positions(code, kb, ib)
+    ia, ja = _pair_positions(comps, ka, ia)
+    ib, jb = _pair_positions(comps, kb, ib)
     if ka == kb and {ia, ja} & {ib, jb}:
         raise StaleMoveError("overlapping sites")
-    a1, a2 = code.components[ka][ia], code.components[ka][ja]
-    b1, b2 = code.components[kb][ib], code.components[kb][jb]
+    a1, a2 = comps[ka][ia], comps[ka][ja]
+    b1, b2 = comps[kb][ib], comps[kb][jb]
     if not _r2_pair_ok(a1, a2, b1, b2):
         raise StaleMoveError("no poke pair at sites")
-    return KnotoidCode(_deleted(code.components, {(ka, ia), (ka, ja), (kb, ib), (kb, jb)}))
+    return _deleted(comps, {(ka, ia), (ka, ja), (kb, ib), (kb, jb)})
 
 
-def _apply_r3(code, move):
+def _apply_r3(comps, move):
     """Swap the passages of each pair; the sites alone fix the slide, so the
     variant is not read."""
-    fixed = _fixed_chords(code, _family(code, None))
-    trip = [(k, *_pair_positions(code, k, i)) for (k, i) in move.sites]
-    if not _is_triangle(code.components, trip) or any(
-            code.components[k][pos].chord in fixed for k, i, j in trip for pos in (i, j)):
+    fixed = _fixed_chords(comps, _family(comps, None))
+    trip = [(k, *_pair_positions(comps, k, i)) for (k, i) in move.sites]
+    if not _is_triangle(comps, trip) or any(
+            comps[k][pos].chord in fixed for k, i, j in trip for pos in (i, j)):
         raise StaleMoveError("triangle pattern no longer matches")
-    return KnotoidCode(_slid(code.components, move.sites))
+    return _slid(comps, move.sites)
 
 
 def _slid(comps, sites) -> tuple[tuple[Passage, ...], ...]:
@@ -424,10 +449,10 @@ def _slid(comps, sites) -> tuple[tuple[Passage, ...], ...]:
     return tuple(map(tuple, comps))
 
 
-def _apply_switch(code, move):
-    if move not in _preferred_switches(code):
+def _apply_switch(comps, move):
+    if move not in _preferred_switches(comps):
         raise StaleMoveError("switch condition no longer holds")
-    p_chord, q_chord = (code.open_component[i].chord for _, i in move.sites)
+    p_chord, q_chord = (comps[0][i].chord for _, i in move.sites)
 
     def sw(p: Passage) -> Passage:
         if p.chord == p_chord:
@@ -436,7 +461,7 @@ def _apply_switch(code, move):
             return recast(p, Role.STAIL, None, True)
         return p
 
-    return KnotoidCode(tuple(tuple(sw(p) for p in c) for c in code.components))
+    return tuple(tuple(sw(p) for p in c) for c in comps)
 
 
 # rule -> (site count, applier)
@@ -456,27 +481,41 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
                 family: str | None = None) -> KnotoidCode:
     """Apply `steps` uniformly chosen applicable moves; deterministic in `seed`.
 
-    Each step is `rng.choice(enumerate_moves(code, family))` without building
-    that list: the scanned families of `_FAMILIES` are listed, the kink and poke
-    inserts (O(n) and O(n^2) instances) are only counted, and the drawn index is
-    decoded in the family it falls in, the only one sorted.
-    A negative `steps` is a ValidityError; zero steps return `code`."""
+    The walk gives the code that `steps` times applying
+    `rng.choice(enumerate_moves(code, family))` gives, with `rng` seeded by
+    `seed`, but runs on the components tuple: each step lists the scanned
+    families of `_FAMILIES` from the tuple, only counts the kink and poke
+    inserts (O(n) and O(n^2) instances), decodes the drawn index in the family
+    it falls in (the only one sorted), runs that family's applier and rotates
+    the closed components as `KnotoidCode` stores them. A listed move fits its
+    tuple, so no step builds or validates a code (CONVENTIONS.md, "Random
+    walks"); one checked `KnotoidCode` is built at the end.
+
+    `steps` and `seed` must be ints (not bools) and `steps` >= 0, or it is a
+    ValidityError; zero steps return `code` itself."""
+    for name, value in (("steps", steps), ("seed", seed)):
+        if type(value) is not int:
+            raise ValidityError(f"{name} must be an int, got {value!r}")
     if steps < 0:
         raise ValidityError(f"steps must be >= 0, got {steps}")
+    if not steps:
+        return code
     rng = random.Random(seed)
+    comps = code.components
     for _ in range(steps):
-        fam = _family(code, family)
-        index = _pair_index(code.components, _fixed_chords(code, fam))
-        found = [find(code, index) if at is None else range(find(code, fam))
+        fam = _family(comps, family)
+        index = _pair_index(comps, _fixed_chords(comps, fam))
+        found = [find(comps, index) if at is None else range(find(comps, fam))
                  for _, find, at in _FAMILIES]
         idx = rng.randrange(sum(map(len, found)))  # the draw rng.choice makes
         for (_, _, at), got in zip(_FAMILIES, found):
             if idx < len(got):
                 break
             idx -= len(got)
-        move = sorted(got, key=MoveInstance.sort_key)[idx] if at is None else at(code, fam, idx)
-        code = apply_move(code, move)
-    return code
+        move = sorted(got, key=MoveInstance.sort_key)[idx] if at is None else at(comps, fam, idx)
+        comps = _APPLIERS[move.rule][1](comps, move)
+        comps = (comps[0], *map(_rotate_canonical, comps[1:]))
+    return KnotoidCode(comps)
 
 
 def _unkinked(comps):

@@ -121,6 +121,52 @@ def test_random_walk_deterministic(vk4):
         K.random_walk(vk4, -1, 1)
 
 
+@pytest.mark.parametrize("steps, seed", [(2.0, 1), ("3", 1), (None, 1), (True, 1), (False, 1),
+                                         (3, None), (3, 1.0), (3, "1"), (3, True)])
+def test_random_walk_refuses_steps_and_seed_that_are_not_ints(vk4, steps, seed):
+    # a float or string was an untyped TypeError, True walked one step, and a
+    # None seed walked differently on every call
+    with pytest.raises(ValidityError, match="must be an int"):
+        K.random_walk(vk4, steps, seed)
+
+
+def test_random_walk_builds_one_code(monkeypatch):
+    # the walk runs on component tuples: one checked code per walk, none at zero steps
+    starts = list(oracle_codes(20, 83))
+    built = []
+    validate = K.KnotoidCode._validate
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(K.KnotoidCode, "_validate", counted)
+    for seed, (code, fam) in enumerate(starts):
+        for steps, family in ((0, fam), (1, fam), (6, fam), (6, None)):
+            built.clear()
+            walked = K.random_walk(code, steps, seed, family)
+            assert len(built) == (steps > 0) and (walked is code) == (steps == 0)
+
+
+def test_random_walk_follows_family_flips():
+    # under family None a walk re-infers the family every step: A1 B1 turns
+    # classical when its kink deletes to E, SA1 SB1 O2+ U2+ turns flat when
+    # its classical kink deletes; some seeds take steps on both sides of a flip
+    for text in ("A1 B1", "SA1 SB1 O2+ U2+"):
+        start = K.parse(text)
+        crossed = 0
+        for seed in range(150):
+            steps = 2 + seed % 3
+            rng = random.Random(seed)
+            ref, fams = start, set()
+            for _ in range(steps):
+                fams.add(M._family(ref.components, None))
+                ref = K.apply_move(ref, rng.choice(enumerate_moves(ref, None)))
+            assert K.random_walk(start, steps, seed) == ref, (text, seed)
+            crossed += len(fams) == 2
+        assert crossed, text
+
+
 def test_simplify_examples(vk4):
     assert K.serialize(K.simplify(K.parse("O1+ U1+"))) == "E"
     assert K.serialize(K.simplify(K.flatten(vk4))) == "E"
@@ -301,7 +347,7 @@ def _ref_enumerate(code, fam):
     out = M._r1_deletes(code.components) + _ref_r2_deletes(code) + _ref_r3(code, fam)
     out += _ref_inserts(code, fam)
     if fam == "flat" and code.preferred_chord() is not None:
-        out += M._preferred_switches(code)
+        out += M._preferred_switches(code.components)
     return sorted(out, key=MoveInstance.sort_key)
 
 
@@ -314,7 +360,7 @@ def test_enumerate_matches_brute_force():
         listed = enumerate_moves(code, fam, ("R2_delete", "R3", "PreferredSwitch"))
         seen.update(m.rule for m in listed)
         if fam == "flat":
-            assert M._preferred_switches(code) == _ref_preferred_switches(code)
+            assert M._preferred_switches(code.components) == _ref_preferred_switches(code)
         for mv in moves:
             assert K.apply_move(code, mv).components == _ref_apply_move(code, mv, _rotated), \
                 (K.serialize(code), mv)
@@ -326,9 +372,9 @@ def test_enumerate_matches_brute_force():
 def test_insert_counts_closed_form():
     for code, fam in oracle_codes(60, 43):
         for code in (code, K.add_unknot(code)):
-            assert M._r1_insert_count(code, fam) == \
+            assert M._r1_insert_count(code.components, fam) == \
                 len(enumerate_moves(code, fam, ("R1_insert",)))
-            assert M._r2_insert_count(code, fam) == \
+            assert M._r2_insert_count(code.components, fam) == \
                 len(enumerate_moves(code, fam, ("R2_insert",)))
 
 
@@ -450,7 +496,8 @@ def test_simplify_matches_reference_at_size():
         code = K.apply_move(code, rng.choice(inserts))
     out = K.simplify(code)
     assert out == _ref_simplify(code)
-    assert M._family(code, None) == "classical" and M._family(out, None) == "flat"
+    assert M._family(code.components, None) == "classical"
+    assert M._family(out.components, None) == "flat"
     assert not out.classical_chords() and len(out.singular_chords()) == 3
 
 
@@ -674,7 +721,7 @@ def _ref_r2_insert(code, move):
 
 
 def _ref_r3_apply(code, move):
-    fam = M._family(code, None)
+    fam = M._family(code.components, None)
     sites = []
     for (k, i) in move.sites:
         i, j = _ref_pair_positions(code, k, i)
@@ -906,7 +953,7 @@ def test_r3_refuses_sites_the_table_refused():
     cases = ((K.parse("O1+ U4- U1+ U3- O2+ O3- O4- U2+"), ((0, 4), (0, 5), (0, 6))),
              (K.parse("SB2 U1+ SA3 SA2 SB3 O1+"), ((0, 0), (0, 2), (0, 4))))
     for code, sites in cases:
-        trip = [(k, *M._pair_positions(code, k, i)) for k, i in sites]
+        trip = [(k, *M._pair_positions(code.components, k, i)) for k, i in sites]
         assert not _table_accepts(code, trip, "classical")
         for variant in ("", *sorted(_r3_table()["classical"] | _r3_table()["flat"])):
             with pytest.raises(StaleMoveError, match="triangle pattern"):
