@@ -158,11 +158,13 @@ def _r1_deletes(comps):
 
 def _r2_pair_ok(a1, a2, b1, b2) -> bool:
     """Do passages (a1,a2) at one site and (b1,b2) at the other form a poke pair?
-    A code never mixes classical and flat chords, so a1 tells which rule holds."""
+    A code never mixes classical and flat chords, so a1 tells which rule holds;
+    a chord's two passages are of one kind, and b1, b2 carry a1's and a2's
+    chords, so a1 and a2 tell whether a singular chord is involved."""
     x, y = a1.chord, a2.chord
     if x == y or {b1.chord, b2.chord} != {x, y}:
         return False
-    if any(p.role.is_singular for p in (a1, a2, b1, b2)):
+    if a1.role.is_singular or a2.role.is_singular:
         return False
     if a1.role.is_classical:
         if a1.sign != -a2.sign:

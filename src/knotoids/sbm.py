@@ -24,10 +24,20 @@ one scan of the unmarked rows for row(s) - row(d) (`_switches`).
 A reduction step compares its candidates as the indices they keep and builds
 only the one it chooses; every matrix that is built is a checked `SBM`.
 
+A view (m, d, unmarked) stands for `_take(m, [0, *unmarked, d])` without
+building it: s, the index d and the unmarked indices of an SBM m. The
+markings walk, the closure and the canonical form run on views, which is
+sound when every index left out has a zero column or a copy of column s (the
+view lemma in CONVENTIONS.md): a switch re-marks d, a drop leaves an index
+out, and a glue of `G` leaves out the kink, whose column is zero.
+
 The canonical form, the lex-smallest flattened matrix over orders of the
 unmarked elements, is found by ordered partition refinement under a search-node
 budget, not by trying every order, and stops once one prefix survives with a
 discrete partition, which forces the rest (CONVENTIONS.md gives the argument).
+`_form` runs it on a view, from a base's `_Rows`: each row's twin class and
+each entry's text, made once per base, so the result's bytes are joined once
+from the winning order.
 Its first row is row s with the unmarked entries sorted, then b(s, d), so
 `_leading_key` reads that row's bytes, a prefix of the canonical form, with
 no search; of SBMs of one size, only those with the least key can have the
@@ -41,19 +51,23 @@ homologous exactly when one is the other's image under an isomorphism,
 optionally composed with a single N, delete-zero-row . N . add-s-copy, or
 delete-s-copy . N . add-zero-row move; `homologous` decides that directly.
 `_special_closure` lists a primitive with those single-move relatives, and
-both `homologous` and the singular fingerprint read that one walk. When rows s
-and d are nonzero and differ, the relatives are the switches alone and no
-extension is built (the closure lemma in CONVENTIONS.md). Any primitive of a
+both `homologous` and the singular fingerprint read that one walk, as views.
+When rows s and d are nonzero and differ, the relatives are the switches
+alone and no extension is built (the closure lemma in CONVENTIONS.md);
+otherwise M2(p) and M1(p) are built once each, and their markings and drops
+are views of them. Any primitive of a
 class has the same closure forms, so `G` reduces its kinked matrix once, by
 inverse extensions alone (`_plain_reduction`); the result, with the kink or
 any chord it keeps as d, is already a primitive (the shared reduction lemma
 in CONVENTIONS.md).
 
-Reversing the string's orientation changes its SBM by a fixed transform,
-`_reverse`: b(x, s) negates and b(x, y) becomes b(x, y) - b(x, s) + b(y, s).
-It commutes with switches and drops and swaps zero rows with copies of row s,
-so it maps the closure of a primitive onto the closure of the reversed
-string's primitive (CONVENTIONS.md gives the proof).
+Reversing the string's orientation changes its SBM by a fixed transform of
+the rows, `_reversed`: b(x, s) negates and b(x, y) becomes b(x, y) - b(x, s)
++ b(y, s). It commutes with switches and drops and swaps zero rows with
+copies of row s, so it maps the closure of a primitive onto the closure of
+the reversed string's primitive (CONVENTIONS.md gives the proof), and the
+reversal of a view is the same view of the reversed rows, computed once per
+base (`_rows`).
 """
 from __future__ import annotations
 
@@ -163,17 +177,17 @@ def _take(m: SBM, order) -> SBM:
                tuple([tuple([mat[i][j] for j in order]) for i in order]))
 
 
-def _reverse(m: SBM) -> SBM:
-    """The SBM of the reversed string, from the SBM m of a flat singular string,
-    labels and element order kept: b(x, s) negates, and for x, y other than s,
-    b(x, y) becomes b(x, y) - b(x, s) + b(y, s) (CONVENTIONS.md gives the
-    proof). It reads only column s, so it commutes with switches and drops."""
-    mat = m.matrix
+def _reversed(mat) -> tuple[tuple[int, ...], ...]:
+    """The rows of the reversed string's SBM, from the rows of the SBM of a flat
+    singular string, element order kept: b(x, s) negates, and for x, y other
+    than s, b(x, y) becomes b(x, y) - b(x, s) + b(y, s) (CONVENTIONS.md gives
+    the proof). It reads only column s, so it commutes with switches and
+    drops: the reversal of a view is the same view of these rows."""
     col = [r[0] for r in mat]  # b(x, s)
     rows = [tuple([-v for v in mat[0]])]
     rows += [tuple([-cx] + [v - cx + cy for v, cy in zip(r[1:], col[1:])])
              for r, cx in zip(mat[1:], col[1:])]
-    return SBM(m.elements, tuple(rows))
+    return tuple(rows)
 
 
 def _fresh_label(taken):
@@ -228,33 +242,33 @@ def build_sbm(code: KnotoidCode) -> SBM:
 
 # -- element classification ---------------------------------------------------
 
-def _switches(m: SBM) -> list[int]:
-    """The unmarked indices complementary to d (row + row d = row s), in index
-    order: one lookup of row(s) - row(d) among the unmarked rows."""
-    mat = m.matrix
-    want = tuple([a - b for a, b in zip(mat[0], mat[-1])])
-    return [g for g in m.unmarked() if mat[g] == want]
+def _switches(mat, d: int, unmarked) -> list[int]:
+    """The unmarked indices complementary to d (row + row d = row s), in the
+    order given: one lookup of row(s) - row(d) among the unmarked rows."""
+    want = tuple([a - b for a, b in zip(mat[0], mat[d])])
+    return [g for g in unmarked if mat[g] == want]
 
 
-def _classes(m: SBM):
+def _classes(mat, unmarked):
     """Unmarked indices with a zero row, copies of row s, and index pairs
-    (g1 < g2, in index order) whose rows sum to row s; an index may fall in
-    several. The indices complementary to d are `_switches`."""
-    srow = m.row(m.s)
+    (g1 before g2 in the order given) whose rows sum to row s; an index may
+    fall in several. The indices complementary to d are `_switches`."""
+    srow = mat[0]
     by_row: dict[tuple[int, ...], list[int]] = {}
-    for g in m.unmarked():
-        by_row.setdefault(m.row(g), []).append(g)
+    for g in unmarked:
+        by_row.setdefault(mat[g], []).append(g)
+    rank = {g: i for i, g in enumerate(unmarked)}
 
     def partners(g: int) -> list[int]:
-        return by_row.get(tuple([a - b for a, b in zip(srow, m.row(g))]), [])
+        return by_row.get(tuple([a - b for a, b in zip(srow, mat[g])]), [])
 
-    return (by_row.get((0,) * m.size, []), by_row.get(srow, []),
-            [(g1, g2) for g1 in m.unmarked() for g2 in partners(g1) if g2 > g1])
+    return (by_row.get((0,) * len(srow), []), by_row.get(srow, []),
+            [(g1, g2) for g1 in unmarked for g2 in partners(g1) if rank[g2] > rank[g1]])
 
 
 def classify(m: SBM) -> dict:
     """Exact linear classifications of unmarked elements and of d."""
-    ann, core, pairs = _classes(m)
+    ann, core, pairs = _classes(m.matrix, m.unmarked())
     e = m.elements
     return {"annihilating": [e[g] for g in ann], "core": [e[g] for g in core],
             "complementary_pairs": [(e[g1], e[g2]) for g1, g2 in pairs],
@@ -320,7 +334,7 @@ def apply_ext(m: SBM, move: tuple) -> SBM:
             g = m.elements.index(label)
         except ValueError:
             raise NotApplicableError(f"no element {label!r}")
-        if g not in _switches(m):
+        if g not in _switches(m.matrix, m.d, m.unmarked()):
             raise NotApplicableError(f"element {label!r} is not complementary to d")
         return _remark(m, g)
     # the new rows go between the unmarked elements and d, which stays last
@@ -337,7 +351,7 @@ def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
     kind = _move_kind(move, True)
     if kind == "N":
         return apply_ext(m, move)
-    ann, core, pairs = _classes(m)
+    ann, core, pairs = _classes(m.matrix, m.unmarked())
     labels = [str(x) for x in move[1:]]
     index = {e: i for i, e in enumerate(m.elements)}
     gs = [index.get(label) for label in labels]  # None for an unknown label
@@ -353,18 +367,25 @@ def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
 # -- primitivity and reduction -------------------------------------------------
 
 def _markings(m: SBM):
-    """All SBMs reachable by singularity switches (`_switches`), m itself
-    first, each with its `_classes`."""
-    seen = {m.matrix: (m, _classes(m))}
-    frontier = [m]
+    """Every marking of m reachable by singularity switches (`_switches`), m's
+    own first, each as its d, its unmarked indices and their `_classes`. A
+    switch to g makes g the d and appends the old d to the unmarked indices,
+    as `_remark` orders them, so a marking is `_take(m, [0, *unmarked, d])`;
+    markings with equal matrices are one, and only their matrices are built,
+    as rows of m."""
+    mat = m.matrix
+    seen = {mat: (m.d, m.unmarked())}
+    frontier = [seen[mat]]
     while frontier:
-        cur = frontier.pop()
-        for g in _switches(cur):
-            nxt = _remark(cur, g)
-            if nxt.matrix not in seen:
-                seen[nxt.matrix] = (nxt, _classes(nxt))
+        d, unmarked = frontier.pop()
+        for g in _switches(mat, d, unmarked):
+            nxt = (g, [*[i for i in unmarked if i != g], d])
+            take = operator.itemgetter(0, *nxt[1], g)
+            key = tuple([take(r) for r in take(mat)])
+            if key not in seen:
+                seen[key] = nxt
                 frontier.append(nxt)
-    return list(seen.values())
+    return [(d, unmarked, _classes(mat, unmarked)) for d, unmarked in seen.values()]
 
 
 def is_primitive(m: SBM) -> bool:
@@ -374,10 +395,10 @@ def is_primitive(m: SBM) -> bool:
 
 def _reductions(m: SBM):
     """Every inverse extension of every marking of m, in a fixed order, as the
-    marking and the indices it keeps."""
-    for v, (ann, core, pairs) in _markings(m):
+    indices of m it keeps, s first and d last."""
+    for d, unmarked, (ann, core, pairs) in _markings(m):
         for dead in [(g,) for g in ann + core] + pairs:
-            yield v, [i for i in range(v.size) if i not in dead]
+            yield [0, *[i for i in unmarked if i not in dead], d]
 
 
 def reduce_to_primitive(m: SBM) -> SBM:
@@ -387,12 +408,12 @@ def reduce_to_primitive(m: SBM) -> SBM:
     generated on ties, so the result is a function of the input alone; a state
     with no reduction in any marking is primitive by definition. Only the
     chosen reduction is built."""
-    def key(reduction):
-        mat, kept = reduction[0].matrix, reduction[1]
-        return len(kept), [[mat[i][j] for j in kept] for i in kept]
+    def key(kept):
+        take = operator.itemgetter(*kept)
+        return len(kept), list(map(take, take(m.matrix)))
 
-    while (nxt := min(_reductions(m), key=key, default=None)) is not None:
-        m = _take(*nxt)
+    while (kept := min(_reductions(m), key=key, default=None)) is not None:
+        m = _take(m, kept)
     return m
 
 
@@ -403,7 +424,7 @@ def _plain_reduction(m: SBM) -> SBM:
     one when other elements are dropped, so the batch is a chain of inverse
     extensions and the result is homologous to m."""
     while True:
-        ann, core, pairs = _classes(m)
+        ann, core, pairs = _classes(m.matrix, m.unmarked())
         dead = {*ann, *core}
         for g, h in pairs:
             if g not in dead and h not in dead:
@@ -424,19 +445,51 @@ def canonical_form(m: SBM) -> bytes:
     one element per twin class from the first cell next, and refines the other
     cells by its row (see CONVENTIONS.md). Raises SizeLimitError past
     _NODE_BUDGET placements."""
-    mat, d = m.matrix, m.d
-    twins: dict[tuple[int, ...], int] = {}
-    twin = {g: twins.setdefault(mat[g], g) for g in m.unmarked()}  # identical rows
-    states = [([], _split([list(m.unmarked())], mat[m.s]))]  # (prefix, ordered cells)
+    return _form(_Rows(m.matrix), m.d, m.unmarked())
+
+
+class _Rows:
+    """The rows of a checked SBM, or of its reversal, with what every view of
+    them reads: each entry as text, and each row's twin class (the first index
+    with an identical row)."""
+
+    __slots__ = ("mat", "text", "twin")
+
+    def __init__(self, mat):
+        self.mat = mat
+        text = {v: b"%d" % v for v in set().union(*mat)}
+        self.text = tuple([tuple([text[v] for v in r]) for r in mat])
+        first: dict[tuple[int, ...], int] = {}
+        self.twin = [first.setdefault(r, i) for i, r in enumerate(mat)]
+
+
+def _rows(cache: dict, mat, flip: bool = False) -> _Rows:
+    """`_Rows` of mat, or of its reversal if flip, made once per mat while cache
+    lives; the cache holds mat, so no other object takes its id."""
+    hit = cache.get((id(mat), flip))
+    if hit is None:
+        hit = cache[id(mat), flip] = (mat, _Rows(_reversed(mat) if flip else mat))
+    return hit[1]
+
+
+def _form(rows: _Rows, d: int, unmarked) -> bytes:
+    """`canonical_form` of the view (rows, d, unmarked): the SBM with row s
+    (index 0), d and the unmarked indices of rows. Every other row must have a
+    zero column or a copy of column s, so that two rows equal on the view are
+    equal in full (the view lemma in CONVENTIONS.md); the form does not depend
+    on the order of the unmarked indices. The bytes are joined once, from the
+    winning order."""
+    mat, twin, k = rows.mat, rows.twin, len(unmarked)
+    states = [([], _split([list(unmarked)], mat[0]))]  # (prefix, ordered cells)
     nodes = 0
-    for level in range(m.size - 2):
-        if len(states) == 1 and len(states[0][1]) == m.size - 2 - level:
+    for level in range(k):
+        if len(states) == 1 and len(states[0][1]) == k - level:
             # every cell is a singleton: the rest of the order is forced, and
             # it counts as the one node per level the search would visit
             prefix, cells = states[0]
             nodes += len(cells)
             if nodes > _NODE_BUDGET:
-                raise _over_budget(m)
+                raise _over_budget(k)
             states = [(prefix + [cell[0] for cell in cells], [])]
             break
         best, survivors = None, []
@@ -445,7 +498,7 @@ def canonical_form(m: SBM) -> bytes:
             for c in {twin[g]: g for g in first}.values():
                 nodes += 1
                 if nodes > _NODE_BUDGET:
-                    raise _over_budget(m)
+                    raise _over_budget(k)
                 row = mat[c]
                 refined = _split([[g for g in first if g != c], *cells[1:]], row)
                 # the row of c in the least order: its entries before c are the
@@ -457,21 +510,26 @@ def canonical_form(m: SBM) -> bytes:
                 elif key == best:
                     survivors.append((prefix + [c], refined))
         states = survivors
-    order = [m.s, *states[0][0], d]
-    return repr(tuple([mat[i][j] for i in order for j in order])).encode()
+    take = operator.itemgetter(0, *states[0][0], d)
+    # the repr of the flattened tuple, which has at least the four entries of s and d
+    return b"(" + b", ".join(itertools.chain.from_iterable(map(take, take(rows.text)))) + b")"
 
 
-def _leading_key(srow) -> bytes:
-    """The first row of the canonical form of an SBM whose row s is srow, as
-    the prefix of the canonical form's bytes through that row's last comma:
-    0, the unmarked entries sorted ascending, then b(s, d) (the leading-row
-    lemma in CONVENTIONS.md). Of two SBMs of one size, a smaller key means a
-    smaller canonical form; equal keys decide nothing."""
-    return repr((0, *sorted(srow[1:-1]), srow[-1])).encode()[:-1] + b","
+def _leading_key(view, flip: bool = False) -> bytes:
+    """The first row of the canonical form of a view, or of its reversal if
+    flip (which negates row s), as the prefix of the canonical form's bytes
+    through that row's last comma: 0, the unmarked entries sorted ascending,
+    then b(s, d) (the leading-row lemma in CONVENTIONS.md). Of two SBMs of one
+    size, a smaller key means a smaller canonical form; equal keys decide
+    nothing."""
+    m, d, unmarked = view
+    sign, srow = -1 if flip else 1, m.matrix[0]
+    return repr((0, *sorted([sign * srow[g] for g in unmarked]),
+                 sign * srow[d])).encode()[:-1] + b","
 
 
-def _over_budget(m: SBM) -> SizeLimitError:
-    return SizeLimitError(f"the canonical form of {m.size - 2} unmarked elements "
+def _over_budget(k: int) -> SizeLimitError:
+    return SizeLimitError(f"the canonical form of {k} unmarked elements "
                           f"exceeds the search budget of {_NODE_BUDGET} nodes")
 
 
@@ -492,27 +550,41 @@ def _split(cells: list[list[int]], row: tuple[int, ...]) -> list[list[int]]:
 
 def isomorphic(m1: SBM, m2: SBM) -> bool:
     # equal keys have as many entries, so the SBMs are of one size
-    return (_leading_key(m1.matrix[0]) == _leading_key(m2.matrix[0])
+    return (_leading_key(_whole(m1)) == _leading_key(_whole(m2))
             and canonical_form(m1) == canonical_form(m2))
 
 
-def _special_closure(p: SBM) -> list[tuple[SBM, str]]:
-    """p and its single-move relatives, each with its move name, p first.
+def _whole(m: SBM) -> tuple:
+    """m as a view: itself, its d and its unmarked indices."""
+    return m, m.d, m.unmarked()
+
+
+def _special_closure(view) -> list[tuple[tuple, str]]:
+    """The primitive view (m, d, unmarked) of an SBM m and its single-move
+    relatives, each as a view (base, d, unmarked) with its move name, the
+    primitive first: a switch re-marks d, and a drop leaves an index out.
 
     Any two homologous primitives are related by an isomorphism alone or by an
     isomorphism with exactly one of these moves, so the canonical forms of this
-    list cover the whole homology class of p at the primitive level."""
-    out = [(p, "identity")]
-    out += [(_remark(p, g), f"N({p.elements[g]})") for g in _switches(p)]
-    srow, drow = p.row(p.s), p.row(p.d)
+    list cover the whole homology class of the primitive at the primitive
+    level."""
+    m, d, unmarked = view
+    mat = m.matrix
+    out = [(view, "identity")]
+    out += [((m, g, [*[i for i in unmarked if i != g], d]), f"N({m.elements[g]})")
+            for g in _switches(mat, d, unmarked)]
+    srow, drow = mat[0], mat[d]
     if any(srow) and any(drow) and drow != srow:
         # no marking of either extension has a row to drop (the closure lemma
         # in CONVENTIONS.md)
         return out
-    # add an s-copy, switch, then delete a zero row; and the other way round
+    # add an s-copy, switch, then delete a zero row; and the other way round.
+    # Each extension is built once, and its markings and drops are views of it
+    p = m if d == m.d and len(unmarked) == m.size - 2 else _take(m, [0, *unmarked, d])
     for ext, cls, name in (("M2", 0, "M2;N;M1_inverse"), ("M1", 1, "M1;N;M2_inverse")):
-        for v, classes in _markings(apply_ext(p, (ext,))):
-            out += [(_drop(v, {g}), name) for g in classes[cls]]
+        x = apply_ext(p, (ext,))
+        for e, kept, classes in _markings(x):
+            out += [((x, e, [i for i in kept if i != g]), name) for g in classes[cls]]
     return out
 
 
@@ -521,8 +593,9 @@ def homologous(m1: SBM, m2: SBM) -> tuple[bool, str]:
     closure order, isomorphic to m2's primitive. Only the members whose leading
     row is that primitive's are searched (the leading-row lemma)."""
     p2 = reduce_to_primitive(m2)
-    key, form = _leading_key(p2.matrix[0]), canonical_form(p2)
-    for x, via in _special_closure(reduce_to_primitive(m1)):
-        if _leading_key(x.matrix[0]) == key and canonical_form(x) == form:
+    key, form = _leading_key(_whole(p2)), canonical_form(p2)
+    cache: dict = {}
+    for x, via in _special_closure(_whole(reduce_to_primitive(m1))):
+        if _leading_key(x) == key and _form(_rows(cache, x[0].matrix), x[1], x[2]) == form:
             return True, "isomorphism" if via == "identity" else via
     return False, "none"

@@ -12,7 +12,9 @@ fingerprints certify inequivalence (the converse is not claimed).
 * flat singular with one preferred chord: the least canonical form over the
   single-move homology closure of the reduced based matrix, for both
   orientations; the reversed string's closure is a fixed transform of this
-  one, so one based matrix and one closure walk serve both.
+  one, so one based matrix and one closure walk serve both. The closure's
+  members and their reversals are views of matrices already built
+  (`sbm._special_closure`, the view lemma in CONVENTIONS.md).
 
 The invariants sum fingerprints of surgered diagrams with crossing signs:
 
@@ -25,7 +27,9 @@ alternating sum over all +/- choices. Every glue's based matrix is the singular
 kink's with the glued chord as d and the kink left out (the gluing lemma in
 CONVENTIONS.md), so G builds one based matrix per diagram and no glued code.
 One reduction of it serves the kink term and every glue whose chord it keeps
-(the shared reduction lemma).
+(the shared reduction lemma): each glue is a view of it, and one reversal of
+it serves every term. G refuses, before building any matrix, a code whose
+payload bound passes `_PAYLOAD_BUDGET` matrix entries.
 """
 from __future__ import annotations
 
@@ -39,8 +43,8 @@ from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomia
                          flat_affine_polynomial, intersection_index, writhe)
 from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_moves, _simplified,
                     _slid)
-from .sbm import (SBM, _leading_key, _plain_reduction, _reverse, _special_closure, _take,
-                  build_sbm, canonical_form, reduce_to_primitive)
+from .sbm import (_form, _leading_key, _plain_reduction, _rows, _special_closure, _take, _whole,
+                  build_sbm, reduce_to_primitive)
 from .surgery import _zero_smoothed, one_smooth, resolve, singular_kink
 
 __all__ = [
@@ -140,24 +144,26 @@ def _profile(comps) -> tuple:
     return (len(on0 - on1), len(on1 - on0), len(on0 & on1))
 
 
-def _singular_fingerprint(prim: SBM) -> Fingerprint:
+def _singular_fingerprint(view, cache: dict) -> Fingerprint:
     """The fingerprint of a flat singular string whose based matrix reduces to
-    the primitive prim; it does not depend on which primitive of the class.
+    the primitive view (m, d, unmarked) (`sbm._special_closure`); it does not
+    depend on which primitive of the class. cache holds the `sbm._rows` of the
+    bases read so far, and may be shared by views of one base.
 
-    It is the least canonical form over the closure of prim and the reversal
-    of each member. The reversed string's closure is the reversal of this one
-    (the SBM reversal lemma in CONVENTIONS.md), so one walk serves both
-    orientations. A canonical form starts with its leading-row key, and the
-    reversal's row s is the negated row s (the leading-row lemma), so only
-    the candidates with the least key are searched, and only those reversals
-    are built."""
-    keyed = []
-    for x, _ in _special_closure(prim):
-        srow = x.matrix[0]
-        keyed += [(_leading_key(srow), x, False), (_leading_key([-v for v in srow]), x, True)]
+    It is the least canonical form over the closure of the primitive and the
+    reversal of each member. The reversed string's closure is the reversal of
+    this one (the SBM reversal lemma in CONVENTIONS.md), so one walk serves
+    both orientations, and a reversed member is the same view of its base's
+    reversed rows, computed once per base. A canonical form starts with its
+    leading-row key, and the reversal's row s is the negated row s (the
+    leading-row lemma), so only the candidates with the least key are
+    searched."""
+    keyed = [(_leading_key(x, flip), x, flip)
+             for x, _ in _special_closure(view) for flip in (False, True)]
     least = min(key for key, _, _ in keyed)
-    return Fingerprint(1, b"S:" + min(canonical_form(_reverse(x) if rev else x)
-                                      for key, x, rev in keyed if key == least))
+    return Fingerprint(1, b"S:" + min(_form(_rows(cache, base.matrix, flip), d, unmarked)
+                                      for key, (base, d, unmarked), flip in keyed
+                                      if key == least))
 
 
 def fingerprint(code: KnotoidCode) -> Fingerprint:
@@ -171,7 +177,7 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
     if code.singular_chords():
         if ncomp != 1:
             raise UnsupportedError("singular fingerprints need a single open component")
-        return _singular_fingerprint(reduce_to_primitive(build_sbm(code)))
+        return _singular_fingerprint(_whole(reduce_to_primitive(build_sbm(code))), {})
     if ncomp == 1:
         # reversal keeps every arrow and negates every W+, so Q(reverse) = -Q
         q = flat_affine_polynomial(code)
@@ -216,20 +222,31 @@ def _glued(code: KnotoidCode):
     singular kink. Each glue's based matrix is the kink's with the glued chord
     as d and the kink left out (the gluing lemma in CONVENTIONS.md), so one
     matrix serves all. It is reduced once: the result is the kink term's
-    primitive and, re-marked to a chord it keeps, that glue's (the shared
-    reduction lemma); a glue whose chord it deleted is reduced on its own."""
+    primitive and, viewed with a chord it keeps as d and the kink left out,
+    that glue's (the shared reduction lemma); the kink's column is zero, so
+    the view is sound (the view lemma). Its reversal is computed at most once,
+    and every glue's reversal is the same view of it. A glue whose chord the
+    reduction deleted is reduced on its own.
+
+    More than `_PAYLOAD_BUDGET` matrix entries in the payload bound raise
+    SizeLimitError before any matrix is built."""
+    n = code.chord_count()
+    if (bound := (n + 1) * (n + 2) ** 2) > _PAYLOAD_BUDGET:
+        raise SizeLimitError(f"G on {n} crossings may hold {bound} matrix entries, past "
+                             f"the payload budget of {_PAYLOAD_BUDGET}")
     kinked = build_sbm(singular_kink(code))  # s, the chords by id, the kink
     shared = _plain_reduction(kinked)  # s, the chords kept, the kink
+    kept = shared.unmarked()
     at = {label: g for g, label in enumerate(shared.elements)}
+    cache: dict = {}  # shared's rows and their reversal, read by every term
     for k, label in enumerate(kinked.elements[1:-1], 1):
         g = at.get(label)
         if g is not None:
-            prim = _take(shared, [*range(g), *range(g + 1, shared.d), g])
+            yield _singular_fingerprint((shared, g, [i for i in kept if i != g]), cache)
         else:
             glue = _take(kinked, [*range(k), *range(k + 1, kinked.d), k])
-            prim = reduce_to_primitive(_plain_reduction(glue))
-        yield _singular_fingerprint(prim)
-    yield _singular_fingerprint(shared)
+            yield _singular_fingerprint(_whole(reduce_to_primitive(_plain_reduction(glue))), {})
+    yield _singular_fingerprint((shared, shared.d, kept), cache)
 
 
 def invariant_F(code: KnotoidCode) -> FormalSum:
@@ -252,6 +269,11 @@ def invariant_G(code: KnotoidCode) -> FormalSum:
 # also take "p", the affine index polynomial
 INVARIANTS = {"f": invariant_F, "l": invariant_L, "g": invariant_G}
 _HANDLES = {**INVARIANTS, "p": affine_index_polynomial}
+
+# most matrix entries in the bound (n + 1)(n + 2)^2 on `G`'s payload at n
+# crossings (n + 1 terms, each a canonical matrix of at most n + 2 elements).
+# 2^24 admits 254 crossings; the payload, and G's memory, grow as n^3
+_PAYLOAD_BUDGET = 1 << 24
 
 # most singular chords `derivative` resolves: 2^24 evaluations of the invariant
 _MAX_SINGULAR = 24

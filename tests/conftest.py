@@ -32,6 +32,11 @@ QUAD4 = "U2+ O1- O3+ U4- U1- O2+ O4- U3+"
 STRING_G3 = "B2 B1 SA3* A4 A1 A2 B4 SB3*"
 STRING_G4 = "B2 B1 A3 SA4* A1 A2 SB4* B3"
 
+# seven-crossing code whose kinked matrix reduces to 5 chords with row s zero
+# (2 in 20000 seeded codes of 2-12 crossings do), so every glue read from the
+# reduction is an extension case of the special closure
+ZERO_S = "U7+ O7+ O6- O5+ U3+ U2- U5+ O4+ O2- U1- U4+ O3+ O1- U6-"
+
 B5 = [
     [0, 2, -2, -2, 0, 2, 0],
     [-2, 0, -2, -2, 0, 1, 0],
@@ -94,16 +99,63 @@ def with_preferred(code, rng):
     return K.KnotoidCode(tuple(tuple(conv(p) for p in c) for c in code.components))
 
 
+def ref_drop(m, dead):
+    keep = [i for i in range(m.size) if i not in dead]
+    return sbm.SBM(tuple(m.elements[i] for i in keep),
+                   tuple(tuple(m.matrix[i][j] for j in keep) for i in keep))
+
+
+def ref_remark(m, g):
+    order = [m.s] + [i for i in range(1, m.size - 1) if i != g] + [m.d, g]
+    return sbm.SBM(tuple(m.elements[i] for i in order),
+                   tuple(tuple(m.matrix[i][j] for j in order) for i in order))
+
+
+def ref_switches(m):
+    return [g for g in m.unmarked()
+            if tuple(a + b for a, b in zip(m.row(g), m.row(m.d))) == m.row(m.s)]
+
+
+def ref_markings(m):
+    seen = {m.matrix: m}
+    frontier = [m]
+    while frontier:
+        cur = frontier.pop()
+        for g in ref_switches(cur):
+            nxt = ref_remark(cur, g)
+            if nxt.matrix not in seen:
+                seen[nxt.matrix] = nxt
+                frontier.append(nxt)
+    return list(seen.values())
+
+
 def ref_special_closure(p):
-    """`sbm._special_closure` as first written: p, its switches, and the drops
-    found by walking every marking of the extensions M2(p) and M1(p), with no
-    closed form for any case."""
+    """`sbm._special_closure` as first written, on SBMs: p, its switches, and
+    the drops found by walking every marking of the extensions M2(p) and
+    M1(p), with no closed form for any case."""
     out = [(p, "identity")]
-    out += [(sbm._remark(p, g), f"N({p.elements[g]})") for g in sbm._switches(p)]
-    for ext, cls, name in (("M2", 0, "M2;N;M1_inverse"), ("M1", 1, "M1;N;M2_inverse")):
-        for v, classes in sbm._markings(sbm.apply_ext(p, (ext,))):
-            out += [(sbm._drop(v, {g}), name) for g in classes[cls]]
+    out += [(ref_remark(p, g), f"N({p.elements[g]})") for g in ref_switches(p)]
+    for ext, name in (("M2", "M2;N;M1_inverse"), ("M1", "M1;N;M2_inverse")):
+        for v in ref_markings(sbm.apply_ext(p, (ext,))):
+            dead = (0,) * v.size if ext == "M2" else v.row(v.s)
+            out += [(ref_drop(v, {g}), name) for g in v.unmarked() if v.row(g) == dead]
     return out
+
+
+def reverse_sbm(m):
+    """The SBM of the reversed string, built from `sbm._reversed` rows."""
+    return sbm.SBM(m.elements, sbm._reversed(m.matrix))
+
+
+def view_sbm(view):
+    """The SBM a view (base, d, unmarked) stands for, built."""
+    base, d, unmarked = view
+    return sbm._take(base, [0, *unmarked, d])
+
+
+def closure_sbms(p):
+    """`sbm._special_closure` of the SBM p, each view built."""
+    return [(view_sbm(x), via) for x, via in sbm._special_closure(sbm._whole(p))]
 
 
 def ref_glued(code):
@@ -112,9 +164,9 @@ def ref_glued(code):
     matrix reduced to a primitive on its own."""
     kinked = sbm.build_sbm(K.singular_kink(code))  # s, the chords by id, the kink
     d = kinked.d
-    out = [_singular_fingerprint(sbm.reduce_to_primitive(
-        sbm._take(kinked, [0, *range(1, k), *range(k + 1, d), k]))) for k in range(1, d)]
-    return out + [_singular_fingerprint(sbm.reduce_to_primitive(kinked))]
+    out = [_singular_fingerprint(sbm._whole(sbm.reduce_to_primitive(
+        sbm._take(kinked, [0, *range(1, k), *range(k + 1, d), k]))), {}) for k in range(1, d)]
+    return out + [_singular_fingerprint(sbm._whole(sbm.reduce_to_primitive(kinked)), {})]
 
 
 def glue_codes():

@@ -9,6 +9,7 @@ import pytest
 
 import knotoids as K
 from knotoids import sbm
+from knotoids import vassiliev as V
 from knotoids.codes import Passage
 from knotoids.errors import KnotoidError, NotApplicableError, SizeLimitError, ValidityError
 from knotoids.sbm import (SBM, apply_ext, apply_ext_inverse, build_sbm, canonical_form,
@@ -16,8 +17,9 @@ from knotoids.sbm import (SBM, apply_ext, apply_ext_inverse, build_sbm, canonica
                           reduce_to_primitive)
 from knotoids.vassiliev import random_classical_code, random_flat_code, random_singular_code
 
-from conftest import (B3, B4, B5, B6, STRING_G3, STRING_G4, STRING_G5, STRING_G6,
-                      glue_codes, ref_special_closure, with_preferred)
+from conftest import (B3, B4, B5, B6, STRING_G3, STRING_G4, STRING_G5, STRING_G6, ZERO_S,
+                      closure_sbms, glue_codes, ref_drop, ref_markings, ref_remark,
+                      ref_special_closure, ref_switches, reverse_sbm, view_sbm, with_preferred)
 
 
 def _matrix(m):
@@ -255,10 +257,15 @@ def test_size_limit_constant(monkeypatch):
 def _ref_canonical_form(m, orders=None):
     """The least flattened matrix over every order of the unmarked elements (or
     over the given orders)."""
+    return _ref_form(m.matrix, m.d, m.unmarked(), orders)
+
+
+def _ref_form(mat, d, unmarked, orders=None):
+    """`_ref_canonical_form` of the view (mat, d, unmarked)."""
     best = None
-    for perm in itertools.permutations(m.unmarked()) if orders is None else orders:
-        order = (m.s,) + perm + (m.d,)
-        flat = tuple(m.matrix[i][j] for i in order for j in order)
+    for perm in itertools.permutations(unmarked) if orders is None else orders:
+        order = (0,) + perm + (d,)
+        flat = tuple(mat[i][j] for i in order for j in order)
         if best is None or flat < best:
             best = flat
     return repr(best).encode()
@@ -307,21 +314,24 @@ def test_leading_key_orders_as_the_canonical_form():
         return SBM(("s", *[f"e{i}" for i in range(n - 2)], "d"), tuple(map(tuple, mat)))
 
     low, high = sbm_of((0, -1, 1, 0), (0, 0, 0)), sbm_of((0, -12, 10, 0), (0, 0, 0))
-    assert sbm._leading_key(low.matrix[0]) == b"(0, -1, 1, 0,"
+    def key(m):
+        return sbm._leading_key(sbm._whole(m))
+
+    assert key(low) == b"(0, -1, 1, 0,"
     assert high.matrix[0] < low.matrix[0] and canonical_form(low) < canonical_form(high)
-    assert sbm._leading_key(low.matrix[0]) < sbm._leading_key(high.matrix[0])
+    assert key(low) < key(high)
     rng = random.Random(233)
     by_size: dict[int, list] = {}
     for _ in range(300):
         n = rng.randrange(2, 7)
         srow = (0, *rng.choices((-12, -1, 0, 1, 10), k=n - 1))
         m = sbm_of(srow, rng.choices((-1, 0, 1), k=(n - 1) * (n - 2) // 2))
-        rev = sbm._reverse(m)
+        rev = reverse_sbm(m)
         assert rev.row(rev.s) == tuple(-v for v in srow)
         for x in (m, rev):
-            key, form = sbm._leading_key(x.row(x.s)), canonical_form(x)
-            assert form.startswith(key), x
-            by_size.setdefault(n, []).append((key, form))
+            form = canonical_form(x)
+            assert form.startswith(key(x)), x
+            by_size.setdefault(n, []).append((key(x), form))
     for pairs in by_size.values():
         for (key1, form1), (key2, form2) in itertools.combinations(pairs, 2):
             if key1 != key2:
@@ -424,7 +434,12 @@ def test_corpus_g_and_fingerprints_match_brute_force(monkeypatch):
         return out
 
     got = values()
-    monkeypatch.setattr(sbm, "canonical_form", _ref_canonical_form)
+    # every form, of an SBM or of a view, is the brute-force one
+    def ref(rows, d, unmarked):
+        return _ref_form(rows.mat, d, unmarked)
+
+    monkeypatch.setattr(sbm, "_form", ref)
+    monkeypatch.setattr(V, "_form", ref)
     assert len(codes) >= 20 and got == values()
 
 
@@ -493,13 +508,13 @@ def test_reverse_is_the_reversed_strings_sbm():
     for code in _reversal_strings(450, 97):
         m = build_sbm(code)
         sizes.add(code.chord_count())
-        rev = sbm._reverse(m)
+        rev = reverse_sbm(m)
         assert rev == build_sbm(K.reverse(code)), K.serialize(code)
-        assert sbm._reverse(rev) == m
+        assert reverse_sbm(rev) == m
     assert sizes == set(range(1, 16)), sizes
     # an involution on every SBM, not only on built ones
     for m in _seeded_sbms(60, 101):
-        assert sbm._reverse(sbm._reverse(m)) == m
+        assert reverse_sbm(reverse_sbm(m)) == m
 
 
 def test_reverse_maps_the_closure_onto_the_reversed_closure():
@@ -508,10 +523,10 @@ def test_reverse_maps_the_closure_onto_the_reversed_closure():
     # own primitive (which may be a different representative)
     for code in itertools.islice(_reversal_strings(300, 103), 0, None, 2):
         p = reduce_to_primitive(build_sbm(code))
-        forms = {canonical_form(sbm._reverse(x)) for x, _ in sbm._special_closure(p)}
-        assert forms == {canonical_form(x) for x, _ in sbm._special_closure(sbm._reverse(p))}
+        forms = {canonical_form(reverse_sbm(x)) for x, _ in closure_sbms(p)}
+        assert forms == {canonical_form(x) for x, _ in closure_sbms(reverse_sbm(p))}
         own = reduce_to_primitive(build_sbm(K.reverse(code)))
-        assert forms == {canonical_form(x) for x, _ in sbm._special_closure(own)}, \
+        assert forms == {canonical_form(x) for x, _ in closure_sbms(own)}, \
             K.serialize(code)
 
 
@@ -539,14 +554,70 @@ def test_closure_matches_the_extension_walk():
     prims = list(_seeded_primitives(500, 227))
     assert len(prims) >= 2000, len(prims)
     for p in prims:
-        for q in (p, sbm._reverse(p)):
-            assert sbm._special_closure(q) == ref_special_closure(q), q
+        for q in (p, reverse_sbm(p)):
+            assert closure_sbms(q) == ref_special_closure(q), q
             srow, drow = q.row(q.s), q.row(q.d)
             if any(srow) and any(drow) and drow != srow:
-                counts["exit_switch" if sbm._switches(q) else "exit"] += 1
+                counts["exit_switch" if ref_switches(q) else "exit"] += 1
             counts["s_zero"] += not any(srow)
             counts["d_zero"] += not any(drow)
             counts["d_copy"] += drow == srow
+    assert all(counts.values()), counts
+
+
+def _shared_views(code):
+    """The views `_glued` reads: a classical code's shared reduction with the
+    kink as d, and with each chord it keeps as d and the kink left out."""
+    shared = sbm._plain_reduction(build_sbm(K.singular_kink(code)))
+    return [sbm._whole(shared)] + [(shared, g, [i for i in shared.unmarked() if i != g])
+                                   for g in shared.unmarked()]
+
+
+def _primitive_views(count, seed):
+    """Primitive views of seeded strings of 0-12 chords, and of ZERO_S, each
+    also as the same view of the reversed rows: the `_shared_views` of a
+    classical code, or the whole primitive of a flat string with a preferred
+    chord and maybe another singular one."""
+    rng = random.Random(seed)
+    views = _shared_views(K.parse(ZERO_S))
+    for t in range(count):
+        n = rng.randrange(0, 13)
+        if t % 2:
+            code = with_preferred(random_flat_code(max(n, 1), rng), rng)
+            views.append(sbm._whole(reduce_to_primitive(build_sbm(code))))
+        else:
+            views += _shared_views(random_classical_code(n, rng))
+    for base, d, unmarked in views:
+        yield base, d, unmarked
+        yield reverse_sbm(base), d, unmarked
+
+
+def test_closure_views_are_their_built_sbms():
+    # each closure member is a view of an SBM already built; built, it is the
+    # walked closure's member, and its form, and the form of the same view of
+    # the reversed rows, are the canonical forms of the built SBM and of its
+    # built reversal. Glue views leave out the kink, whose column is zero, or
+    # a copy of column s in the reversed rows
+    counts = dict.fromkeys(("lemma", "s_zero", "d_zero", "d_copy", "glue", "glue_ext"), 0)
+    for view in _primitive_views(120, 251):
+        p = view_sbm(view)
+        closure = sbm._special_closure(view)
+        assert [(view_sbm(x), via) for x, via in closure] == ref_special_closure(p), p
+        cache = {}
+        for x, _ in closure:
+            built = view_sbm(x)
+            base, d, unmarked = x
+            assert sbm._form(sbm._rows(cache, base.matrix), d, unmarked) == canonical_form(built)
+            assert sbm._form(sbm._rows(cache, base.matrix, True), d, unmarked) \
+                == canonical_form(reverse_sbm(built)), built
+        srow, drow = p.row(p.s), p.row(p.d)
+        lemma = any(srow) and any(drow) and drow != srow
+        counts["lemma"] += lemma
+        counts["s_zero"] += not any(srow)
+        counts["d_zero"] += not any(drow)
+        counts["d_copy"] += drow == srow
+        counts["glue"] += p.size < view[0].size
+        counts["glue_ext"] += p.size < view[0].size and not lemma
     assert all(counts.values()), counts
 
 
@@ -554,8 +625,8 @@ def test_primitive_has_at_most_one_switch():
     # the closure lemma's first two steps: at most one element is complementary
     # to d, and one exists only if row d is neither zero nor a copy of row s
     for p in _seeded_primitives(200, 229):
-        for q in (p, sbm._reverse(p)):
-            comp = sbm._switches(q)
+        for q in (p, reverse_sbm(p)):
+            comp = sbm._switches(q.matrix, q.d, q.unmarked())
             assert len(comp) <= 1, q
             if comp:
                 assert any(q.row(q.d)) and q.row(q.d) != q.row(q.s), q
@@ -627,23 +698,6 @@ def _ref_classify(m):
     return out
 
 
-def _ref_complementary_to_d(m):
-    return [g for g in m.unmarked()
-            if tuple(a + b for a, b in zip(m.row(g), m.row(m.d))) == m.row(m.s)]
-
-
-def _ref_drop(m, dead):
-    keep = [i for i in range(m.size) if i not in dead]
-    return SBM(tuple(m.elements[i] for i in keep),
-               tuple(tuple(m.matrix[i][j] for j in keep) for i in keep))
-
-
-def _ref_remark(m, g):
-    order = [m.s] + [i for i in range(1, m.size - 1) if i != g] + [m.d, g]
-    return SBM(tuple(m.elements[i] for i in order),
-               tuple(tuple(m.matrix[i][j] for j in order) for i in order))
-
-
 def _ref_fresh_label(taken):
     k = 0
     while f"g{k}" in taken:
@@ -689,9 +743,9 @@ def _ref_apply_ext(m, move):
         if label not in m.elements:
             raise NotApplicableError(f"no element {label!r}")
         g = m.elements.index(label)
-        if g in (m.s, m.d) or g not in _ref_complementary_to_d(m):
+        if g in (m.s, m.d) or g not in ref_switches(m):
             raise NotApplicableError(f"element {label!r} is not complementary to d")
-        return _ref_remark(m, g)
+        return ref_remark(m, g)
     raise NotApplicableError(f"unknown move {kind!r}")
 
 
@@ -710,31 +764,18 @@ def _ref_apply_ext_inverse(m, move):
         raise NotApplicableError(f"({labels[0]!r}, {labels[1]!r}) is not a complementary pair")
     if kind not in ("M1", "M2", "M3"):
         raise NotApplicableError(f"unknown move {kind!r}")
-    return _ref_drop(m, {m.elements.index(label) for label in labels})
-
-
-def _ref_markings(m):
-    seen = {m.matrix: m}
-    frontier = [m]
-    while frontier:
-        cur = frontier.pop()
-        for g in _ref_complementary_to_d(cur):
-            nxt = _ref_remark(cur, g)
-            if nxt.matrix not in seen:
-                seen[nxt.matrix] = nxt
-                frontier.append(nxt)
-    return list(seen.values())
+    return ref_drop(m, {m.elements.index(label) for label in labels})
 
 
 def _ref_reductions(v):
     cls = _ref_classify(v)
-    return ([_ref_drop(v, {v.elements.index(lab)}) for lab in cls["annihilating"] + cls["core"]]
-            + [_ref_drop(v, {v.elements.index(a), v.elements.index(b)})
+    return ([ref_drop(v, {v.elements.index(lab)}) for lab in cls["annihilating"] + cls["core"]]
+            + [ref_drop(v, {v.elements.index(a), v.elements.index(b)})
                for a, b in cls["complementary_pairs"]])
 
 
 def _ref_is_primitive(m):
-    return not any(_ref_reductions(v) for v in _ref_markings(m))
+    return not any(_ref_reductions(v) for v in ref_markings(m))
 
 
 def _ref_reduce_to_primitive(m):
@@ -743,7 +784,7 @@ def _ref_reduce_to_primitive(m):
     while queue:
         queue.sort(key=lambda x: (x.size, x.matrix, x.elements))
         cur = queue.pop(0)
-        nxt = [x for v in _ref_markings(cur) for x in _ref_reductions(v)]
+        nxt = [x for v in ref_markings(cur) for x in _ref_reductions(v)]
         if not nxt:
             return cur
         for x in nxt:
@@ -756,13 +797,13 @@ def _ref_reduce_to_primitive(m):
 def _ref_homologous(m1, m2):
     p1, p2 = _ref_reduce_to_primitive(m1), _ref_reduce_to_primitive(m2)
     closure = {canonical_form(p1): "identity"}
-    for g in _ref_complementary_to_d(p1):
-        closure.setdefault(canonical_form(_ref_remark(p1, g)), f"N({p1.elements[g]})")
+    for g in ref_switches(p1):
+        closure.setdefault(canonical_form(ref_remark(p1, g)), f"N({p1.elements[g]})")
     for ext, cls, name in (("M2", "annihilating", "M2;N;M1_inverse"),
                            ("M1", "core", "M1;N;M2_inverse")):
-        for v in _ref_markings(_ref_apply_ext(p1, (ext,))):
+        for v in ref_markings(_ref_apply_ext(p1, (ext,))):
             for lab in _ref_classify(v)[cls]:
-                closure.setdefault(canonical_form(_ref_drop(v, {v.elements.index(lab)})), name)
+                closure.setdefault(canonical_form(ref_drop(v, {v.elements.index(lab)})), name)
     via = closure.get(canonical_form(p2))
     if via is None:
         return False, "none"

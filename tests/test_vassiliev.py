@@ -13,8 +13,9 @@ from knotoids.moves import apply_move, enumerate_moves
 from knotoids.vassiliev import (FormalSum, fingerprint, random_classical_code, random_flat_code,
                                 random_singular_code, random_two_component_flat)
 
-from conftest import (FLAT3, HEX1, HEX2, QUAD3, QUAD4, SING1, SING1_MINUS,
-                      SING1_PLUS, VK4, glue_codes, ref_glued, ref_special_closure, with_preferred)
+from conftest import (FLAT3, HEX1, HEX2, QUAD3, QUAD4, SING1, SING1_MINUS, SING1_PLUS, VK4,
+                      ZERO_S, glue_codes, ref_glued, ref_special_closure, reverse_sbm, view_sbm,
+                      with_preferred)
 
 
 def test_formal_sum_arithmetic(flat3):
@@ -220,6 +221,20 @@ def test_derivative_refuses_too_many_singular_chords():
                 K.derivative(handle, code)
 
 
+def test_g_refuses_past_the_payload_budget(monkeypatch):
+    # the bound (n + 1)(n + 2)^2 on the payload admits 254 crossings, and a
+    # refusal comes before any based matrix is built
+    bound = [(n + 1) * (n + 2) ** 2 for n in (254, 255)]
+    assert bound[0] <= V._PAYLOAD_BUDGET < bound[1]
+    built = []
+    monkeypatch.setattr(sbm.SBM, "__post_init__", built.append)
+    for n in (255, 500):
+        code = random_classical_code(n, random.Random(n))
+        with pytest.raises(SizeLimitError, match=f"G on {n} crossings may hold"):
+            K.invariant_G(code)
+    assert built == []
+
+
 def test_second_derivatives_vanish():
     rng = random.Random(149)
     for _ in range(30):
@@ -266,27 +281,27 @@ def test_singular_fingerprint_of_both_orientations_at_size():
 def _ref_closure_payload(prim):
     """The singular fingerprint of a primitive as first written: the least
     canonical form over the walked closure and the reversal of each member."""
-    return b"S:" + min(min(sbm.canonical_form(x), sbm.canonical_form(sbm._reverse(x)))
+    return b"S:" + min(min(sbm.canonical_form(x), sbm.canonical_form(reverse_sbm(x)))
                        for x, _ in ref_special_closure(prim))
 
 
 def _fingerprint_primitives(count, seed):
-    """Primitives of seeded strings of 0-16 chords, each with its kind: the
-    kink term and every glue of a classical code that the shared reduction
-    keeps (as `_glued` reads them), or a flat string with a preferred chord
-    and maybe another singular one."""
+    """Primitive views of seeded strings of 0-16 chords, each with its kind:
+    the kink term and every glue of a classical code that the shared
+    reduction keeps (as `_glued` reads them), or a flat string with a
+    preferred chord and maybe another singular one."""
     rng = random.Random(seed)
     for t in range(count):
         n = rng.randrange(0, 17)
         if t % 3:
             kinked = sbm.build_sbm(K.singular_kink(random_classical_code(n, rng)))
             shared = sbm._plain_reduction(kinked)
-            yield "kink", shared
+            yield "kink", sbm._whole(shared)
             for g in shared.unmarked():
-                yield "glue", sbm._take(shared, [*range(g), *range(g + 1, shared.d), g])
+                yield "glue", (shared, g, [i for i in shared.unmarked() if i != g])
         else:
             code = with_preferred(random_flat_code(max(n, 1), rng), rng)
-            yield "flat", sbm.reduce_to_primitive(sbm.build_sbm(code))
+            yield "flat", sbm._whole(sbm.reduce_to_primitive(sbm.build_sbm(code)))
 
 
 def test_pruned_fingerprint_is_the_full_min():
@@ -296,8 +311,9 @@ def test_pruned_fingerprint_is_the_full_min():
                             "glue_tie"), 0)
     prims = list(_fingerprint_primitives(90, 241))
     assert len(prims) >= 300, len(prims)
-    for kind, p in prims:
-        assert V._singular_fingerprint(p).payload == _ref_closure_payload(p), p
+    for kind, view in prims:
+        p = view_sbm(view)
+        assert V._singular_fingerprint(view, {}).payload == _ref_closure_payload(p), p
         counts[kind] += 1
         srow, drow = p.row(p.s), p.row(p.d)
         # the closure walks an extension
@@ -305,8 +321,8 @@ def test_pruned_fingerprint_is_the_full_min():
         counts["d_zero"] += not any(drow)
         counts["d_copy"] += drow == srow
         # each member's key, then its reversal's
-        keys = [sbm._leading_key(row) for x, _ in sbm._special_closure(p)
-                for row in (x.row(x.s), [-v for v in x.row(x.s)])]
+        keys = [sbm._leading_key(x, flip)
+                for x, _ in sbm._special_closure(view) for flip in (False, True)]
         least = min(keys)
         counts["pruned"] += keys.count(least) < len(keys)
         counts["glue_tie"] += kind == "glue" and any(
@@ -385,11 +401,29 @@ def test_glues_match_the_per_glue_reduction():
     # whose chord the shared reduction keeps and those whose chord it deletes
     # are met
     left = 0
-    for code in glue_codes():
+    for code in [*glue_codes(), K.parse(ZERO_S)]:
         assert list(V._glued(code)) == ref_glued(code), K.serialize(code)
         kinked = sbm.build_sbm(K.singular_kink(code))
         left += kinked.size - sbm._plain_reduction(kinked).size
     assert left > 0
+
+
+def test_g_builds_few_based_matrices(monkeypatch):
+    # every glue, closure member and reversal is a view of a matrix already
+    # built. On this 30-crossing code G builds 12 (86 when each was built):
+    # the kinked matrix, its plain reduction, the kink term's two extensions,
+    # and for each of the three glues whose chord the reduction deleted, its
+    # own matrix and reduction (and, for one, its closure's two extensions)
+    built = []
+    post_init = sbm.SBM.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(sbm.SBM, "__post_init__", counting)
+    K.invariant_G(random_classical_code(30, random.Random(0)))
+    assert len(built) <= 12
 
 
 @pytest.mark.parametrize("text, left", [("E", 0), ("O1+ U1+", 1), ("U1- O1-", 1)])
