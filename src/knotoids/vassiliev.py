@@ -22,10 +22,14 @@ The invariants sum fingerprints of surgered diagrams with crossing signs:
     L(D) = sum_c sgn(c) [1-smoothing at c]  - w(D) [flattening + unknot]
     G(D) = sum_c sgn(c) [gluing at c]       - w(D) [singular kink]
 
-and the derivative of an invariant resolves singular crossings into the
-alternating sum over all +/- choices. Every glue's based matrix is the singular
-kink's with the glued chord as d and the kink left out (the gluing lemma in
-CONVENTIONS.md), so G builds one based matrix per diagram and no glued code.
+The derivative over k singular chords, the alternating sum over all 2^k
+resolutions, is read in closed form (the resolution lemma in CONVENTIONS.md):
+every surgery is the same code under all resolutions, so it is 2 [surgery at
+s] - 2 [correction] at k = 1 and zero past it.
+
+Every glue's based matrix is the singular kink's with the glued chord as d
+and the kink left out (the gluing lemma in CONVENTIONS.md), so G builds one
+based matrix per diagram and no glued code.
 One reduction of it serves the kink term and every glue whose chord it keeps
 (the shared reduction lemma): each glue is a view of it, and one reversal of
 it serves every term. G refuses, before building any matrix, a code whose
@@ -33,6 +37,7 @@ payload bound passes `_PAYLOAD_BUDGET` matrix entries.
 """
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -45,7 +50,7 @@ from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_mov
                     _slid)
 from .sbm import (_form, _leading_key, _plain_reduction, _rows, _special_closure, _take, _whole,
                   build_sbm, reduce_to_primitive)
-from .surgery import _zero_smoothed, one_smooth, resolve, singular_kink
+from .surgery import _zero_smoothed, glue, one_smooth, resolve, singular_kink, zero_smooth
 
 __all__ = [
     "Fingerprint",
@@ -191,15 +196,20 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
     return Fingerprint(2, b"M:" + repr((idx, prof)).encode())
 
 
+def _check_classical(code: KnotoidCode) -> None:
+    """The checks of `F`, `L` and `G`: one open component, every chord classical."""
+    if len(code.components) != 1:
+        raise ValidityError("invariants expect a single open component")
+    if code.flat_chords() or code.singular_chords():
+        raise ValidityError("invariants expect a purely classical code")
+
+
 def _signed_sum(code: KnotoidCode, terms) -> FormalSum:
     """sum_c sgn(c) [surgery at c] - w(code) [correction] over the crossings of
     a purely classical code with a single open component. `terms` yields the
     fingerprints of the surgeries, in chord order, then of the correction; it
     is read only once the code has passed the checks."""
-    if len(code.components) != 1:
-        raise ValidityError("invariants expect a single open component")
-    if code.flat_chords() or code.singular_chords():
-        raise ValidityError("invariants expect a purely classical code")
+    _check_classical(code)
     acc = FormalSum.zero()
     coefs = [code.sign_of(c) for c in code.classical_chords()] + [-writhe(code)]
     for coef, fp in zip(coefs, terms, strict=True):
@@ -265,47 +275,77 @@ def invariant_G(code: KnotoidCode) -> FormalSum:
     return _signed_sum(code, _glued(code))
 
 
-# the invariant handles of the CLI and the fixture corpus; a derivative may
-# also take "p", the affine index polynomial
-INVARIANTS = {"f": invariant_F, "l": invariant_L, "g": invariant_G}
-_HANDLES = {**INVARIANTS, "p": affine_index_polynomial}
+# every invariant handle: the invariant, then the surgery and the correction
+# of its signed sum. "p", the affine index polynomial, has neither; the CLI
+# and the fixture corpus name the other three (`INVARIANTS`), and a derivative
+# takes all four
+_HANDLES = {
+    "f": (invariant_F, zero_smooth, flatten),
+    "l": (invariant_L, lambda code, c: one_smooth(code, c)[0],
+          lambda code: add_unknot(flatten(code))),
+    "g": (invariant_G, glue, singular_kink),
+    "p": (affine_index_polynomial, None, None),
+}
+INVARIANTS = {handle: fn for handle, (fn, surgery, _) in _HANDLES.items() if surgery}
 
 # most matrix entries in the bound (n + 1)(n + 2)^2 on `G`'s payload at n
 # crossings (n + 1 terms, each a canonical matrix of at most n + 2 elements).
 # 2^24 admits 254 crossings; the payload, and G's memory, grow as n^3
 _PAYLOAD_BUDGET = 1 << 24
 
-# most singular chords `derivative` resolves: 2^24 evaluations of the invariant
+# most singular chords `derivative` accepts; the limit and its message are
+# those of the evaluation over all 2^k resolutions it replaced
 _MAX_SINGULAR = 24
 
 
 def derivative(inv, code: KnotoidCode):
-    """Alternating sum of `inv` over all resolutions of the singular crossings.
+    """Alternating sum of the invariant `inv` over all 2^k resolutions of the k
+    singular crossings, read in closed form (the resolution lemma in
+    CONVENTIONS.md).
 
-    `inv` is a callable on classical codes or a handle of `_HANDLES` ("f",
-    "l", "g", or "p" for the affine index polynomial); an unknown handle raises
-    ValidityError. The sum recurses on the last singular chord s,
-    d(code) = d(code with s at +) - d(code with s at -), so the first chord
-    varies fastest among the evaluated resolutions; the result does not depend
-    on that order. More than `_MAX_SINGULAR` singular chords raise
-    SizeLimitError."""
-    fn = _HANDLES.get(inv) if isinstance(inv, str) else inv
-    if fn is None:
+    `inv` is a handle of `_HANDLES` ("f", "l", "g", or "p" for the affine
+    index polynomial); anything else raises ValidityError. More than
+    `_MAX_SINGULAR` singular chords raise SizeLimitError. With D+ the code with
+    every singular chord resolved +, the invariant's checks run on D+, and:
+
+    * k = 0: the invariant's value;
+    * k = 1, `F`, `L`, `G`: 2 [surgery of D+ at s] - 2 [correction of D+], two
+      fingerprints (`G`'s payload budget bounds its n + 1 terms, not these);
+    * k = 1, `P`: P(D+) - P(D-), since P's term at s depends on its sign;
+    * k >= 2: zero, with no surgery made."""
+    entry = _HANDLES.get(inv) if isinstance(inv, str) else None
+    if entry is None:
         raise ValidityError(f"unknown invariant handle {inv!r}")
+    fn, surgery, correction = entry
     sing = code.singular_chords()
     if len(sing) > _MAX_SINGULAR:
         raise SizeLimitError(f"a derivative over {len(sing)} singular chords exceeds the "
                              f"limit of {_MAX_SINGULAR} (2^{_MAX_SINGULAR} evaluations)")
     if not sing:
         return fn(code)
-    return derivative(fn, resolve(code, sing[-1], 1)) - derivative(fn, resolve(code, sing[-1], -1))
+    plus = functools.reduce(lambda c, s: resolve(c, s, 1), sing, code)
+    if surgery is None:  # P is cheap, so its checks are P itself
+        value = fn(plus)
+        return value - fn(resolve(code, sing[0], -1)) if len(sing) == 1 else LaurentPoly.zero()
+    _check_classical(plus)
+    if len(sing) > 1:
+        return FormalSum.zero()
+    return (FormalSum.term(fingerprint(surgery(plus, sing[0])), 2)
+            - FormalSum.term(fingerprint(correction(plus)), 2))
 
 
 def order_check(inv, n: int, samples: int, seed: int) -> dict:
     """Evaluate the derivative on random codes with n+1 singular crossings.
 
     Reports whether every sampled derivative vanished; for an invariant of
-    order n they all must. Raises ValidityError unless samples >= 1 and n >= 0."""
+    order n they all must. On a handle at n >= 1 they do by the resolution
+    lemma, whatever the invariant, so the order-one tests check `F`, `L` and
+    `G` against a derivative evaluated on every resolution instead. `n`,
+    `samples` and `seed` must be ints (not bools), samples >= 1 and n >= 0,
+    or it is a ValidityError."""
+    for name, value in (("n", n), ("samples", samples), ("seed", seed)):
+        if type(value) is not int:
+            raise ValidityError(f"{name} must be an int, got {value!r}")
     if samples < 1 or n < 0:
         raise ValidityError(f"an order check needs samples >= 1 and n >= 0, got {samples}, {n}")
     rng = random.Random(seed)

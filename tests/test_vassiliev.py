@@ -1,11 +1,12 @@
 """Fingerprints, formal sums, the three invariants, derivatives."""
 import functools
+import json
 import random
 
 import pytest
 
 import knotoids as K
-from knotoids import moves, sbm
+from knotoids import corpus, moves, sbm
 from knotoids import vassiliev as V
 from knotoids.codes import Passage, Role
 from knotoids.errors import KnotoidError, SizeLimitError, UnsupportedError, ValidityError
@@ -14,8 +15,8 @@ from knotoids.vassiliev import (FormalSum, fingerprint, random_classical_code, r
                                 random_singular_code, random_two_component_flat)
 
 from conftest import (FLAT3, HEX1, HEX2, QUAD3, QUAD4, SING1, SING1_MINUS, SING1_PLUS, VK4,
-                      ZERO_S, glue_codes, ref_glued, ref_special_closure, reverse_sbm, view_sbm,
-                      with_preferred)
+                      ZERO_S, _ref_derivative, glue_codes, ref_glued, ref_special_closure,
+                      reverse_sbm, view_sbm, with_preferred)
 
 
 def test_formal_sum_arithmetic(flat3):
@@ -180,9 +181,9 @@ def test_derivative_on_classical_is_value(vk4):
 def test_derivative_equal_resolutions_cancel():
     # a singular kink's two resolutions are move-equivalent, so F' vanishes
     code = K.parse("SA1 SB1")
-    assert K.derivative("f", code).is_zero()
-    assert K.derivative("l", code).is_zero()
-    assert K.derivative("g", code).is_zero()
+    for handle in ("f", "l", "g"):
+        assert K.derivative(handle, code).is_zero()
+        assert _ref_derivative(handle, code).is_zero()
 
 
 def test_derivative_reference(sing1):
@@ -236,14 +237,18 @@ def test_g_refuses_past_the_payload_budget(monkeypatch):
 
 
 def test_second_derivatives_vanish():
+    # `derivative` vanishes here by the resolution lemma alone; the reference
+    # sums the four resolutions, so it checks that F, L and G have order one
     rng = random.Random(149)
     for _ in range(30):
         code = random_singular_code(rng.randrange(0, 3), 2, rng)
-        assert K.derivative("f", code).is_zero(), K.serialize(code)
-        assert K.derivative("l", code).is_zero(), K.serialize(code)
+        for handle in ("f", "l"):
+            assert K.derivative(handle, code).is_zero(), K.serialize(code)
+            assert _ref_derivative(handle, code).is_zero(), K.serialize(code)
     for _ in range(10):
         code = random_singular_code(rng.randrange(0, 3), 2, rng)
         assert K.derivative("g", code).is_zero(), K.serialize(code)
+        assert _ref_derivative("g", code).is_zero(), K.serialize(code)
 
 
 @pytest.mark.parametrize("handle", ["f", "l", "g"])
@@ -252,6 +257,7 @@ def test_second_derivatives_vanish_at_size(handle):
     for _ in range(24):
         code = random_singular_code(rng.randrange(8, 17), 2, rng)
         assert K.derivative(handle, code).is_zero(), K.serialize(code)
+        assert _ref_derivative(handle, code).is_zero(), K.serialize(code)
 
 
 def test_g_is_reversal_invariant():
@@ -557,28 +563,6 @@ def _ref_minimized(code, orbit_cap=400, log=None):
         code = greedy(jumped)
 
 
-def _ref_derivative(inv, code):
-    """Bit loop over resolutions tracking the product of the chosen signs."""
-    fn = K.affine_index_polynomial if inv == "p" else V.INVARIANTS.get(inv, inv)
-    sing = code.singular_chords()
-    if not sing:
-        return fn(code)
-    acc = None
-    for bits in range(1 << len(sing)):
-        resolved = code
-        prod = 1
-        for i, cid in enumerate(sing):
-            sgn = 1 if (bits >> i) & 1 == 0 else -1
-            prod *= sgn
-            resolved = K.resolve(resolved, cid, sgn)
-        val = fn(resolved)
-        if acc is None:
-            acc = val if prod > 0 else -val
-        else:
-            acc = acc + val if prod > 0 else acc - val
-    return acc
-
-
 def _ref_insert_pair(seq, first, second, rng):
     i = rng.randrange(len(seq) + 1)
     j = rng.randrange(len(seq) + 2)
@@ -709,31 +693,74 @@ def _outcome(fn, *args):
 
 
 def test_derivative_matches_reference():
-    def logged(log):
-        # records the resolution order and fails on some resolutions, so the
-        # first failing resolution decides the error
-        def fn(code):
-            log.append(K.serialize(code))
-            if K.writhe(code) < -1:
-                raise ValidityError(f"writhe below -1 at {K.serialize(code)}")
-            return K.affine_index_polynomial(code)
-        return fn
-
+    # 200 seeded codes of 0-5 classical and 1-4 singular chords; every fourth
+    # is flattened (it resolves to a flat code) or given a closed component,
+    # and both fail the checks. G runs on at most 4 chords
     rng = random.Random(167)
     errors = 0
-    for t in range(100):
-        code = random_singular_code(rng.randrange(0, 4), rng.randrange(0, 4), rng)
+    for t in range(200):
+        code = random_singular_code(rng.randrange(0, 6), rng.randrange(1, 5), rng)
         if t % 4 == 3:
-            # flat singular codes resolve to flat ones; two components fail too
             code = K.flatten(code) if code.classical_chords() else K.add_unknot(code)
-        handles = ("f", "l", "p") if code.chord_count() <= 3 else ("p",)
-        for inv in handles + (("g",) if code.chord_count() <= 2 else ()):
+        handles = ("f", "l", "p") + (("g",) if code.chord_count() <= 4 else ())
+        for inv in handles:
             got = _outcome(K.derivative, inv, code)
             assert got == _outcome(_ref_derivative, inv, code), (inv, K.serialize(code))
             errors += isinstance(got, tuple)
-        got_log, ref_log = [], []
-        got = _outcome(K.derivative, logged(got_log), code)
-        assert got == _outcome(_ref_derivative, logged(ref_log), code), K.serialize(code)
-        assert got_log == ref_log
-        errors += isinstance(got, tuple)
-    assert errors >= 40, errors
+    assert errors >= 120, errors
+
+
+def test_derivative_takes_only_handles(sing1):
+    for inv in (5, lambda code: K.affine_index_polynomial(code), None, K.invariant_F):
+        with pytest.raises(ValidityError, match="unknown invariant handle"):
+            K.derivative(inv, sing1)
+
+
+def test_derivative_work(monkeypatch):
+    # past order one no surgery is made: no fingerprint, no based matrix
+    def refuse(*args):
+        raise AssertionError("a derivative past order one did surgery")
+
+    big = random_singular_code(4, 20, random.Random(20))
+    rng = random.Random(181)
+    codes = [random_singular_code(rng.randrange(0, 6), rng.randrange(2, 5), rng)
+             for _ in range(20)]
+    with monkeypatch.context() as patched:
+        patched.setattr(V, "fingerprint", refuse)
+        patched.setattr(sbm.SBM, "__post_init__", refuse)
+        for handle in ("f", "l", "g", "p"):
+            assert K.derivative(handle, big).is_zero()
+            for code in codes:
+                assert K.derivative(handle, code).is_zero(), (handle, K.serialize(code))
+    # at order one, exactly two fingerprints: the surgery at s and the correction
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return fingerprint(code)
+
+    monkeypatch.setattr(V, "fingerprint", counted)
+    for _ in range(5):
+        one = random_singular_code(rng.randrange(0, 7), 1, rng)
+        for handle in ("f", "l", "g"):
+            calls.clear()
+            K.derivative(handle, one)
+            assert len(calls) == 2, (handle, K.serialize(one))
+
+
+def test_order_check_refuses_arguments_that_are_not_ints(tmp_path):
+    for n, samples, seed in ((True, 3, 1), ("1", 3, 1), (1.0, 3, 1), (1, 3.0, 1),
+                             (1, "3", 1), (1, False, 1), (1, 3, "1"), (1, 3, 1.5), (1, 3, None)):
+        with pytest.raises(ValidityError, match="must be an int"):
+            K.order_check("f", n, samples, seed)
+    cases = [{"name": f"bad-{field}", "check": "order_check", "invariant": "f",
+              **{"order": 1, "samples": 2, "seed": 1, field: value}}
+             for field, value in (("order", True), ("order", "1"), ("samples", 2.0),
+                                  ("seed", "x"))]
+    (tmp_path / "order.json").write_text(json.dumps(cases))
+    results = corpus.run_directory(tmp_path)
+    assert [r["ok"] for r in results] == [False] * 4
+    assert [r["detail"]["error"] for r in results] == ["ValidityError"] * 4
+    assert [r["detail"]["message"] for r in results] == [
+        "n must be an int, got True", "n must be an int, got '1'",
+        "samples must be an int, got 2.0", "seed must be an int, got 'x'"]
