@@ -59,8 +59,8 @@ class NotApplicableError(KnotoidError):
 
 class SizeLimitError(KnotoidError):
     """Input refused by size: a canonical-form search that would visit more
-    than the search-node budget (`sbm._NODE_BUDGET`), or a derivative over
-    more singular chords than `vassiliev._MAX_SINGULAR`."""
+    than the search-node budget (`sbm._NODE_BUDGET`), or `G` past its payload
+    budget (`vassiliev._PAYLOAD_BUDGET`)."""
 
     kind = "SizeLimit"
 

@@ -35,14 +35,14 @@ The canonical form, the lex-smallest flattened matrix over orders of the
 unmarked elements, is found by ordered partition refinement under a search-node
 budget, not by trying every order, and stops once one prefix survives with a
 discrete partition, which forces the rest (CONVENTIONS.md gives the argument).
-`_form` runs it on a view, from a base's `_Rows`: each row's twin class and
-each entry's text, made once per base, so the result's bytes are joined once
-from the winning order.
+`_form` runs it on a view, from the `_Rows` its base holds: each row's twin
+class and each entry's text, made once per SBM, so the result's bytes are
+joined once from the winning order.
 Its first row is row s with the unmarked entries sorted, then b(s, d), so
 `_leading_key` reads that row's bytes, a prefix of the canonical form, with
 no search; of SBMs of one size, only those with the least key can have the
 least form (the leading-row lemma in CONVENTIONS.md). `isomorphic`,
-`homologous` and the singular fingerprint search only where the keys allow.
+`homologous` and `_class_form` search only where the keys allow.
 
 Homology is generated by the elementary extensions (adding an all-zero row, a
 copy of row s, or a complementary pair of rows) and the singularity switch N
@@ -51,26 +51,29 @@ homologous exactly when one is the other's image under an isomorphism,
 optionally composed with a single N, delete-zero-row . N . add-s-copy, or
 delete-s-copy . N . add-zero-row move; `homologous` decides that directly.
 `_special_closure` lists a primitive with those single-move relatives, and
-both `homologous` and the singular fingerprint read that one walk, as views.
+both `homologous` and `_class_form`, the singular fingerprint's class form,
+read that one walk, as views.
 When rows s and d are nonzero and differ, the relatives are the switches
 alone and no extension is built (the closure lemma in CONVENTIONS.md);
 otherwise M2(p) and M1(p) are built once each, and their markings and drops
 are views of them. Any primitive of a
-class has the same closure forms, so `G` reduces its kinked matrix once, by
-inverse extensions alone (`_plain_reduction`); the result, with the kink or
-any chord it keeps as d, is already a primitive (the shared reduction lemma
-in CONVENTIONS.md).
+class has the same closure forms (the shared reduction lemma in
+CONVENTIONS.md), so a class form takes plain inverse extensions
+(`_plain_reduction`) before `reduce_to_primitive` (`_string_form`), and
+`_kink_forms` reduces the kinked matrix of `G` once: the result, with the
+kink or any chord it keeps as d, is already a primitive.
 
 Reversing the string's orientation changes its SBM by a fixed transform of
 the rows, `_reversed`: b(x, s) negates and b(x, y) becomes b(x, y) - b(x, s)
 + b(y, s). It commutes with switches and drops and swaps zero rows with
 copies of row s, so it maps the closure of a primitive onto the closure of
 the reversed string's primitive (CONVENTIONS.md gives the proof), and the
-reversal of a view is the same view of the reversed rows, computed once per
-base (`_rows`).
+reversal of a view is the same view of the reversed rows, which each SBM
+holds once read, as it holds its own (`_Rows`).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -136,6 +139,17 @@ class SBM:
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.matrix[i]
+
+    # the `_Rows` that `_form` searches, of the matrix and of its reversal,
+    # each built on first read; they are not fields, so ==, hash and repr
+    # ignore them
+    @functools.cached_property
+    def _search_rows(self) -> _Rows:
+        return _Rows(self.matrix)
+
+    @functools.cached_property
+    def _reversed_rows(self) -> _Rows:
+        return _Rows(_reversed(self.matrix))
 
     def to_json(self) -> dict:
         return {
@@ -445,7 +459,7 @@ def canonical_form(m: SBM) -> bytes:
     one element per twin class from the first cell next, and refines the other
     cells by its row (see CONVENTIONS.md). Raises SizeLimitError past
     _NODE_BUDGET placements."""
-    return _form(_Rows(m.matrix), m.d, m.unmarked())
+    return _form(_whole(m))
 
 
 class _Rows:
@@ -463,22 +477,15 @@ class _Rows:
         self.twin = [first.setdefault(r, i) for i, r in enumerate(mat)]
 
 
-def _rows(cache: dict, mat, flip: bool = False) -> _Rows:
-    """`_Rows` of mat, or of its reversal if flip, made once per mat while cache
-    lives; the cache holds mat, so no other object takes its id."""
-    hit = cache.get((id(mat), flip))
-    if hit is None:
-        hit = cache[id(mat), flip] = (mat, _Rows(_reversed(mat) if flip else mat))
-    return hit[1]
-
-
-def _form(rows: _Rows, d: int, unmarked) -> bytes:
-    """`canonical_form` of the view (rows, d, unmarked): the SBM with row s
-    (index 0), d and the unmarked indices of rows. Every other row must have a
-    zero column or a copy of column s, so that two rows equal on the view are
-    equal in full (the view lemma in CONVENTIONS.md); the form does not depend
-    on the order of the unmarked indices. The bytes are joined once, from the
-    winning order."""
+def _form(view, flip: bool = False) -> bytes:
+    """`canonical_form` of the view (m, d, unmarked), or of its reversal if
+    flip: the SBM with row s (index 0), d and the unmarked indices of m, read
+    from the rows m holds. Every other row must have a zero column or a copy
+    of column s, so that two rows equal on the view are equal in full (the
+    view lemma in CONVENTIONS.md); the form does not depend on the order of
+    the unmarked indices. The bytes are joined once, from the winning order."""
+    m, d, unmarked = view
+    rows = m._reversed_rows if flip else m._search_rows
     mat, twin, k = rows.mat, rows.twin, len(unmarked)
     states = [([], _split([list(unmarked)], mat[0]))]  # (prefix, ordered cells)
     nodes = 0
@@ -594,8 +601,45 @@ def homologous(m1: SBM, m2: SBM) -> tuple[bool, str]:
     row is that primitive's are searched (the leading-row lemma)."""
     p2 = reduce_to_primitive(m2)
     key, form = _leading_key(_whole(p2)), canonical_form(p2)
-    cache: dict = {}
     for x, via in _special_closure(_whole(reduce_to_primitive(m1))):
-        if _leading_key(x) == key and _form(_rows(cache, x[0].matrix), x[1], x[2]) == form:
+        if _leading_key(x) == key and _form(x) == form:
             return True, "isomorphism" if via == "identity" else via
     return False, "none"
+
+
+def _class_form(view) -> bytes:
+    """The least canonical form over the closure of the primitive view and the
+    reversal of each member: the class form of the singular fingerprint. It
+    does not depend on which primitive of the class (the shared reduction
+    lemma), and the reversed string's closure is the reversal of this one,
+    so one walk serves both orientations. Only the candidates with the least
+    leading-row key are searched (the leading-row lemma)."""
+    keyed = [(_leading_key(x, flip), x, flip)
+             for x, _ in _special_closure(view) for flip in (False, True)]
+    least = min(key for key, _, _ in keyed)
+    return min(_form(x, flip) for key, x, flip in keyed if key == least)
+
+
+def _string_form(m: SBM) -> bytes:
+    """The class form of a string with SBM m, from the primitive that plain
+    steps (`_plain_reduction`), then `reduce_to_primitive`, reach."""
+    return _class_form(_whole(reduce_to_primitive(_plain_reduction(m))))
+
+
+def _kink_forms(kinked: SBM):
+    """The class forms of every glue of a code, in chord order, then of its
+    singular kink, from the kink's SBM (s, the chords, the kink as d). A glue
+    is kinked with its chord as d and the kink left out (the gluing lemma in
+    CONVENTIONS.md). One plain reduction serves the kink and every glue whose
+    chord it keeps, each a view of it: the kink's column is zero, so the view
+    is sound. A glue whose chord it deleted is reduced on its own."""
+    shared = _plain_reduction(kinked)  # s, the chords kept, the kink
+    kept = shared.unmarked()
+    at = {label: g for g, label in enumerate(shared.elements)}
+    for k, label in enumerate(kinked.elements[1:-1], 1):
+        g = at.get(label)
+        if g is not None:
+            yield _class_form((shared, g, [i for i in kept if i != g]))
+        else:
+            yield _string_form(_take(kinked, [*range(k), *range(k + 1, kinked.d), k]))
+    yield _class_form((shared, shared.d, kept))

@@ -9,12 +9,9 @@ fingerprints certify inequivalence (the converse is not claimed).
 * two components, flat: the absolute intersection index plus the per-component
   chord profile of a move-minimized representative. `_minimized` finds it on
   component tuples, building no code, and both counts are read from them;
-* flat singular with one preferred chord: the least canonical form over the
-  single-move homology closure of the reduced based matrix, for both
-  orientations; the reversed string's closure is a fixed transform of this
-  one, so one based matrix and one closure walk serve both. The closure's
-  members and their reversals are views of matrices already built
-  (`sbm._special_closure`, the view lemma in CONVENTIONS.md).
+* flat singular with one preferred chord: the class form of its based matrix
+  (`sbm._string_form`), the least canonical form over the single-move
+  homology closure of a primitive, for both orientations.
 
 The invariants sum fingerprints of surgered diagrams with crossing signs:
 
@@ -27,17 +24,12 @@ resolutions, is read in closed form (the resolution lemma in CONVENTIONS.md):
 every surgery is the same code under all resolutions, so it is 2 [surgery at
 s] - 2 [correction] at k = 1 and zero past it.
 
-Every glue's based matrix is the singular kink's with the glued chord as d
-and the kink left out (the gluing lemma in CONVENTIONS.md), so G builds one
-based matrix per diagram and no glued code.
-One reduction of it serves the kink term and every glue whose chord it keeps
-(the shared reduction lemma): each glue is a view of it, and one reversal of
-it serves every term. G refuses, before building any matrix, a code whose
-payload bound passes `_PAYLOAD_BUDGET` matrix entries.
+G builds one based matrix per diagram, the singular kink's, and reads every
+glue from it (`sbm._kink_forms`). It refuses, before building any matrix, a
+code whose payload bound passes `_PAYLOAD_BUDGET` matrix entries.
 """
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -48,8 +40,7 @@ from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomia
                          flat_affine_polynomial, intersection_index, writhe)
 from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_moves, _simplified,
                     _slid)
-from .sbm import (_form, _leading_key, _plain_reduction, _rows, _special_closure, _take, _whole,
-                  build_sbm, reduce_to_primitive)
+from .sbm import _kink_forms, _string_form, build_sbm
 from .surgery import _zero_smoothed, glue, one_smooth, resolve, singular_kink, zero_smooth
 
 __all__ = [
@@ -149,28 +140,6 @@ def _profile(comps) -> tuple:
     return (len(on0 - on1), len(on1 - on0), len(on0 & on1))
 
 
-def _singular_fingerprint(view, cache: dict) -> Fingerprint:
-    """The fingerprint of a flat singular string whose based matrix reduces to
-    the primitive view (m, d, unmarked) (`sbm._special_closure`); it does not
-    depend on which primitive of the class. cache holds the `sbm._rows` of the
-    bases read so far, and may be shared by views of one base.
-
-    It is the least canonical form over the closure of the primitive and the
-    reversal of each member. The reversed string's closure is the reversal of
-    this one (the SBM reversal lemma in CONVENTIONS.md), so one walk serves
-    both orientations, and a reversed member is the same view of its base's
-    reversed rows, computed once per base. A canonical form starts with its
-    leading-row key, and the reversal's row s is the negated row s (the
-    leading-row lemma), so only the candidates with the least key are
-    searched."""
-    keyed = [(_leading_key(x, flip), x, flip)
-             for x, _ in _special_closure(view) for flip in (False, True)]
-    least = min(key for key, _, _ in keyed)
-    return Fingerprint(1, b"S:" + min(_form(_rows(cache, base.matrix, flip), d, unmarked)
-                                      for key, (base, d, unmarked), flip in keyed
-                                      if key == least))
-
-
 def fingerprint(code: KnotoidCode) -> Fingerprint:
     """Orientation-insensitive class fingerprint of a flat (multi-)knotoid or a
     flat singular knotoid with one preferred chord."""
@@ -182,7 +151,7 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
     if code.singular_chords():
         if ncomp != 1:
             raise UnsupportedError("singular fingerprints need a single open component")
-        return _singular_fingerprint(_whole(reduce_to_primitive(build_sbm(code))), {})
+        return Fingerprint(1, b"S:" + _string_form(build_sbm(code)))
     if ncomp == 1:
         # reversal keeps every arrow and negates every W+, so Q(reverse) = -Q
         q = flat_affine_polynomial(code)
@@ -196,11 +165,13 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
     return Fingerprint(2, b"M:" + repr((idx, prof)).encode())
 
 
-def _check_classical(code: KnotoidCode) -> None:
-    """The checks of `F`, `L` and `G`: one open component, every chord classical."""
+def _check_classical(code: KnotoidCode, resolving: bool = False) -> None:
+    """The checks of `F`, `L` and `G`: one open component, every chord
+    classical. If resolving, the checks of the code with its singular chords
+    resolved, which are classical unless the code has a flat chord."""
     if len(code.components) != 1:
         raise ValidityError("invariants expect a single open component")
-    if code.flat_chords() or code.singular_chords():
+    if code.flat_chords() or (code.singular_chords() and not resolving):
         raise ValidityError("invariants expect a purely classical code")
 
 
@@ -210,11 +181,11 @@ def _signed_sum(code: KnotoidCode, terms) -> FormalSum:
     fingerprints of the surgeries, in chord order, then of the correction; it
     is read only once the code has passed the checks."""
     _check_classical(code)
-    acc = FormalSum.zero()
+    acc: dict[Fingerprint, int] = {}
     coefs = [code.sign_of(c) for c in code.classical_chords()] + [-writhe(code)]
     for coef, fp in zip(coefs, terms, strict=True):
-        acc = acc + FormalSum.term(fp, coef)
-    return acc
+        acc[fp] = acc.get(fp, 0) + coef
+    return FormalSum(acc)
 
 
 def _smoothings(code: KnotoidCode, smooth, correction):
@@ -229,14 +200,7 @@ def _smoothings(code: KnotoidCode, smooth, correction):
 
 def _glued(code: KnotoidCode):
     """The fingerprints of every glue of code, in chord order, then of its
-    singular kink. Each glue's based matrix is the kink's with the glued chord
-    as d and the kink left out (the gluing lemma in CONVENTIONS.md), so one
-    matrix serves all. It is reduced once: the result is the kink term's
-    primitive and, viewed with a chord it keeps as d and the kink left out,
-    that glue's (the shared reduction lemma); the kink's column is zero, so
-    the view is sound (the view lemma). Its reversal is computed at most once,
-    and every glue's reversal is the same view of it. A glue whose chord the
-    reduction deleted is reduced on its own.
+    singular kink, all read from the kink's based matrix (`sbm._kink_forms`).
 
     More than `_PAYLOAD_BUDGET` matrix entries in the payload bound raise
     SizeLimitError before any matrix is built."""
@@ -244,19 +208,8 @@ def _glued(code: KnotoidCode):
     if (bound := (n + 1) * (n + 2) ** 2) > _PAYLOAD_BUDGET:
         raise SizeLimitError(f"G on {n} crossings may hold {bound} matrix entries, past "
                              f"the payload budget of {_PAYLOAD_BUDGET}")
-    kinked = build_sbm(singular_kink(code))  # s, the chords by id, the kink
-    shared = _plain_reduction(kinked)  # s, the chords kept, the kink
-    kept = shared.unmarked()
-    at = {label: g for g, label in enumerate(shared.elements)}
-    cache: dict = {}  # shared's rows and their reversal, read by every term
-    for k, label in enumerate(kinked.elements[1:-1], 1):
-        g = at.get(label)
-        if g is not None:
-            yield _singular_fingerprint((shared, g, [i for i in kept if i != g]), cache)
-        else:
-            glue = _take(kinked, [*range(k), *range(k + 1, kinked.d), k])
-            yield _singular_fingerprint(_whole(reduce_to_primitive(_plain_reduction(glue))), {})
-    yield _singular_fingerprint((shared, shared.d, kept), cache)
+    for form in _kink_forms(build_sbm(singular_kink(code))):
+        yield Fingerprint(1, b"S:" + form)
 
 
 def invariant_F(code: KnotoidCode) -> FormalSum:
@@ -293,10 +246,6 @@ INVARIANTS = {handle: fn for handle, (fn, surgery, _) in _HANDLES.items() if sur
 # 2^24 admits 254 crossings; the payload, and G's memory, grow as n^3
 _PAYLOAD_BUDGET = 1 << 24
 
-# most singular chords `derivative` accepts; the limit and its message are
-# those of the evaluation over all 2^k resolutions it replaced
-_MAX_SINGULAR = 24
-
 
 def derivative(inv, code: KnotoidCode):
     """Alternating sum of the invariant `inv` over all 2^k resolutions of the k
@@ -304,32 +253,33 @@ def derivative(inv, code: KnotoidCode):
     CONVENTIONS.md).
 
     `inv` is a handle of `_HANDLES` ("f", "l", "g", or "p" for the affine
-    index polynomial); anything else raises ValidityError. More than
-    `_MAX_SINGULAR` singular chords raise SizeLimitError. With D+ the code with
-    every singular chord resolved +, the invariant's checks run on D+, and:
+    index polynomial); anything else raises ValidityError. With D+ the code
+    with every singular chord resolved + (D- at k = 1 with s resolved -), the
+    invariant's checks run as on D+, and:
 
     * k = 0: the invariant's value;
     * k = 1, `F`, `L`, `G`: 2 [surgery of D+ at s] - 2 [correction of D+], two
       fingerprints (`G`'s payload budget bounds its n + 1 terms, not these);
     * k = 1, `P`: P(D+) - P(D-), since P's term at s depends on its sign;
-    * k >= 2: zero, with no surgery made."""
+    * k >= 2: zero, with no chord resolved and no surgery made. Resolving
+      moves no passage, so the checks read the code itself, and P of the
+      code serves as `P`'s."""
     entry = _HANDLES.get(inv) if isinstance(inv, str) else None
     if entry is None:
         raise ValidityError(f"unknown invariant handle {inv!r}")
     fn, surgery, correction = entry
     sing = code.singular_chords()
-    if len(sing) > _MAX_SINGULAR:
-        raise SizeLimitError(f"a derivative over {len(sing)} singular chords exceeds the "
-                             f"limit of {_MAX_SINGULAR} (2^{_MAX_SINGULAR} evaluations)")
     if not sing:
         return fn(code)
-    plus = functools.reduce(lambda c, s: resolve(c, s, 1), sing, code)
     if surgery is None:  # P is cheap, so its checks are P itself
-        value = fn(plus)
-        return value - fn(resolve(code, sing[0], -1)) if len(sing) == 1 else LaurentPoly.zero()
-    _check_classical(plus)
+        if len(sing) > 1:
+            fn(code)
+            return LaurentPoly.zero()
+        return fn(resolve(code, sing[0], 1)) - fn(resolve(code, sing[0], -1))
+    _check_classical(code, resolving=True)
     if len(sing) > 1:
         return FormalSum.zero()
+    plus = resolve(code, sing[0], 1)
     return (FormalSum.term(fingerprint(surgery(plus, sing[0])), 2)
             - FormalSum.term(fingerprint(correction(plus)), 2))
 

@@ -7,8 +7,8 @@ import pytest
 import knotoids as K
 from knotoids import sbm
 from knotoids.codes import Passage, Role
-from knotoids.vassiliev import (INVARIANTS, _singular_fingerprint, random_classical_code,
-                                random_flat_code, random_singular_code, random_two_component_flat)
+from knotoids.vassiliev import (INVARIANTS, Fingerprint, random_classical_code, random_flat_code,
+                                random_singular_code, random_two_component_flat)
 
 # four-crossing virtual knotoid with signs (-1,-1,-1,+1); its 0-smoothing at
 # crossing 1 is the labelled three-crossing flat knotoid FLAT3
@@ -164,9 +164,9 @@ def ref_glued(code):
     matrix reduced to a primitive on its own."""
     kinked = sbm.build_sbm(K.singular_kink(code))  # s, the chords by id, the kink
     d = kinked.d
-    out = [_singular_fingerprint(sbm._whole(sbm.reduce_to_primitive(
-        sbm._take(kinked, [0, *range(1, k), *range(k + 1, d), k]))), {}) for k in range(1, d)]
-    return out + [_singular_fingerprint(sbm._whole(sbm.reduce_to_primitive(kinked)), {})]
+    terms = [sbm._take(kinked, [0, *range(1, k), *range(k + 1, d), k]) for k in range(1, d)]
+    return [Fingerprint(1, b"S:" + sbm._class_form(sbm._whole(sbm.reduce_to_primitive(m))))
+            for m in [*terms, kinked]]
 
 
 def _ref_derivative(inv, code):

@@ -9,7 +9,6 @@ import pytest
 
 import knotoids as K
 from knotoids import sbm
-from knotoids import vassiliev as V
 from knotoids.codes import Passage
 from knotoids.errors import KnotoidError, NotApplicableError, SizeLimitError, ValidityError
 from knotoids.sbm import (SBM, apply_ext, apply_ext_inverse, build_sbm, canonical_form,
@@ -435,11 +434,11 @@ def test_corpus_g_and_fingerprints_match_brute_force(monkeypatch):
 
     got = values()
     # every form, of an SBM or of a view, is the brute-force one
-    def ref(rows, d, unmarked):
-        return _ref_form(rows.mat, d, unmarked)
+    def ref(view, flip=False):
+        base, d, unmarked = view
+        return _ref_form(sbm._reversed(base.matrix) if flip else base.matrix, d, unmarked)
 
     monkeypatch.setattr(sbm, "_form", ref)
-    monkeypatch.setattr(V, "_form", ref)
     assert len(codes) >= 20 and got == values()
 
 
@@ -603,13 +602,10 @@ def test_closure_views_are_their_built_sbms():
         p = view_sbm(view)
         closure = sbm._special_closure(view)
         assert [(view_sbm(x), via) for x, via in closure] == ref_special_closure(p), p
-        cache = {}
         for x, _ in closure:
             built = view_sbm(x)
-            base, d, unmarked = x
-            assert sbm._form(sbm._rows(cache, base.matrix), d, unmarked) == canonical_form(built)
-            assert sbm._form(sbm._rows(cache, base.matrix, True), d, unmarked) \
-                == canonical_form(reverse_sbm(built)), built
+            assert sbm._form(x) == canonical_form(built)
+            assert sbm._form(x, True) == canonical_form(reverse_sbm(built)), built
         srow, drow = p.row(p.s), p.row(p.d)
         lemma = any(srow) and any(drow) and drow != srow
         counts["lemma"] += lemma
@@ -619,6 +615,21 @@ def test_closure_views_are_their_built_sbms():
         counts["glue"] += p.size < view[0].size
         counts["glue_ext"] += p.size < view[0].size and not lemma
     assert all(counts.values()), counts
+
+
+def test_held_rows_are_the_rows_of_the_matrix_and_its_reversal():
+    # an SBM builds the rows `_form` searches on first read and keeps them;
+    # they are no fields, so equality, hashing, repr and JSON ignore them
+    for m in _seeded_sbms(40, 269):
+        twin = SBM(m.elements, m.matrix)
+        before = (repr(m), hash(m), m.to_json())
+        held, flipped = m._search_rows, m._reversed_rows
+        assert m._search_rows is held and m._reversed_rows is flipped
+        assert m == twin and (repr(m), hash(m), m.to_json()) == before
+        for rows, mat in ((held, m.matrix), (flipped, sbm._reversed(m.matrix))):
+            ref = sbm._Rows(mat)
+            assert (rows.mat, rows.text, rows.twin) == (ref.mat, ref.text, ref.twin), m
+        assert sbm._form(sbm._whole(m), True) == canonical_form(reverse_sbm(m))
 
 
 def test_primitive_has_at_most_one_switch():
