@@ -52,25 +52,20 @@ class Role(str, Enum):
     STAIL = "SA"
     SHEAD = "SB"
 
-    @property
-    def is_classical(self) -> bool:
-        return self in (Role.OVER, Role.UNDER)
+    is_classical: bool
+    is_flat: bool
+    is_singular: bool
+    is_tail: bool
+    is_head: bool
 
-    @property
-    def is_flat(self) -> bool:
-        return self in (Role.TAIL, Role.HEAD)
-
-    @property
-    def is_singular(self) -> bool:
-        return self in (Role.STAIL, Role.SHEAD)
-
-    @property
-    def is_tail(self) -> bool:
-        return self in (Role.TAIL, Role.STAIL)
-
-    @property
-    def is_head(self) -> bool:
-        return self in (Role.HEAD, Role.SHEAD)
+    def __init__(self, value: str):
+        # the kind predicates are set once per member, so a read is a plain
+        # attribute read
+        self.is_classical = value in ("O", "U")
+        self.is_flat = value in ("A", "B")
+        self.is_singular = value in ("SA", "SB")
+        self.is_tail = value in ("A", "SA")
+        self.is_head = value in ("B", "SB")
 
     def flipped(self) -> "Role":
         """The same chord seen with reversed arrow direction (or O/U switched)."""

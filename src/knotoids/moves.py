@@ -35,14 +35,16 @@ move that does not fit is a StaleMoveError. A triangle slide has one swap rule,
 Every lister and applier reads a components tuple alone, with no chord table:
 `_family`, `_fixed_chords` and `_preferred_switches` read the passages' roles,
 a triangle's tails come from its passages (`codes._is_tail`), a poke's rule
-from their roles. `random_walk` carries the tuple from step to step: it lists
-and draws a move, runs its family's applier and rotates the closed components
-as `KnotoidCode` stores them, so the next step sees the sites a built code
-would show, and builds one checked code at the end (CONVENTIONS.md, "Random
-walks"). `_simplified` deletes every kink in one pass (kink deletion is
-confluent; CONVENTIONS.md, "Kink deletion"), then the first poke pair, until
-none is left; `simplify` wraps it and builds at most one `KnotoidCode`, the
-flat orbit search none.
+from their roles. `random_walk` carries the tuple from step to step with the
+counts of the scanned families, which an insert step moves by the adjacencies
+it broke and added (`_ScannedCounts`). It draws over the counts, lists a
+scanned family only when the draw falls in it, runs the family's applier and
+rotates the closed components it touched as `KnotoidCode` stores them, so the
+next step sees the sites a built code would show, and builds one checked code
+at the end (CONVENTIONS.md, "Random walks"). `_simplified` deletes every kink
+in one pass (kink deletion is confluent; CONVENTIONS.md, "Kink deletion"),
+then the first poke pair, until none is left; `simplify` wraps it and builds
+at most one `KnotoidCode`, the flat orbit search none.
 """
 from __future__ import annotations
 
@@ -485,12 +487,15 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
 
     The walk gives the code that `steps` times applying
     `rng.choice(enumerate_moves(code, family))` gives, with `rng` seeded by
-    `seed`, but runs on the components tuple: each step lists the scanned
-    families of `_FAMILIES` from the tuple, only counts the kink and poke
-    inserts (O(n) and O(n^2) instances), decodes the drawn index in the family
-    it falls in (the only one sorted), runs that family's applier and rotates
-    the closed components as `KnotoidCode` stores them. A listed move fits its
-    tuple, so no step builds or validates a code (CONVENTIONS.md, "Random
+    `seed`, but runs on the components tuple. It counts the kink and poke
+    inserts in closed form (O(n) and O(n^2) instances) and takes the counts of
+    the scanned families of `_FAMILIES` from a `_ScannedCounts`, built from
+    the listers on the first step and after every step that is not an insert,
+    and moved locally by each insert. The drawn index is decoded in the family
+    it falls in: an insert by index, a scanned family listed from the tuple
+    and sorted. The step runs that family's applier and rotates the closed
+    components it touched as `KnotoidCode` stores them. A listed move fits
+    its tuple, so no step builds or validates a code (CONVENTIONS.md, "Random
     walks"); one checked `KnotoidCode` is built at the end.
 
     `steps` and `seed` must be ints (not bools) and `steps` >= 0, or it is a
@@ -504,20 +509,144 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
         return code
     rng = random.Random(seed)
     comps = code.components
+    counts = None
     for _ in range(steps):
-        fam = _family(comps, family)
-        index = _pair_index(comps, _fixed_chords(comps, fam))
-        found = [find(comps, index) if at is None else range(find(comps, fam))
-                 for _, find, at in _FAMILIES]
-        idx = rng.randrange(sum(map(len, found)))  # the draw rng.choice makes
-        for (_, _, at), got in zip(_FAMILIES, found):
-            if idx < len(got):
+        found = None
+        if counts is None:
+            fam = _family(comps, family)
+            fixed = _fixed_chords(comps, fam)
+            index = _pair_index(comps, fixed)
+            found = [find(comps, index) if at is None else None for _, find, at in _FAMILIES]
+            counts = _ScannedCounts(comps, fixed, index, found)
+        sizes = [counts.count[rule] if at is None else find(comps, fam)
+                 for rule, find, at in _FAMILIES]
+        idx = rng.randrange(sum(sizes))  # the draw rng.choice makes
+        for n, size in enumerate(sizes):
+            if idx < size:
                 break
-            idx -= len(got)
-        move = sorted(got, key=MoveInstance.sort_key)[idx] if at is None else at(comps, fam, idx)
-        comps = _APPLIERS[move.rule][1](comps, move)
-        comps = (comps[0], *map(_rotate_canonical, comps[1:]))
+            idx -= size
+        rule, find, at = _FAMILIES[n]
+        if at is None:
+            got = found[n] if found else find(comps, _pair_index(comps, fixed))
+            move = sorted(got, key=MoveInstance.sort_key)[idx]
+        else:
+            move = at(comps, fam, idx)
+        moved = _APPLIERS[rule][1](comps, move)
+        if at is None or not counts.inserted(comps, moved, move.sites):
+            counts = None
+        # a move changes only the components its sites are on
+        touched = {k for k, _ in move.sites}
+        comps = tuple(_rotate_canonical(c) if k and k in touched else c
+                      for k, c in enumerate(moved))
     return KnotoidCode(comps)
+
+
+# spot triples for `_is_triangle` on three adjacencies held as components
+_TRIP = ((0, 0, 1), (1, 0, 1), (2, 0, 1))
+
+
+def _apart(*adjs) -> bool:
+    """Do the adjacencies (p, q, k) share no passage?"""
+    return len({id(p) for a in adjs for p in a[:2]}) == 2 * len(adjs)
+
+
+class _ScannedCounts:
+    """How many instances each scanned family of `_FAMILIES` has on a walk's
+    components tuple, kept across insert steps (CONVENTIONS.md, "Random
+    walks").
+
+    It is built from the listers' own lists and the pair index of one tuple.
+    `pairs` is that index with each adjacent pair named by its passages, as
+    (p, q, k) with q after p on component k, and `partners` maps each chord to
+    the chords it shares a key with. A passage is named by its record,
+    compared by identity: the walk holds every record named here, and an
+    insert removes none. `inserted` moves the counts to the tuple an insert
+    made by cutting the adjacencies the insert broke and joining those it
+    added, one at a time, each counting the instances that use it and
+    otherwise only adjacencies still held."""
+
+    def __init__(self, comps, fixed, index, found):
+        self.fixed = fixed
+        self.count = {rule: len(got) for (rule, _, at), got in zip(_FAMILIES, found)
+                      if at is None}
+        self.pairs = {key: [(comps[k][i], comps[k][j], k) for k, i, j in adj]
+                      for key, adj in index.items()}
+        self.partners: dict[int, set[int]] = {}
+        for x, y in self.pairs:
+            self.partners.setdefault(x, set()).add(y)
+            self.partners.setdefault(y, set()).add(x)
+
+    def inserted(self, comps, moved, sites) -> bool:
+        """Update the counts from `comps` to `moved`, which the insert at gaps
+        `sites` made before any rotation; False, with the counts left stale,
+        when a gap is on an empty closed component or a closed kink, where the
+        local rule does not hold."""
+        cut, joined = [], []
+        for k in {k for k, _ in sites}:
+            comp, new = comps[k], moved[k]
+            n, m = len(comp), len(new)
+            gaps = [g for kk, g in sites if kk == k]
+            if k and (not n or n == 2 and comp[0].chord == comp[1].chord):
+                return False
+            # two sites may share a gap; a closed component's gaps 0 and n are one
+            for g in {g % n for g in gaps} if k else set(gaps):
+                if k and n > 1 or 0 < g < n:
+                    cut.append((comp[g - 1], comp[g], k))
+            # the t-th site on k puts two fresh passages at s, s + 1 of `new`,
+            # s = g + 2t, so the pairs (i, i + 1) that hold one start at s - 1,
+            # s and s + 1
+            near = [g + 2 * t + d for t, g in enumerate(gaps) for d in (-1, 0, 1)]
+            spots = {i % m for i in near} if k else {i for i in near if 0 <= i < m - 1}
+            joined += [(new[i], new[(i + 1) % m], k) for i in spots]
+        for adj in cut:
+            self._update(adj, -1)
+        for adj in joined:
+            self._update(adj, 1)
+        return True
+
+    def _update(self, adj, sign: int):
+        """Cut (`sign` -1) or join (+1) one adjacency and count the instances
+        that use it and otherwise only the adjacencies held."""
+        p, q, k = adj
+        x, y = p.chord, q.chord
+        if x == y:
+            if not p.role.is_singular:
+                self.count["R1_delete"] += sign
+            return
+        if x in self.fixed or y in self.fixed:
+            return
+        if x > y:
+            x, y = y, x
+        key = (x, y)
+        pairs, partners = self.pairs, self.partners
+        held = pairs.get(key, [])
+        if sign < 0:
+            del held[next(n for n, a in enumerate(held) if a[0] is p and a[1] is q)]
+            if not held:
+                del pairs[key]
+                partners[x].discard(y)
+                partners[y].discard(x)
+        count = self.count
+        count["R2_delete"] += sign * sum(
+            _apart(adj, a) and _r2_pair_ok(p, q, a[0], a[1]) for a in held)
+        for z in partners.get(x, set()) & partners.get(y, set()):
+            count["R3"] += sign * sum(
+                _apart(adj, a, b) and _is_triangle((adj, a, b), _TRIP)
+                for a in pairs[(x, z) if x < z else (z, x)]
+                for b in pairs[(y, z) if y < z else (z, y)])
+        if k == 0 and (p.preferred or q.preferred):
+            # a switch of the preferred chord s with a flat chord o uses two
+            # adjacencies on the open component: s's tail with o's head and
+            # o's tail with s's head
+            s, o = (p, q) if p.preferred else (q, p)
+            if o.role.is_flat and s.role.is_tail != o.role.is_tail:
+                count["PreferredSwitch"] += sign * any(a[2] == 0 and _apart(adj, a) for a in held)
+        if sign > 0:
+            if not held:
+                pairs[key] = held
+                partners.setdefault(x, set()).add(y)
+                partners.setdefault(y, set()).add(x)
+            held.append(adj)
 
 
 def _unkinked(comps):

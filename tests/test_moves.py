@@ -1,4 +1,5 @@
 """Move enumeration, application, walks, and the greedy normalizer."""
+import collections.abc
 import functools
 import itertools
 import json
@@ -15,7 +16,7 @@ from knotoids.moves import MoveInstance, enumerate_moves
 from knotoids.vassiliev import (random_classical_code, random_flat_code, random_singular_code,
                                 random_two_component_flat)
 
-from conftest import VK4, oracle_codes
+from conftest import VK4, oracle_codes, with_preferred
 
 
 def test_trivial_code_has_only_insertions():
@@ -469,6 +470,200 @@ def test_random_walk_decodes_every_scanned_index_at_size(monkeypatch):
     monkeypatch.setattr(M.random, "Random", _Drawn)
     for code, fam, t, moved in expected:
         assert K.random_walk(code, 1, t, fam) == moved, (K.serialize(code), t)
+
+
+class _Pokes:
+    """The poke inserts at `gaps`: gap pairs g1 <= g2 in order, then `variants`,
+    each built only when read."""
+
+    def __init__(self, gaps, variants):
+        self.gaps, self.variants = gaps, variants
+
+    def __len__(self):
+        return len(self.gaps) * (len(self.gaps) + 1) // 2 * len(self.variants)
+
+    def __getitem__(self, i):
+        pair, v = divmod(i, len(self.variants))
+        pairs = itertools.combinations_with_replacement(self.gaps, 2)
+        return MoveInstance("R2_insert", next(itertools.islice(pairs, pair, None)),
+                            self.variants[v])
+
+
+class _Choices(collections.abc.Sequence):
+    """`enumerate_moves(code, family)` as a sequence for `rng.choice`: the
+    scanned families as `enumerate_moves` lists them, the kink inserts built
+    from the code's gaps and the O(n^2) poke inserts built only when read,
+    joined in rule-name order. On codes of fewer than 600 moves it checks
+    itself against `enumerate_moves`."""
+
+    def __init__(self, code, family):
+        comps = code.components
+        fam = M._family(comps, family)
+        gaps = [(k, g) for k, comp in enumerate(comps) for g in range(len(comp) + 1)]
+        listed = enumerate_moves(code, family, ("PreferredSwitch", "R1_delete", "R2_delete", "R3"))
+        rule = {r: [m for m in listed if m.rule == r] for r in M._APPLIERS}
+        rule["R1_insert"] = [MoveInstance("R1_insert", (gap,), v)
+                             for gap in gaps for v in M._R1_VARIANTS[fam]]
+        rule["R2_insert"] = _Pokes(gaps, M._R2_VARIANTS[fam])
+        self.rules = sorted(rule)
+        self.parts = [rule[r] for r in self.rules]
+        if len(self) < 600:
+            assert list(self) == enumerate_moves(code, family), K.serialize(code)
+
+    def __len__(self):
+        return sum(map(len, self.parts))
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        for part in self.parts:
+            if i < len(part):
+                return part[i]
+            i -= len(part)
+
+    def scanned(self) -> list[range]:
+        """The index ranges of the nonempty families the walk lists by scanning
+        the code."""
+        out, start = [], 0
+        for rule, part in zip(self.rules, self.parts):
+            if part and not rule.endswith("insert"):
+                out.append(range(start, start + len(part)))
+            start += len(part)
+        return out
+
+
+def _choice_walk(code, steps, seed, family):
+    """The codes and moves of `steps` rounds of
+    apply_move(c, rng.choice(enumerate_moves(c, family)))."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(steps):
+        move = rng.choice(_Choices(code, family))
+        code = K.apply_move(code, move)
+        out.append((code, move))
+    return out
+
+
+# closed components that are empty, of one passage, of two passages of one
+# chord (closed kinks); a switch, a preferred chord with an end off the open
+# component, and fixed chords
+_SMALL_STARTS = (("A1 B1 / A2 B2", "flat"), ("A1 / B1", "flat"), ("E / E", "flat"),
+                 ("O1+ U2- / U1+ / O2-", "classical"), ("E / O1+ U1+", "classical"),
+                 ("SA1* B2 A2 SB1*", "flat"), ("SA1* B2 / A2 SB1*", "flat"),
+                 ("SA1 O2+ SB1 U2+", "classical"))
+
+
+def _walk_starts(seed):
+    """The small starts, then oracle codes of at most 12 chords."""
+    starts = [(K.parse(t), f) for t, f in _SMALL_STARTS]
+    return starts + [(c, f) for c, f in oracle_codes(40, seed) if c.chord_count() <= 12][:15]
+
+
+def test_random_walk_matches_choice_step_by_step():
+    # 20-30-step walks against the rng.choice(enumerate_moves(...)) loop,
+    # compared after every step: the walk carries its scanned counts across
+    # insert steps, so a count that drifts fails at the first step that draws
+    # past it. Half the walks infer the family. The flat walk of seed 419765
+    # from A1 B1 / A2 B2 cuts its closed kink at step 1 and goes wrong at step
+    # 2 when the counts are moved there instead of rebuilt
+    starts = [(code, fam, 100 + t) for t, (code, fam) in enumerate(_walk_starts(89))]
+    starts += [(K.parse(t), f, seed) for t, f in _SMALL_STARTS for seed in range(4)]
+    starts.append((K.parse("A1 B1 / A2 B2"), "flat", 419765))
+    for code, fam, seed in starts:
+        family = None if seed % 2 else fam
+        for step, (ref, _) in enumerate(_choice_walk(code, 20 + seed % 11, seed, family), 1):
+            assert K.random_walk(code, step, seed, family) == ref, (K.serialize(code), seed, step)
+
+
+class _Scripted:
+    """A stand-in for `random.Random(seed)` that draws the indices of a script."""
+
+    def __init__(self, script):
+        self.draws = iter(script)
+
+    def randrange(self, n):
+        i = next(self.draws)
+        assert 0 <= i < n
+        return i
+
+
+def test_random_walk_takes_scanned_draws_after_inserts(monkeypatch):
+    # uniform draws are nearly all inserts, so here every third step draws a
+    # move of a scanned family, the family drawn first, when there is one, and
+    # the other steps draw any move: scanned draws follow runs of inserts.
+    # Compared after every step, with the draws scripted from the enumerated
+    # moves
+    rng = random.Random(107)
+    cases, follows, drawn = [], 0, set()
+    for t, (code, fam) in enumerate(_walk_starts(107)):
+        family = None if t % 2 else fam
+        script, walked, ref, last = [], [], code, ""
+        for step in range(20 + t % 11):
+            choices = _Choices(ref, family)
+            scanned = choices.scanned()
+            if step % 3 == 2 and scanned:
+                i = rng.choice(rng.choice(scanned))
+            else:
+                i = rng.randrange(len(choices))
+            move = choices[i]
+            ref = K.apply_move(ref, move)
+            script.append(i)
+            walked.append(ref)
+            drawn.add(move.rule)
+            follows += last.endswith("insert") and not move.rule.endswith("insert")
+            last = move.rule
+        cases.append((code, family, script, walked))
+    assert drawn == set(M._APPLIERS) and follows >= 20, (drawn, follows)
+    # the walk's seed t draws script t
+    monkeypatch.setattr(M.random, "Random", lambda t: _Scripted(cases[t][2]))
+    for t, (code, family, _, walked) in enumerate(cases):
+        for step, ref in enumerate(walked, 1):
+            assert K.random_walk(code, step, t, family) == ref, (K.serialize(code), step)
+
+
+def test_random_walk_of_inserts_builds_the_pair_index_once(monkeypatch):
+    # the scanned counts are built on the first step and then moved by each
+    # insert, so a walk whose steps are all inserts lists no scanned family
+    # after its first step; a walk with another step rebuilds after it. An
+    # insert on an empty closed component or a closed kink rebuilds too, so
+    # no start has one
+    starts = [(code, fam, seed) for seed, (code, fam) in enumerate(_sized_codes(101, 12))]
+    starts += [(c, f, seed) for seed, (c, f) in enumerate(oracle_codes(20, 101))]
+    plans = [(code, fam, seed, [m.rule for _, m in _choice_walk(code, 15, seed, fam)])
+             for code, fam, seed in starts
+             if not any(not c or len(c) == 2 and c[0].chord == c[1].chord
+                        for c in code.components[1:])]
+    built = []
+    pair_index = M._pair_index
+    monkeypatch.setattr(M, "_pair_index", lambda *a: built.append(a) or pair_index(*a))
+    inserts_only = 0
+    for code, fam, seed, rules in plans:
+        built.clear()
+        K.random_walk(code, 15, seed, fam)
+        if all(rule.endswith("insert") for rule in rules):
+            assert len(built) == 1, (K.serialize(code), seed)
+            inserts_only += 1
+        else:
+            assert len(built) > 1, (K.serialize(code), seed)
+    assert 10 <= inserts_only < len(plans)
+
+
+@pytest.mark.slow
+def test_long_walks_match_choice_over_enumeration():
+    # 300 walks of 60 steps from 10-40 chords of every kind, half under family
+    # None, against the rng.choice(enumerate_moves(...)) loop
+    kinds = ((random_classical_code, "classical"),
+             (lambda n, rng: random_singular_code(n - 2, 2, rng), "classical"),
+             (random_flat_code, "flat"), (random_two_component_flat, "flat"),
+             (lambda n, rng: with_preferred(random_flat_code(n, rng), rng), "flat"))
+    rng = random.Random(109)
+    for t in range(300):
+        gen, fam = kinds[t % 5]
+        code = gen(rng.randrange(10, 41), rng)
+        family = None if t % 2 else fam
+        seed = rng.randrange(10**6)
+        ref = _choice_walk(code, 60, seed, family)[-1][0]
+        assert K.random_walk(code, 60, seed, family) == ref, (K.serialize(code), seed)
 
 
 def _ref_simplify(code):
