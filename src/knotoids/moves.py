@@ -399,15 +399,24 @@ def _apply_r1_delete(comps, move):
 
 
 def _apply_insert(comps, move):
-    """Insert each site's pattern at its gap, later gap first so earlier gaps stay put."""
+    """`_insert` with the fresh chord id scanned from `comps`."""
+    return _insert(comps, move, _fresh_id(comps))
+
+
+def _fresh_id(comps) -> int:
+    """The fresh chord id of a components tuple, as `KnotoidCode.fresh_chord_id` reads it."""
+    return max((p.chord for comp in comps for p in comp), default=0) + 1
+
+
+def _insert(comps, move, cid: int):
+    """Insert each site's pattern at its gap, later gap first so earlier gaps
+    stay put; the pattern's fresh chord w gets id cid + w."""
     pattern = _INSERTS[move.rule].get(move.variant) if isinstance(move.variant, str) else None
     if pattern is None:
         raise StaleMoveError(f"bad {move.rule} variant {move.variant!r}")
     if len(move.sites) == 2 and move.sites[0][0] == move.sites[1][0] \
             and move.sites[0][1] > move.sites[1][1]:
         raise StaleMoveError("gaps must be ordered")
-    # the fresh chord id, as `KnotoidCode.fresh_chord_id` reads it
-    cid = max((p.chord for comp in comps for p in comp), default=0) + 1
     comps = list(comps)
     for (k, gap), site in zip(reversed(move.sites), reversed(pattern)):
         if not 0 <= gap <= len(comps[k]):
@@ -493,8 +502,10 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
     the listers on the first step and after every step that is not an insert,
     and moved locally by each insert. The drawn index is decoded in the family
     it falls in: an insert by index, a scanned family listed from the tuple
-    and sorted. The step runs that family's applier and rotates the closed
-    components it touched as `KnotoidCode` stores them. A listed move fits
+    and sorted. The step runs that family's applier, an insert with the
+    fresh chord id the counts carry (`_ScannedCounts.fresh`, so no insert
+    step scans the passages for it), and rotates the closed components it
+    touched as `KnotoidCode` stores them. A listed move fits
     its tuple, so no step builds or validates a code (CONVENTIONS.md, "Random
     walks"); one checked `KnotoidCode` is built at the end.
 
@@ -531,7 +542,8 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
             move = sorted(got, key=MoveInstance.sort_key)[idx]
         else:
             move = at(comps, fam, idx)
-        moved = _APPLIERS[rule][1](comps, move)
+        moved = _APPLIERS[rule][1](comps, move) if at is None else \
+            _insert(comps, move, counts.fresh)
         if at is None or not counts.inserted(comps, moved, move.sites):
             counts = None
         # a move changes only the components its sites are on
@@ -563,10 +575,13 @@ class _ScannedCounts:
     insert removes none. `inserted` moves the counts to the tuple an insert
     made by cutting the adjacencies the insert broke and joining those it
     added, one at a time, each counting the instances that use it and
-    otherwise only adjacencies still held."""
+    otherwise only adjacencies still held. `fresh` is the tuple's fresh
+    chord id, scanned once at the build; an insert of one fresh chord per
+    site raises it by its site count."""
 
     def __init__(self, comps, fixed, index, found):
         self.fixed = fixed
+        self.fresh = _fresh_id(comps)
         self.count = {rule: len(got) for (rule, _, at), got in zip(_FAMILIES, found)
                       if at is None}
         self.pairs = {key: [(comps[k][i], comps[k][j], k) for k, i, j in adj]
@@ -602,6 +617,7 @@ class _ScannedCounts:
             self._update(adj, -1)
         for adj in joined:
             self._update(adj, 1)
+        self.fresh += len(sites)  # an insert adds one fresh chord per site
         return True
 
     def _update(self, adj, sign: int):

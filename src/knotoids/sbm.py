@@ -61,7 +61,10 @@ class has the same closure forms (the shared reduction lemma in
 CONVENTIONS.md), so a class form takes plain inverse extensions
 (`_plain_reduction`) before `reduce_to_primitive` (`_string_form`), and
 `_kink_forms` reduces the kinked matrix of `G` once: the result, with the
-kink or any chord it keeps as d, is already a primitive.
+kink or any chord it keeps as d, is already a primitive. A glue whose chord
+the reduction deletes as a zero row or a copy of row s has the kink's class
+form, and the two glues of a pair it deletes have one form, so only one
+glue per deleted pair is reduced on its own (the deleted-glue lemma).
 
 Reversing the string's orientation changes its SBM by a fixed transform of
 the rows, `_reversed`: b(x, s) negates and b(x, y) becomes b(x, y) - b(x, s)
@@ -431,20 +434,24 @@ def reduce_to_primitive(m: SBM) -> SBM:
     return m
 
 
-def _plain_reduction(m: SBM) -> SBM:
+def _plain_reduction(m: SBM) -> tuple[SBM, dict[str, str]]:
     """m with its unmarked zero rows, copies of row s and complementary pairs
-    deleted until none is left, d kept and never switched. Each pass deletes a
-    disjoint batch from one `_classes` index: a zero row, a copy or a pair stays
-    one when other elements are dropped, so the batch is a chain of inverse
+    deleted until none is left, d kept and never switched, and the partner
+    of each label deleted in a pair, both ways. Each pass deletes a disjoint
+    batch from one `_classes` index: a zero row, a copy or a pair stays one
+    when other elements are dropped, so the batch is a chain of inverse
     extensions and the result is homologous to m."""
+    partner = {}
     while True:
         ann, core, pairs = _classes(m.matrix, m.unmarked())
         dead = {*ann, *core}
         for g, h in pairs:
             if g not in dead and h not in dead:
                 dead.update((g, h))
+                x, y = m.elements[g], m.elements[h]
+                partner[x], partner[y] = y, x
         if not dead:
-            return m
+            return m, partner
         m = _drop(m, dead)
 
 
@@ -623,7 +630,7 @@ def _class_form(view) -> bytes:
 def _string_form(m: SBM) -> bytes:
     """The class form of a string with SBM m, from the primitive that plain
     steps (`_plain_reduction`), then `reduce_to_primitive`, reach."""
-    return _class_form(_whole(reduce_to_primitive(_plain_reduction(m))))
+    return _class_form(_whole(reduce_to_primitive(_plain_reduction(m)[0])))
 
 
 def _kink_forms(kinked: SBM):
@@ -632,14 +639,25 @@ def _kink_forms(kinked: SBM):
     is kinked with its chord as d and the kink left out (the gluing lemma in
     CONVENTIONS.md). One plain reduction serves the kink and every glue whose
     chord it keeps, each a view of it: the kink's column is zero, so the view
-    is sound. A glue whose chord it deleted is reduced on its own."""
-    shared = _plain_reduction(kinked)  # s, the chords kept, the kink
+    is sound. A glue whose chord it deleted as a zero row or a copy of row s
+    has the kink's form, and the two glues of a pair it deleted share one
+    form, reduced once (the deleted-glue lemma). The kink's form is found
+    once, when first read."""
+    shared, partner = _plain_reduction(kinked)  # s, the chords kept, the kink
     kept = shared.unmarked()
     at = {label: g for g, label in enumerate(shared.elements)}
+    kink, paired = None, {}
     for k, label in enumerate(kinked.elements[1:-1], 1):
         g = at.get(label)
         if g is not None:
             yield _class_form((shared, g, [i for i in kept if i != g]))
+        elif label in paired:
+            yield paired.pop(label)
+        elif label in partner:
+            form = _string_form(_take(kinked, [*range(k), *range(k + 1, kinked.d), k]))
+            paired[partner[label]] = form
+            yield form
         else:
-            yield _string_form(_take(kinked, [*range(k), *range(k + 1, kinked.d), k]))
-    yield _class_form((shared, shared.d, kept))
+            kink = kink or _class_form(_whole(shared))
+            yield kink
+    yield kink or _class_form(_whole(shared))

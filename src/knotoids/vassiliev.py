@@ -24,8 +24,11 @@ resolutions, is read in closed form (the resolution lemma in CONVENTIONS.md):
 every surgery is the same code under all resolutions, so it is 2 [surgery at
 s] - 2 [correction] at k = 1 and zero past it.
 
-G builds one based matrix per diagram, the singular kink's, and reads every
-glue from it (`sbm._kink_forms`). It refuses, before building any matrix, a
+G builds one based matrix per diagram, the singular kink's, reduces it once,
+and reads from it the kink and every glue whose chord the reduction keeps;
+a glue whose chord it deletes takes the kink's form or shares one reduction
+with its pair partner (`sbm._kink_forms`, the deleted-glue lemma in
+CONVENTIONS.md). It refuses, before building any matrix, a
 code whose payload bound passes `_PAYLOAD_BUDGET` matrix entries.
 """
 from __future__ import annotations

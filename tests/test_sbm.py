@@ -567,7 +567,7 @@ def test_closure_matches_the_extension_walk():
 def _shared_views(code):
     """The views `_glued` reads: a classical code's shared reduction with the
     kink as d, and with each chord it keeps as d and the kink left out."""
-    shared = sbm._plain_reduction(build_sbm(K.singular_kink(code)))
+    shared = sbm._plain_reduction(build_sbm(K.singular_kink(code)))[0]
     return [sbm._whole(shared)] + [(shared, g, [i for i in shared.unmarked() if i != g])
                                    for g in shared.unmarked()]
 
@@ -962,7 +962,7 @@ def test_shared_reduction_leaves_primitives():
     # each re-marking with a chord it keeps as d and the kink left out
     for code in glue_codes():
         kinked = build_sbm(K.singular_kink(code))
-        shared = sbm._plain_reduction(kinked)
+        shared = sbm._plain_reduction(kinked)[0]
         text = K.serialize(code)
         assert shared == sbm._take(kinked, [kinked.elements.index(e) for e in shared.elements])
         cls = _ref_classify(shared)
@@ -978,7 +978,7 @@ def test_shared_reduction_leaves_primitives():
         for k in range(1, kinked.d):
             if kinked.elements[k] not in shared.elements:
                 glue = sbm._take(kinked, [*range(k), *range(k + 1, kinked.d), k])
-                kept = sbm._plain_reduction(glue)
+                kept = sbm._plain_reduction(glue)[0]
                 assert kept.elements[-1] == kinked.elements[k]
                 cls = _ref_classify(kept)
                 assert cls["annihilating"] == cls["core"] == cls["complementary_pairs"] == []

@@ -309,7 +309,7 @@ def test_singular_fingerprint_of_each_kind_of_string():
         assert fingerprint(code).payload == _ref_singular_payload(code), K.serialize(code)
         m = sbm.build_sbm(code)
         kinds["other_primitive"] += \
-            sbm.reduce_to_primitive(sbm._plain_reduction(m)) != sbm.reduce_to_primitive(m)
+            sbm.reduce_to_primitive(sbm._plain_reduction(m)[0]) != sbm.reduce_to_primitive(m)
     assert min(kinds.values()) >= 3 and kinds["walked"] >= 12, kinds
 
 
@@ -330,7 +330,7 @@ def _fingerprint_primitives(count, seed):
         n = rng.randrange(0, 17)
         if t % 3:
             kinked = sbm.build_sbm(K.singular_kink(random_classical_code(n, rng)))
-            shared = sbm._plain_reduction(kinked)
+            shared = sbm._plain_reduction(kinked)[0]
             yield "kink", sbm._whole(shared)
             for g in shared.unmarked():
                 yield "glue", (shared, g, [i for i in shared.unmarked() if i != g])
@@ -439,16 +439,88 @@ def test_glues_match_the_per_glue_reduction():
     for code in [*glue_codes(), K.parse(ZERO_S)]:
         assert list(V._glued(code)) == ref_glued(code), K.serialize(code)
         kinked = sbm.build_sbm(K.singular_kink(code))
-        left += kinked.size - sbm._plain_reduction(kinked).size
+        left += kinked.size - sbm._plain_reduction(kinked)[0].size
     assert left > 0
+
+
+def _plain_deletions(kinked):
+    """How each chord the plain reduction of the kinked matrix deletes leaves,
+    replayed pass by pass as `_plain_reduction` runs them: by label, "zero"
+    for a zero row, "copy" for a copy of row s, or the partner's label for a
+    complementary pair, the pairs taken greedily in index order."""
+    m, left = kinked, {}
+    while True:
+        srow, rows = m.row(m.s), {g: m.row(g) for g in m.unmarked()}
+        dead = {g: "zero" if not any(r) else "copy" for g, r in rows.items()
+                if not any(r) or r == srow}
+        for g in rows:
+            for h in rows:
+                if g < h and g not in dead and h not in dead and \
+                        all(a + b == c for a, b, c in zip(rows[g], rows[h], srow)):
+                    dead[g], dead[h] = m.elements[h], m.elements[g]
+        if not dead:
+            return left
+        left.update((m.elements[g], how) for g, how in dead.items())
+        m = sbm._take(m, [i for i in range(m.size) if i not in dead])
+
+
+def test_deleted_glues_take_the_kink_or_pair_term():
+    # the deleted-glue lemma, on the per-glue reference: a glue whose chord
+    # left the shared reduction as a zero row or a copy of row s has the
+    # kink's term, and the two glues of a deleted pair have one term, which
+    # is mostly not the kink's
+    counts = dict.fromkeys(("zero", "copy", "pair", "pair_not_kink"), 0)
+    for code in [*glue_codes(), K.parse(ZERO_S)]:
+        kinked = sbm.build_sbm(K.singular_kink(code))
+        left = _plain_deletions(kinked)
+        terms = dict(zip(kinked.elements[1:], ref_glued(code)))  # the kink's term last
+        kink = terms[kinked.elements[-1]]
+        text = K.serialize(code)
+        assert {c: p for c, p in left.items() if p not in ("zero", "copy")} == \
+            sbm._plain_reduction(kinked)[1], text
+        for c, how in left.items():
+            if how in ("zero", "copy"):
+                counts[how] += 1
+                assert terms[c] == kink, (text, c)
+            else:
+                counts["pair"] += 1
+                counts["pair_not_kink"] += terms[c] != kink
+                assert terms[c] == terms[how], (text, c, how)
+    assert all(counts.values()), counts
+
+
+def test_g_reduces_each_deleted_pair_once(monkeypatch):
+    # `_string_form` runs on one glue of each pair the shared reduction
+    # deleted, and on no other term
+    calls = []
+    string_form = sbm._string_form
+
+    def counting(m):
+        calls.append(m.elements[-1])
+        return string_form(m)
+
+    monkeypatch.setattr(sbm, "_string_form", counting)
+    pairs = 0
+    for code in glue_codes():
+        kinked = sbm.build_sbm(K.singular_kink(code))
+        left = _plain_deletions(kinked)
+        expected = {frozenset((c, p)) for c, p in left.items() if p not in ("zero", "copy")}
+        del calls[:]
+        K.invariant_G(code)
+        assert len(calls) == len(expected), K.serialize(code)
+        assert {frozenset((c, left[c])) for c in calls} == expected, K.serialize(code)
+        pairs += len(expected)
+    assert pairs > 0
 
 
 def test_g_builds_few_based_matrices(monkeypatch):
     # every glue, closure member and reversal is a view of a matrix already
-    # built. On this 30-crossing code G builds 12 (86 when each was built):
-    # the kinked matrix, its plain reduction, the kink term's two extensions,
-    # and for each of the three glues whose chord the reduction deleted, its
-    # own matrix and reduction (and, for one, its closure's two extensions)
+    # built. On this 30-crossing code G builds 6 (86 when each was built):
+    # the kinked matrix, its plain reduction, the kink term's two
+    # extensions, and for the one pair of chords the reduction deleted, one
+    # glue's matrix and its plain reduction. The third chord it deleted, a
+    # zero row or a copy of row s, takes the kink's term (the deleted-glue
+    # lemma in CONVENTIONS.md)
     built = []
     post_init = sbm.SBM.__post_init__
 
@@ -458,18 +530,21 @@ def test_g_builds_few_based_matrices(monkeypatch):
 
     monkeypatch.setattr(sbm.SBM, "__post_init__", counting)
     K.invariant_G(random_classical_code(30, random.Random(0)))
-    assert len(built) <= 12
+    assert len(built) <= 6
 
 
 @pytest.mark.parametrize("text, left", [("E", 0), ("O1+ U1+", 1), ("U1- O1-", 1)])
 def test_glues_of_the_smallest_codes(text, left):
     # no crossing: the kinked matrix is s and the kink alone, and there is no
     # glue; one crossing: the only chord's row is zero, so the shared
-    # reduction deletes it
+    # reduction deletes it, and its glue has the kink's term
     code = K.parse(text)
     kinked = sbm.build_sbm(K.singular_kink(code))
-    assert kinked.size - sbm._plain_reduction(kinked).size == left
-    assert list(V._glued(code)) == ref_glued(code)
+    assert kinked.size - sbm._plain_reduction(kinked)[0].size == left
+    terms = ref_glued(code)
+    assert list(V._glued(code)) == terms
+    if left:
+        assert terms[0] == terms[-1]
     assert K.invariant_G(code) == _ref_invariant_G(code)
 
 
