@@ -3,7 +3,8 @@ arc labels.
 
 Only the open component is labelled: the label starts at 0 and steps +1 at an
 arrow head and -1 at an arrow tail (classical passages through their
-flattening), one running sum read off the chord table. A crossing's flat weight is
+flattening, `codes._is_tail`), one running sum over the passages. A crossing's
+flat weight is
 
     W+(c) = label entering the tail passage - (label entering the head passage + 1)
 
@@ -14,10 +15,9 @@ labels: it counts the chords joining the components.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .codes import KnotoidCode, OrderedTwoComponent
+from .codes import KnotoidCode, OrderedTwoComponent, _is_tail
 from .errors import ComponentCountError, ValidityError
 
 __all__ = [
@@ -129,16 +129,46 @@ class LaurentPoly(IntegerCombination):
         return {str(e): v for e, v in sorted(self._c.items())}
 
 
+def _entering(comp):
+    """(passage, is tail, label entering it) along the open component `comp`:
+    the label is a running sum from 0 that steps -1 at a tail and +1 at a
+    head, classical passages through their flattening (`codes._is_tail`)."""
+    label = 0
+    for p in comp:
+        tail = _is_tail(p.role, p.sign)
+        yield p, tail, label
+        label += -1 if tail else 1
+
+
 def label_arcs(code: KnotoidCode) -> tuple[int, ...]:
-    """The label entering each passage of the open component: a running sum
-    from 0 that steps -1 at a tail and +1 at a head, read off the chord table.
-    Closed components carry no labels."""
-    steps = [1] * len(code.open_component)
-    for cid in code.chord_ids():
-        (k, i), _ = code.ends(cid)
-        if k == 0:
-            steps[i] = -1
-    return tuple(itertools.accumulate(steps, initial=0))[:-1]
+    """The label entering each passage of the open component. Closed
+    components carry no labels."""
+    return tuple(label for _, _, label in _entering(code.open_component))
+
+
+def _open_weights(comp) -> dict[int, int]:
+    """W+ of every chord with both passages on the open component `comp`,
+    keyed in the order of their second passages."""
+    first: dict[int, int] = {}
+    out = {}
+    for p, tail, label in _entering(comp):
+        held = first.pop(p.chord, None)
+        if held is None:
+            first[p.chord] = label
+        else:
+            out[p.chord] = label - held - 1 if tail else held - label - 1
+    return out
+
+
+def _open_q(comp) -> dict[int, int]:
+    """The coefficients f_n of Q on the open component `comp`: for n > 0, the
+    sum of sign(W+(c)) over its chords with |W+(c)| = n."""
+    c: dict[int, int] = {}
+    for wp in _open_weights(comp).values():
+        if wp != 0:
+            n = abs(wp)
+            c[n] = c.get(n, 0) + (1 if wp > 0 else -1)
+    return {n: v for n, v in c.items() if v}
 
 
 def writhe(code: KnotoidCode) -> int:
@@ -147,15 +177,12 @@ def writhe(code: KnotoidCode) -> int:
 
 
 def flat_weights(code: KnotoidCode) -> dict[int, int]:
-    """W+ of every flat (or flattened classical) chord, single open component."""
+    """W+ of every flat (or flattened classical) chord, single open component,
+    in chord order."""
     if len(code.components) != 1:
         raise ComponentCountError("flat weights need a single open component")
-    inc = label_arcs(code)
-    out = {}
-    for cid in code.chord_ids():
-        (_, tail), (_, head) = code.ends(cid)
-        out[cid] = inc[tail] - (inc[head] + 1)
-    return out
+    wp = _open_weights(code.open_component)
+    return {cid: wp[cid] for cid in code.chord_ids()}
 
 
 @dataclass(frozen=True)
@@ -216,12 +243,9 @@ def flat_nth_writhe(code: KnotoidCode, n: int) -> int:
 
 def flat_affine_polynomial(code: KnotoidCode) -> LaurentPoly:
     """Q(t) = sum over n > 0 of f_n t^n; only positive exponents occur."""
-    c: dict[int, int] = {}
-    for wp in flat_weights(code).values():
-        if wp != 0:
-            n = abs(wp)
-            c[n] = c.get(n, 0) + (1 if wp > 0 else -1)
-    return LaurentPoly(c)
+    if len(code.components) != 1:
+        raise ComponentCountError("flat weights need a single open component")
+    return LaurentPoly(_open_q(code.open_component))
 
 
 def intersection_index(view: OrderedTwoComponent) -> int:
@@ -229,10 +253,11 @@ def intersection_index(view: OrderedTwoComponent) -> int:
 
     A joining chord counts +1 when its arrow tail lies on the first component
     and -1 otherwise; swapping the ordering negates the result."""
-    code = view.code
-    total = 0
-    for cid in code.chord_ids():
-        (tail, _), (head, _) = code.ends(cid)
-        if tail != head:
-            total += 1 if tail == view.ell1 else -1
-    return total
+    total = _tail_balance(view.code.components)
+    return total if view.ell1 == 0 else -total
+
+
+def _tail_balance(comps) -> int:
+    """The intersection index of the two components `comps`, component 0 first."""
+    on1 = {p.chord for p in comps[1]}
+    return sum(1 if _is_tail(p.role, p.sign) else -1 for p in comps[0] if p.chord in on1)

@@ -151,11 +151,13 @@ def enumerate_moves(code: KnotoidCode, family: str | None = None,
 
 
 def _r1_deletes(comps):
-    """One R1_delete per kink: `_adjacent_pairs` gives a closed component of two
-    passages one pair twice, as (0, 1) and (1, 0), and only the first counts."""
-    return [MoveInstance("R1_delete", ((k, i),)) for k, i, j in _adjacent_pairs(comps)
-            if (i, j) != (1, 0) and comps[k][i].chord == comps[k][j].chord
-            and not comps[k][i].role.is_singular]
+    """One R1_delete per kink, yielded in adjacency order: `_adjacent_pairs`
+    gives a closed component of two passages one pair twice, as (0, 1) and
+    (1, 0), and only the first counts."""
+    for k, i, j in _adjacent_pairs(comps):
+        if (i, j) != (1, 0) and comps[k][i].chord == comps[k][j].chord \
+                and not comps[k][i].role.is_singular:
+            yield MoveInstance("R1_delete", ((k, i),))
 
 
 def _r2_pair_ok(a1, a2, b1, b2) -> bool:
@@ -179,16 +181,13 @@ def _r2_pair_ok(a1, a2, b1, b2) -> bool:
 
 
 def _r2_deletes(comps, index):
-    moves = []
+    """One R2_delete per poke pair, yielded key by key of `index`."""
     for pairs in index.values():
         for (ka, ia, ja), (kb, ib, jb) in itertools.combinations(pairs, 2):
             if ka == kb and {ia, ja} & {ib, jb}:
                 continue
-            a1, a2 = comps[ka][ia], comps[ka][ja]
-            b1, b2 = comps[kb][ib], comps[kb][jb]
-            if _r2_pair_ok(a1, a2, b1, b2):
-                moves.append(MoveInstance("R2_delete", ((ka, ia), (kb, ib))))
-    return moves
+            if _r2_pair_ok(comps[ka][ia], comps[ka][ja], comps[kb][ib], comps[kb][jb]):
+                yield MoveInstance("R2_delete", ((ka, ia), (kb, ib)))
 
 
 # -- inserts: counted in closed form, decoded by index in sort order ----------
@@ -291,25 +290,30 @@ def _is_triangle(comps, trip) -> bool:
     lower pair) ^ (it is first there) ^ (it is first in its other pair) ^ (it
     joins pairs 0 and 2), the triangle's orientation, and on classical passages
     some pair holds two Over passages (an acyclic sheet order); see CONVENTIONS.md."""
-    spots = [(k, pos) for k, i, j in trip for pos in (i, j)]
-    if len(set(spots)) != 6:
+    (k0, i0, j0), (k1, i1, j1), (k2, i2, j2) = trip
+    if len({(k0, i0), (k0, j0), (k1, i1), (k1, j1), (k2, i2), (k2, j2)}) != 6:
         return False
-    passages = [comps[k][pos] for k, pos in spots]
-    where: dict[int, list[int]] = {}
-    for n, p in enumerate(passages):
-        where.setdefault(p.chord, []).append(n)
     # spot n is in pair n // 2, first in it when n is even
-    bits = set()
-    for ns in where.values():
-        if len(ns) != 2 or ns[0] // 2 == ns[1] // 2:
+    spots = (comps[k0][i0], comps[k0][j0], comps[k1][i1], comps[k1][j1],
+             comps[k2][i2], comps[k2][j2])
+    first: dict[int, int] = {}
+    bit = None
+    for n, p in enumerate(spots):
+        a = first.pop(p.chord, None)
+        if a is None:
+            first[p.chord] = n
+            continue
+        if a // 2 == n // 2:
             return False
-        a, b = ns
-        bits.add(_is_tail(passages[a].role, passages[a].sign) ^ (a % 2 == 0) ^ (b % 2 == 0)
-                 ^ (a // 2 + b // 2 == 2))
-    if len(bits) != 1:
+        lower = spots[a]
+        b = _is_tail(lower.role, lower.sign) ^ (a % 2 == 0) ^ (n % 2 == 0) ^ (a // 2 + n // 2 == 2)
+        if bit is not None and b != bit:
+            return False
+        bit = b
+    if first:  # a chord met once, or three times
         return False
-    return not passages[0].role.is_classical or any(
-        passages[n].role is passages[n + 1].role is Role.OVER for n in (0, 2, 4))
+    return not spots[0].role.is_classical or Role.OVER is spots[0].role is spots[1].role \
+        or Role.OVER is spots[2].role is spots[3].role or Role.OVER is spots[4].role is spots[5].role
 
 
 def _preferred_switches(comps):
@@ -527,7 +531,7 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
             fam = _family(comps, family)
             fixed = _fixed_chords(comps, fam)
             index = _pair_index(comps, fixed)
-            found = [find(comps, index) if at is None else None for _, find, at in _FAMILIES]
+            found = [list(find(comps, index)) if at is None else None for _, find, at in _FAMILIES]
             counts = _ScannedCounts(comps, fixed, index, found)
         sizes = [counts.count[rule] if at is None else find(comps, fam)
                  for rule, find, at in _FAMILIES]
@@ -689,16 +693,18 @@ def _unkinked(comps):
 
 def _simplified(comps):
     """`comps` after deleting every kink (`_unkinked`), then the first poke
-    pair, until neither is left; closed components come out rotated as
-    `KnotoidCode` stores them. No family is read and no chord is fixed:
-    `_r2_pair_ok` refuses singular passages, and a singular kink stays."""
+    pair, until neither is left, with the pair index of the result; closed
+    components come out rotated as `KnotoidCode` stores them. No family is
+    read and no chord is fixed: `_r2_pair_ok` refuses singular passages, and a
+    singular kink stays."""
     while True:
         comps = _unkinked(comps)
-        pokes = _r2_deletes(comps, _pair_index(comps))
-        if not pokes:
-            return comps
-        sites = min(pokes, key=MoveInstance.sort_key).sites
-        comps = _deleted(comps, {(k, (i + d) % len(comps[k])) for k, i in sites for d in (0, 1)})
+        index = _pair_index(comps)
+        first = min(_r2_deletes(comps, index), key=MoveInstance.sort_key, default=None)
+        if first is None:
+            return comps, index
+        comps = _deleted(comps, {(k, (i + d) % len(comps[k]))
+                                 for k, i in first.sites for d in (0, 1)})
 
 
 def simplify(code: KnotoidCode) -> KnotoidCode:
@@ -710,7 +716,7 @@ def simplify(code: KnotoidCode) -> KnotoidCode:
     deletes every kink at once, then the first poke pair, on the raw
     component tuples. One `KnotoidCode` is built at the end; when nothing
     deletes, `code` itself is returned."""
-    comps = _simplified(code.components)
+    comps, _ = _simplified(code.components)
     if sum(map(len, comps)) == sum(map(len, code.components)):
         return code
     return KnotoidCode(comps)

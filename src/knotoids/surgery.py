@@ -1,26 +1,14 @@
 """Crossing surgeries: 0/1-smoothings, gluing, singular kinks, and resolution.
 
-All smoothing and gluing outputs are flat (flattened immediately): every
-consumer of a surgery result reads flat data only. Flattening moves no
-passage, so each surgery reads the surgered chord's positions from the
-input's chord table (`KnotoidCode.ends`), flattens passage by passage while it
-builds its result, and so builds exactly one `KnotoidCode`; `zero_smooth` is
-its checks, the flattening and a core, `_zero_smoothed`, that `invariant_F`
-runs on one flattened open component for every chord. The flattening rule,
+All smoothing and gluing outputs are flat: each surgery reads the surgered
+chord's positions from the input's chord table (`KnotoidCode.ends`) and
+flattens passage by passage while it builds its result. The flattening rule,
 like the same-side re-kinding of gluing and resolution, is `codes.recast`.
-Reconnection rules, writing the open component as prefix . p1 . middle . p2 .
-suffix around the surgered chord:
-
-* 0-smoothing (against orientation): open becomes prefix . reverse(middle) .
-  suffix; chords with exactly one passage on the reversed strand have their
-  whole arrow flipped (one reversed strand flips the crossing chirality).
-* 1-smoothing (along orientation): open becomes prefix . suffix and middle
-  closes into a circle; no arrow changes.
-
-The ordered view attached to a 1-smoothing takes the component containing the
-surgered arrow's incoming-tail arc first; with the tail passage before the head
-that is the open component, otherwise the closed one. This is the ordering under
-which the shipped fixtures' intersection indices are quoted.
+The reconnection rules of the two smoothings and the ordered view of a
+1-smoothing are in CONVENTIONS.md, "Smoothings" and "Intersection index".
+Each public surgery checks its input and builds one `KnotoidCode`;
+`zero_smooth` builds it from the components tuple of its core,
+`_zero_smoothed`, which `invariant_F` fingerprints with no code built.
 """
 from __future__ import annotations
 
@@ -40,12 +28,14 @@ def zero_smooth(code: KnotoidCode, cid: int) -> KnotoidCode:
         raise NotFoundError(f"chord {cid} not found")
     if cid not in code.classical_chords():
         raise NotClassicalError(f"chord {cid} is not classical")
-    return _zero_smoothed(tuple(map(flat_passage, code.open_component)), code.ends(cid))
+    return KnotoidCode(_zero_smoothed(tuple(map(flat_passage, code.open_component)),
+                                      code.ends(cid)))
 
 
-def _zero_smoothed(comp: tuple[Passage, ...], ends) -> KnotoidCode:
-    """The 0-smoothing of the flattened open component `comp` at the chord whose
-    (component, position) ends are `ends`; the checks are the caller's."""
+def _zero_smoothed(comp: tuple[Passage, ...], ends) -> tuple[tuple[Passage, ...]]:
+    """The components tuple of the 0-smoothing of the flattened open component
+    `comp` at the chord whose (component, position) ends are `ends`; the checks
+    are the caller's."""
     i, j = sorted(pos for _, pos in ends)
     middle = comp[i + 1:j]
     half = {c for c, n in Counter(p.chord for p in middle).items() if n == 1}
@@ -53,7 +43,7 @@ def _zero_smoothed(comp: tuple[Passage, ...], ends) -> KnotoidCode:
     def fix(p: Passage) -> Passage:
         return Passage(p.chord, p.role.flipped(), p.sign, p.preferred) if p.chord in half else p
 
-    return KnotoidCode((tuple(map(fix, comp[:i] + middle[::-1] + comp[j + 1:])),))
+    return (tuple(map(fix, comp[:i] + middle[::-1] + comp[j + 1:])),)
 
 
 def one_smooth(code: KnotoidCode, cid: int) -> tuple[KnotoidCode, OrderedTwoComponent]:

@@ -7,40 +7,37 @@ fingerprints certify inequivalence (the converse is not claimed).
 * one open component, flat: the flat affine polynomial canonicalized over the
   two orientations, plus the chord count of a move-minimized representative;
 * two components, flat: the absolute intersection index plus the per-component
-  chord profile of a move-minimized representative. `_minimized` finds it on
-  component tuples, building no code, and both counts are read from them;
+  chord profile of a move-minimized representative;
 * flat singular with one preferred chord: the class form of its based matrix
   (`sbm._string_form`), the least canonical form over the single-move
   homology closure of a primitive, for both orientations.
 
-The invariants sum fingerprints of surgered diagrams with crossing signs:
+Both flat fingerprints are read from a components tuple (CONVENTIONS.md,
+"Smoothings" and "Flat minimization"). The invariants sum fingerprints of
+surgered diagrams with crossing signs:
 
     F(D) = sum_c sgn(c) [0-smoothing at c]  - w(D) [flattening]
     L(D) = sum_c sgn(c) [1-smoothing at c]  - w(D) [flattening + unknot]
     G(D) = sum_c sgn(c) [gluing at c]       - w(D) [singular kink]
 
-The derivative over k singular chords, the alternating sum over all 2^k
-resolutions, is read in closed form (the resolution lemma in CONVENTIONS.md):
-every surgery is the same code under all resolutions, so it is 2 [surgery at
-s] - 2 [correction] at k = 1 and zero past it.
-
-G builds one based matrix per diagram, the singular kink's, reduces it once,
-and reads from it the kink and every glue whose chord the reduction keeps;
-a glue whose chord it deletes takes the kink's form or shares one reduction
-with its pair partner (`sbm._kink_forms`, the deleted-glue lemma in
-CONVENTIONS.md). It refuses, before building any matrix, a
-code whose payload bound passes `_PAYLOAD_BUDGET` matrix entries.
+`derivative` reads the alternating sum over all resolutions in closed form
+(CONVENTIONS.md, "Resolution lemma"); `order_check` evaluates it on every
+resolution. G reads every term from the singular kink's based matrix, reduced
+once (`sbm._kink_forms`; CONVENTIONS.md, "Based matrices"), and refuses,
+before building any matrix, a code whose payload bound passes
+`_PAYLOAD_BUDGET` matrix entries.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
-from .codes import (_CLASSICAL, _FLAT, _KIND_ROLES, _SINGULAR, KnotoidCode, OrderedTwoComponent,
-                    Passage, _rotate_canonical, add_unknot, flatten, serialize)
+from .codes import (_CLASSICAL, _FLAT, _KIND_ROLES, _SINGULAR, KnotoidCode, Passage,
+                    _rotate_canonical, add_unknot, flatten, serialize)
 from .errors import SizeLimitError, UnsupportedError, ValidityError
-from .invariants import (IntegerCombination, LaurentPoly, affine_index_polynomial,
-                         flat_affine_polynomial, intersection_index, writhe)
+from .invariants import (IntegerCombination, LaurentPoly, _open_q, _tail_balance,
+                         affine_index_polynomial, writhe)
 from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_moves, _simplified,
                     _slid)
 from .sbm import _kink_forms, _string_form, build_sbm
@@ -98,41 +95,36 @@ class FormalSum(IntegerCombination):
         return {"terms": [{"fingerprint": fp.hex, "coef": c} for fp, c in self.terms()]}
 
 
-def _q_bytes(q: LaurentPoly) -> bytes:
-    return repr(sorted(q.coeffs().items())).encode()
+def _q_bytes(q: dict[int, int]) -> bytes:
+    return repr(sorted(q.items())).encode()
 
 
 # triangle-orbit states searched per local minimum before giving up
 _ORBIT_CAP = 400
 
 
-def _minimized(code: KnotoidCode) -> tuple:
-    """The components of the smallest representative reachable by deletions
-    and triangle slides, found on component tuples: no code is built.
-
-    Deletions are applied greedily (`moves._simplified`) to give a root. The
-    (size-preserving) triangle-slide orbit of the root is searched breadth
-    first; the first new member with a deletion is simplified into the next
-    root, and the search starts again from it. The orbit search is capped at
-    `_ORBIT_CAP` members, so this is a normalization, not a canonical form.
-    Each member's closed components are rotated as `KnotoidCode` stores them,
-    and the frontier carries it with its pair index, which lists both its
-    deletions and its slides."""
-    root = _simplified(code.components)
-    seen, frontier = {root}, [(root, _pair_index(root))]
+def _minimized(comps) -> tuple:
+    """The components of the smallest representative of the components tuple
+    `comps` reachable by deletions and triangle slides, searched on tuples
+    with at most `_ORBIT_CAP` orbit states per root (CONVENTIONS.md, "Flat
+    minimization"). The frontier carries each state with its pair index,
+    which lists both its deletions and its slides."""
+    root, index = _simplified(comps)
+    seen, frontier = {tuple(map(id, chain(*root)))}, [(root, index)]
     while frontier and len(seen) <= _ORBIT_CAP:
         cur, index = frontier.pop(0)
         for mv in sorted(_r3_moves(cur, index), key=MoveInstance.sort_key):
             slid = _slid(cur, mv.sites)
             nxt = (slid[0], *map(_rotate_canonical, slid[1:]))
-            if nxt in seen:
+            state = tuple(map(id, chain(*nxt)))
+            if state in seen:
                 continue
             nxt_index = _pair_index(nxt)
-            if _r1_deletes(nxt) or _r2_deletes(nxt, nxt_index):
-                root = _simplified(nxt)
-                seen, frontier = {root}, [(root, _pair_index(root))]
+            if any(_r1_deletes(nxt)) or any(_r2_deletes(nxt, nxt_index)):
+                root, index = _simplified(nxt)
+                seen, frontier = {tuple(map(id, chain(*root)))}, [(root, index)]
                 break
-            seen.add(nxt)
+            seen.add(state)
             frontier.append((nxt, nxt_index))
     return root
 
@@ -141,6 +133,24 @@ def _profile(comps) -> tuple:
     """Chords with both passages on component 0, both on 1, and one on each."""
     on0, on1 = ({p.chord for p in comp} for comp in comps)
     return (len(on0 - on1), len(on1 - on0), len(on0 & on1))
+
+
+def _flat_fingerprint(comps) -> Fingerprint:
+    """The fingerprint of a flat code with one or two components and no
+    singular chord, read from its components tuple; the checks are the
+    caller's."""
+    if len(comps) == 1:
+        # reversal keeps every arrow and negates every W+, so Q(reverse) = -Q
+        q = _open_q(comps[0])
+        # the polynomial alone misses some small nontrivial classes (it vanishes
+        # on the two-crossing interleaved knotoid), so carry the size of a
+        # move-minimized representative as well
+        n_min = len(_minimized(comps)[0]) // 2
+        neg = {n: -v for n, v in q.items()}
+        return Fingerprint(1, b"Q:" + min(_q_bytes(q), _q_bytes(neg)) + b"|n%d" % n_min)
+    idx = abs(_tail_balance(comps))
+    prof = _profile(_minimized(comps))
+    return Fingerprint(2, b"M:" + repr((idx, prof)).encode())
 
 
 def fingerprint(code: KnotoidCode) -> Fingerprint:
@@ -155,17 +165,7 @@ def fingerprint(code: KnotoidCode) -> Fingerprint:
         if ncomp != 1:
             raise UnsupportedError("singular fingerprints need a single open component")
         return Fingerprint(1, b"S:" + _string_form(build_sbm(code)))
-    if ncomp == 1:
-        # reversal keeps every arrow and negates every W+, so Q(reverse) = -Q
-        q = flat_affine_polynomial(code)
-        # the polynomial alone misses some small nontrivial classes (it vanishes
-        # on the two-crossing interleaved knotoid), so carry the size of a
-        # move-minimized representative as well
-        n_min = len(_minimized(code)[0]) // 2
-        return Fingerprint(1, b"Q:" + min(_q_bytes(q), _q_bytes(-q)) + b"|n%d" % n_min)
-    idx = abs(intersection_index(OrderedTwoComponent(code, 0, 1)))
-    prof = _profile(_minimized(code))
-    return Fingerprint(2, b"M:" + repr((idx, prof)).encode())
+    return _flat_fingerprint(code.components)
 
 
 def _check_classical(code: KnotoidCode, resolving: bool = False) -> None:
@@ -192,13 +192,14 @@ def _signed_sum(code: KnotoidCode, terms) -> FormalSum:
 
 
 def _smoothings(code: KnotoidCode, smooth, correction):
-    """The fingerprints of smooth(flat, c) at every chord c, then of
-    correction(flat), where flat is `code` flattened once: flattening moves no
-    passage, so every smoothing reads its chord's positions from it."""
+    """The fingerprints of the components tuples smooth(flat, c) at every
+    chord c, then of correction(flat), where flat is `code` flattened once:
+    flattening moves no passage, so every smoothing reads its chord's
+    positions from it."""
     flat = flatten(code)
     for c in code.classical_chords():
-        yield fingerprint(smooth(flat, c))
-    yield fingerprint(correction(flat))
+        yield _flat_fingerprint(smooth(flat, c))
+    yield _flat_fingerprint(correction(flat))
 
 
 def _glued(code: KnotoidCode):
@@ -218,12 +219,14 @@ def _glued(code: KnotoidCode):
 def invariant_F(code: KnotoidCode) -> FormalSum:
     """0-smoothing invariant."""
     return _signed_sum(code, _smoothings(
-        code, lambda flat, c: _zero_smoothed(flat.open_component, flat.ends(c)), lambda flat: flat))
+        code, lambda flat, c: _zero_smoothed(flat.open_component, flat.ends(c)),
+        lambda flat: flat.components))
 
 
 def invariant_L(code: KnotoidCode) -> FormalSum:
     """1-smoothing invariant."""
-    return _signed_sum(code, _smoothings(code, lambda flat, c: one_smooth(flat, c)[0], add_unknot))
+    return _signed_sum(code, _smoothings(code, lambda flat, c: one_smooth(flat, c)[0].components,
+                                         lambda flat: add_unknot(flat).components))
 
 
 def invariant_G(code: KnotoidCode) -> FormalSum:
@@ -267,10 +270,7 @@ def derivative(inv, code: KnotoidCode):
     * k >= 2: zero, with no chord resolved and no surgery made. Resolving
       moves no passage, so the checks read the code itself, and P of the
       code serves as `P`'s."""
-    entry = _HANDLES.get(inv) if isinstance(inv, str) else None
-    if entry is None:
-        raise ValidityError(f"unknown invariant handle {inv!r}")
-    fn, surgery, correction = entry
+    fn, surgery, correction = _handle(inv)
     sing = code.singular_chords()
     if not sing:
         return fn(code)
@@ -287,26 +287,56 @@ def derivative(inv, code: KnotoidCode):
             - FormalSum.term(fingerprint(correction(plus)), 2))
 
 
-def order_check(inv, n: int, samples: int, seed: int) -> dict:
-    """Evaluate the derivative on random codes with n+1 singular crossings.
+def _handle(inv):
+    """The `_HANDLES` entry of `inv`, or ValidityError."""
+    entry = _HANDLES.get(inv) if isinstance(inv, str) else None
+    if entry is None:
+        raise ValidityError(f"unknown invariant handle {inv!r}")
+    return entry
 
-    Reports whether every sampled derivative vanished; for an invariant of
-    order n they all must. On a handle at n >= 1 they do by the resolution
-    lemma, whatever the invariant, so the order-one tests check `F`, `L` and
-    `G` against a derivative evaluated on every resolution instead. `n`,
-    `samples` and `seed` must be ints (not bools), samples >= 1 and n >= 0,
-    or it is a ValidityError."""
+
+def _resolution_sum(fn, code: KnotoidCode):
+    """The derivative of `fn` by its definition: the alternating sum of `fn`
+    over all 2^k resolutions of the k singular chords, evaluated on each one
+    by a recursion on the last singular chord, with no use of the resolution
+    lemma."""
+    sing = code.singular_chords()
+    if not sing:
+        return fn(code)
+    return (_resolution_sum(fn, resolve(code, sing[-1], 1))
+            - _resolution_sum(fn, resolve(code, sing[-1], -1)))
+
+
+# most singular chords an order check resolves: 2^6 evaluations per sample
+_ORDER_CHECK_SINGULAR = 6
+
+
+def order_check(inv, n: int, samples: int, seed: int) -> dict:
+    """Evaluate the derivative by its definition on random codes with n+1
+    singular crossings.
+
+    Each sampled code's derivative is the alternating sum of the invariant
+    itself over its 2^(n+1) resolutions (`_resolution_sum`), not the closed
+    form of `derivative`, which vanishes past one singular chord whatever the
+    invariant. Reports whether every sampled derivative vanished; for an
+    invariant of order n they all must. `n`, `samples` and `seed` must be
+    ints (not bools), samples >= 1 and n >= 0, or it is a ValidityError, as
+    is an unknown handle; n + 1 past `_ORDER_CHECK_SINGULAR` is a
+    SizeLimitError."""
     for name, value in (("n", n), ("samples", samples), ("seed", seed)):
         if type(value) is not int:
             raise ValidityError(f"{name} must be an int, got {value!r}")
     if samples < 1 or n < 0:
         raise ValidityError(f"an order check needs samples >= 1 and n >= 0, got {samples}, {n}")
+    fn = _handle(inv)[0]
+    if n + 1 > _ORDER_CHECK_SINGULAR:
+        raise SizeLimitError(f"an order check resolves at most {_ORDER_CHECK_SINGULAR} singular "
+                             f"chords ({1 << _ORDER_CHECK_SINGULAR} evaluations), got {n + 1}")
     rng = random.Random(seed)
     counterexamples = []
     for _ in range(samples):
         code = random_singular_code(rng.randrange(0, 4), n + 1, rng)
-        val = derivative(inv, code)
-        if not val.is_zero():
+        if not _resolution_sum(fn, code).is_zero():
             counterexamples.append(serialize(code))
     return {
         "samples": samples,

@@ -6,8 +6,9 @@ import pytest
 
 import knotoids as K
 from knotoids import sbm
+from knotoids import vassiliev as V
 from knotoids.codes import Passage, Role
-from knotoids.vassiliev import (INVARIANTS, Fingerprint, random_classical_code, random_flat_code,
+from knotoids.vassiliev import (Fingerprint, random_classical_code, random_flat_code,
                                 random_singular_code, random_two_component_flat)
 
 # four-crossing virtual knotoid with signs (-1,-1,-1,+1); its 0-smoothing at
@@ -170,27 +171,10 @@ def ref_glued(code):
 
 
 def _ref_derivative(inv, code):
-    """The derivative of the handle `inv` as the alternating sum itself: a bit
-    loop over all 2^k resolutions tracking the product of the chosen signs,
-    with no use of the resolution lemma."""
-    fn = K.affine_index_polynomial if inv == "p" else INVARIANTS[inv]
-    sing = code.singular_chords()
-    if not sing:
-        return fn(code)
-    acc = None
-    for bits in range(1 << len(sing)):
-        resolved = code
-        prod = 1
-        for i, cid in enumerate(sing):
-            sgn = 1 if (bits >> i) & 1 == 0 else -1
-            prod *= sgn
-            resolved = K.resolve(resolved, cid, sgn)
-        val = fn(resolved)
-        if acc is None:
-            acc = val if prod > 0 else -val
-        else:
-            acc = acc + val if prod > 0 else acc - val
-    return acc
+    """The derivative of the handle `inv` as the alternating sum itself,
+    evaluated on every resolution with no use of the resolution lemma: the
+    recursion `order_check` runs."""
+    return V._resolution_sum(V._HANDLES[inv][0], code)
 
 
 def glue_codes():

@@ -345,7 +345,7 @@ def _ref_inserts(code, fam):
 
 
 def _ref_enumerate(code, fam):
-    out = M._r1_deletes(code.components) + _ref_r2_deletes(code) + _ref_r3(code, fam)
+    out = list(M._r1_deletes(code.components)) + _ref_r2_deletes(code) + _ref_r3(code, fam)
     out += _ref_inserts(code, fam)
     if fam == "flat" and code.preferred_chord() is not None:
         out += M._preferred_switches(code.components)

@@ -424,6 +424,23 @@ def test_f_and_l_match_the_per_surgery_reference(monkeypatch):
             K.serialize(code)
 
 
+def test_f_and_l_terms_match_the_checked_surgeries(monkeypatch):
+    # term by term, since terms of the summed F and L can cancel: each term
+    # fingerprinted from its components tuple equals the fingerprint of the
+    # checked surgery, and each correction that of the checked correction
+    monkeypatch.setattr(V, "_signed_sum", lambda code, terms: list(terms))
+    rng = random.Random(197)
+    codes = [random_classical_code(4 + t * 36 // 59, rng) for t in range(60)]
+    twins = [twin for code in codes[::10] for twin in (K.reverse(code), K.mirror(code))]
+    for code in codes + twins:
+        flat = K.flatten(code)
+        chords = code.classical_chords()
+        assert V.invariant_F(code) == [fingerprint(K.zero_smooth(code, c)) for c in chords] + [
+            fingerprint(flat)], K.serialize(code)
+        assert V.invariant_L(code) == [fingerprint(K.one_smooth(flat, c)[0]) for c in chords] + [
+            fingerprint(K.add_unknot(flat))], K.serialize(code)
+
+
 def test_invariant_g_matches_the_glue_reference():
     rng = random.Random(191)
     codes = [K.parse("E")] + [random_classical_code(rng.randrange(1, 13), rng) for _ in range(150)]
@@ -563,6 +580,19 @@ def test_order_check_reports():
     for n, samples in ((0, -3), (1, 0), (-1, 5)):
         with pytest.raises(ValidityError):
             K.order_check("f", n, samples, 1)
+
+
+def test_order_check_evaluates_the_definition(monkeypatch):
+    # the order check sums the invariant over every resolution, so an order-two
+    # correction (-w^2 in place of -w) shows in every handle's second derivative
+    with pytest.raises(ValidityError, match="unknown invariant handle"):
+        K.order_check("x", 1, 3, 1)
+    with pytest.raises(SizeLimitError, match="at most 6 singular chords"):
+        K.order_check("f", 6, 1, 1)
+    assert K.order_check("p", 5, 1, 1)["singular_crossings"] == 6
+    monkeypatch.setattr(V, "writhe", lambda code: K.writhe(code) ** 2)
+    for handle, samples, seed in (("f", 20, 11), ("l", 20, 12), ("g", 12, 13)):
+        assert not K.order_check(handle, 1, samples, seed)["all_zero"], handle
 
 
 def test_formal_sum_and_polynomial_stay_apart():
@@ -748,44 +778,72 @@ def _minimized_cases():
 def test_minimized_matches_reference(monkeypatch):
     codes = _minimized_cases()
     for code in codes:
-        assert V._minimized(code) == _ref_minimized(code).components, K.serialize(code)
+        assert V._minimized(code.components) == _ref_minimized(code).components, \
+            K.serialize(code)
     for cap in (0, 1, 2, 3):
         monkeypatch.setattr(V, "_ORBIT_CAP", cap)
         for code in codes:
-            got = V._minimized(code)
+            got = V._minimized(code.components)
             assert got == _ref_minimized(code, orbit_cap=cap).components, (cap, K.serialize(code))
 
 
+@pytest.mark.slow
+def test_minimized_matches_reference_on_smoothings():
+    # the 0- and 1-smoothings of 100 codes of 20-40 crossings, where a root's
+    # triangle orbit may hold 5 or 7 members besides the root (independent
+    # triangles slide in any order); the small cases above meet at most 3
+    rng = random.Random(211)
+    wide = []
+    for _ in range(100):
+        code = random_classical_code(rng.randrange(20, 41), rng)
+        flat = K.flatten(code)
+        for c in code.classical_chords():
+            for term in (K.zero_smooth(code, c), K.one_smooth(flat, c)[0]):
+                log = []
+                assert V._minimized(term.components) == \
+                    _ref_minimized(term, log=log).components, (K.serialize(code), c)
+                roots = [i for i, (kind, _) in enumerate(log) if kind == "root"] + [len(log)]
+                wide += [b - a - 1 for a, b in zip(roots, roots[1:]) if b - a - 1 >= 5]
+    assert len(wide) >= 20, wide
+
+
 def test_minimized_builds_no_code(monkeypatch):
-    # the search runs on component tuples and builds no KnotoidCode, and each
-    # root and orbit member gets exactly one pair index, in the order the
-    # reference meets them
+    # the search runs on component tuples and builds no KnotoidCode; each orbit
+    # member gets exactly one pair index, in the order the reference meets
+    # them, and each root only the one `moves._simplified` built to find that
+    # nothing deletes, which it hands on
     codes = _minimized_cases()
-    indexed = []
+    members_indexed, simplified_indexed = [], []
 
     def build(comps):
         raise AssertionError("_minimized built a KnotoidCode")
 
-    def index(comps, *fixed):
-        indexed.append(comps)
-        return moves._pair_index(comps, *fixed)
+    def logger(log, pair_index=moves._pair_index):
+        def index(comps, *fixed):
+            log.append(comps)
+            return pair_index(comps, *fixed)
+        return index
 
-    monkeypatch.setattr(V, "_pair_index", index)
+    monkeypatch.setattr(V, "_pair_index", logger(members_indexed))
     members = restarts = 0
     for cap in (0, 1, 2, 3, 400):
         monkeypatch.setattr(V, "_ORBIT_CAP", cap)
         for code in codes:
             log = []
             _ref_minimized(code, orbit_cap=cap, log=log)
-            indexed.clear()
+            members_indexed.clear()
+            simplified_indexed.clear()
             with monkeypatch.context() as patched:
                 patched.setattr(V, "KnotoidCode", build)
                 patched.setattr(moves, "KnotoidCode", build)
-                V._minimized(code)
-            assert indexed == [comps for _, comps in log], (cap, K.serialize(code))
+                patched.setattr(moves, "_pair_index", logger(simplified_indexed))
+                V._minimized(code.components)
             met = [comps for kind, comps in log if kind == "member"]
+            roots = [comps for kind, comps in log if kind == "root"]
+            assert members_indexed == met, (cap, K.serialize(code))
+            assert [c for c in simplified_indexed if c in roots] == roots, (cap, K.serialize(code))
             members += len(met)
-            restarts += len(log) - len(met) - 1
+            restarts += len(roots) - 1
     assert members >= 80 and restarts >= 10, (members, restarts)
 
 
