@@ -32,19 +32,17 @@ move that does not fit is a StaleMoveError. A triangle slide has one swap rule,
 `_slid`, which the R3 applier runs after its gate and the flat orbit search
 (`vassiliev._minimized`) runs on slides that `_r3_moves` has just listed.
 
-Every lister and applier reads a components tuple alone, with no chord table:
-`_family`, `_fixed_chords` and `_preferred_switches` read the passages' roles,
-a triangle's tails come from its passages (`codes._is_tail`), a poke's rule
-from their roles. `random_walk` carries the tuple from step to step with the
-counts of the scanned families, which an insert step moves by the adjacencies
-it broke and added (`_ScannedCounts`). It draws over the counts, lists a
-scanned family only when the draw falls in it, runs the family's applier and
-rotates the closed components it touched as `KnotoidCode` stores them, so the
-next step sees the sites a built code would show, and builds one checked code
-at the end (CONVENTIONS.md, "Random walks"). `_simplified` deletes every kink
-in one pass (kink deletion is confluent; CONVENTIONS.md, "Kink deletion"),
-then the first poke pair, until none is left; `simplify` wraps it and builds
-at most one `KnotoidCode`, the flat orbit search none.
+Every lister and applier reads a components tuple alone, with no chord table,
+and each rule has one function that reads passages, not positions: `_is_kink`,
+`_r2_pair_ok` and `_is_triangle`; the last two refuse sites that share a
+passage record (CONVENTIONS.md, "Flat minimization"). `_family`,
+`_fixed_chords` and `_preferred_switches` read the passages' roles.
+`random_walk` carries the tuple from step to step, with the counts of the
+scanned families moved locally on insert steps (`_ScannedCounts`), and builds
+one checked code at the end (CONVENTIONS.md, "Random walks"). `_simplified`
+deletes every kink in one pass (CONVENTIONS.md, "Kink deletion"), then the
+first poke pair, until none is left; `simplify` wraps it and builds at most
+one `KnotoidCode`, the flat orbit search none.
 """
 from __future__ import annotations
 
@@ -155,18 +153,26 @@ def _r1_deletes(comps):
     gives a closed component of two passages one pair twice, as (0, 1) and
     (1, 0), and only the first counts."""
     for k, i, j in _adjacent_pairs(comps):
-        if (i, j) != (1, 0) and comps[k][i].chord == comps[k][j].chord \
-                and not comps[k][i].role.is_singular:
+        if (i, j) != (1, 0) and _is_kink(comps[k][i], comps[k][j]):
             yield MoveInstance("R1_delete", ((k, i),))
+
+
+def _is_kink(p, q) -> bool:
+    """Do the adjacent passages p, q form a deletable kink: one chord, not singular?"""
+    return p.chord == q.chord and not p.role.is_singular
 
 
 def _r2_pair_ok(a1, a2, b1, b2) -> bool:
     """Do passages (a1,a2) at one site and (b1,b2) at the other form a poke pair?
-    A code never mixes classical and flat chords, so a1 tells which rule holds;
-    a chord's two passages are of one kind, and b1, b2 carry a1's and a2's
-    chords, so a1 and a2 tell whether a singular chord is involved."""
+    Two sites that share a passage record never do (a record occurs once in a
+    code; CONVENTIONS.md, "Flat minimization"). A code never mixes classical
+    and flat chords, so a1 tells which rule holds; a chord's two passages are
+    of one kind, and b1, b2 carry a1's and a2's chords, so a1 and a2 tell
+    whether a singular chord is involved."""
     x, y = a1.chord, a2.chord
     if x == y or {b1.chord, b2.chord} != {x, y}:
+        return False
+    if a1 is b1 or a1 is b2 or a2 is b1 or a2 is b2:
         return False
     if a1.role.is_singular or a2.role.is_singular:
         return False
@@ -184,8 +190,6 @@ def _r2_deletes(comps, index):
     """One R2_delete per poke pair, yielded key by key of `index`."""
     for pairs in index.values():
         for (ka, ia, ja), (kb, ib, jb) in itertools.combinations(pairs, 2):
-            if ka == kb and {ia, ja} & {ib, jb}:
-                continue
             if _r2_pair_ok(comps[ka][ia], comps[ka][ja], comps[kb][ib], comps[kb][jb]):
                 yield MoveInstance("R2_delete", ((ka, ia), (kb, ib)))
 
@@ -277,25 +281,24 @@ def _r3_moves(comps, index):
             if z < y:
                 continue
             for trip in itertools.product(xy, index[(x, z)], index[(y, z)]):
-                trip = sorted(trip)
-                if _is_triangle(comps, trip):
+                (k0, i0, j0), (k1, i1, j1), (k2, i2, j2) = trip = sorted(trip)
+                if _is_triangle((comps[k0][i0], comps[k0][j0], comps[k1][i1], comps[k1][j1],
+                                 comps[k2][i2], comps[k2][j2])):
                     moves.append(MoveInstance("R3", tuple((k, i) for (k, i, j) in trip)))
     return moves
 
 
-def _is_triangle(comps, trip) -> bool:
-    """Do the adjacent pairs `trip` = ((k, i, j), ...) of `comps`, numbered 0-2,
-    bound a triangle? The six positions are distinct, every chord lies in two
-    pairs, every chord gives the same bit (its tail, by `_is_tail`, is in its
-    lower pair) ^ (it is first there) ^ (it is first in its other pair) ^ (it
-    joins pairs 0 and 2), the triangle's orientation, and on classical passages
-    some pair holds two Over passages (an acyclic sheet order); see CONVENTIONS.md."""
-    (k0, i0, j0), (k1, i1, j1), (k2, i2, j2) = trip
-    if len({(k0, i0), (k0, j0), (k1, i1), (k1, j1), (k2, i2), (k2, j2)}) != 6:
+def _is_triangle(spots) -> bool:
+    """Do the six passages `spots`, the three adjacent pairs numbered 0-2 in
+    pair order, bound a triangle? The six records are distinct, every chord
+    lies in two pairs, every chord gives the same bit (its tail, by
+    `_is_tail`, is in its lower pair) ^ (it is first there) ^ (it is first in
+    its other pair) ^ (it joins pairs 0 and 2), the triangle's orientation,
+    and on classical passages some pair holds two Over passages (an acyclic
+    sheet order); see CONVENTIONS.md, "Triangle slides"."""
+    if len({id(p) for p in spots}) != 6:
         return False
     # spot n is in pair n // 2, first in it when n is even
-    spots = (comps[k0][i0], comps[k0][j0], comps[k1][i1], comps[k1][j1],
-             comps[k2][i2], comps[k2][j2])
     first: dict[int, int] = {}
     bit = None
     for n, p in enumerate(spots):
@@ -396,8 +399,7 @@ def _deleted(comps, doomed: set[tuple[int, int]]):
 def _apply_r1_delete(comps, move):
     (k, i), = move.sites
     i, j = _pair_positions(comps, k, i)
-    a, b = comps[k][i], comps[k][j]
-    if a.chord != b.chord or a.role.is_singular:
+    if not _is_kink(comps[k][i], comps[k][j]):
         raise StaleMoveError("no kink at site")
     return _deleted(comps, {(k, i), (k, j)})
 
@@ -434,8 +436,6 @@ def _apply_r2_delete(comps, move):
     (ka, ia), (kb, ib) = move.sites
     ia, ja = _pair_positions(comps, ka, ia)
     ib, jb = _pair_positions(comps, kb, ib)
-    if ka == kb and {ia, ja} & {ib, jb}:
-        raise StaleMoveError("overlapping sites")
     a1, a2 = comps[ka][ia], comps[ka][ja]
     b1, b2 = comps[kb][ib], comps[kb][jb]
     if not _r2_pair_ok(a1, a2, b1, b2):
@@ -447,9 +447,8 @@ def _apply_r3(comps, move):
     """Swap the passages of each pair; the sites alone fix the slide, so the
     variant is not read."""
     fixed = _fixed_chords(comps, _family(comps, None))
-    trip = [(k, *_pair_positions(comps, k, i)) for (k, i) in move.sites]
-    if not _is_triangle(comps, trip) or any(
-            comps[k][pos].chord in fixed for k, i, j in trip for pos in (i, j)):
+    spots = tuple(comps[k][pos] for k, i in move.sites for pos in _pair_positions(comps, k, i))
+    if not _is_triangle(spots) or any(p.chord in fixed for p in spots):
         raise StaleMoveError("triangle pattern no longer matches")
     return _slid(comps, move.sites)
 
@@ -557,43 +556,28 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
     return KnotoidCode(comps)
 
 
-# spot triples for `_is_triangle` on three adjacencies held as components
-_TRIP = ((0, 0, 1), (1, 0, 1), (2, 0, 1))
-
-
-def _apart(*adjs) -> bool:
-    """Do the adjacencies (p, q, k) share no passage?"""
-    return len({id(p) for a in adjs for p in a[:2]}) == 2 * len(adjs)
-
-
 class _ScannedCounts:
     """How many instances each scanned family of `_FAMILIES` has on a walk's
-    components tuple, kept across insert steps (CONVENTIONS.md, "Random
-    walks").
+    components tuple, kept across insert steps by the locality lemma
+    (CONVENTIONS.md, "Random walks").
 
     It is built from the listers' own lists and the pair index of one tuple.
-    `pairs` is that index with each adjacent pair named by its passages, as
-    (p, q, k) with q after p on component k, and `partners` maps each chord to
-    the chords it shares a key with. A passage is named by its record,
-    compared by identity: the walk holds every record named here, and an
-    insert removes none. `inserted` moves the counts to the tuple an insert
-    made by cutting the adjacencies the insert broke and joining those it
-    added, one at a time, each counting the instances that use it and
-    otherwise only adjacencies still held. `fresh` is the tuple's fresh
-    chord id, scanned once at the build; an insert of one fresh chord per
-    site raises it by its site count."""
+    `pairs` maps chord x to partner chord y to the adjacent pairs of the key
+    {x, y}, each named by its passages as (p, q, k) with q after p on
+    component k; one list is stored under both orders. `inserted` cuts the
+    adjacencies an insert broke and joins those it added. `fresh` is the
+    tuple's fresh chord id, scanned once at the build; an insert of one fresh
+    chord per site raises it by its site count."""
 
     def __init__(self, comps, fixed, index, found):
         self.fixed = fixed
         self.fresh = _fresh_id(comps)
         self.count = {rule: len(got) for (rule, _, at), got in zip(_FAMILIES, found)
                       if at is None}
-        self.pairs = {key: [(comps[k][i], comps[k][j], k) for k, i, j in adj]
-                      for key, adj in index.items()}
-        self.partners: dict[int, set[int]] = {}
-        for x, y in self.pairs:
-            self.partners.setdefault(x, set()).add(y)
-            self.partners.setdefault(y, set()).add(x)
+        self.pairs: dict[int, dict[int, list]] = {}
+        for (x, y), adj in index.items():
+            held = [(comps[k][i], comps[k][j], k) for k, i, j in adj]
+            self.pairs.setdefault(x, {})[y] = self.pairs.setdefault(y, {})[x] = held
 
     def inserted(self, comps, moved, sites) -> bool:
         """Update the counts from `comps` to `moved`, which the insert at gaps
@@ -605,7 +589,7 @@ class _ScannedCounts:
             comp, new = comps[k], moved[k]
             n, m = len(comp), len(new)
             gaps = [g for kk, g in sites if kk == k]
-            if k and (not n or n == 2 and comp[0].chord == comp[1].chord):
+            if k and (not n or n == 2 and _is_kink(comp[0], comp[1])):
                 return False
             # two sites may share a gap; a closed component's gaps 0 and n are one
             for g in {g % n for g in gaps} if k else set(gaps):
@@ -629,43 +613,33 @@ class _ScannedCounts:
         that use it and otherwise only the adjacencies held."""
         p, q, k = adj
         x, y = p.chord, q.chord
-        if x == y:
-            if not p.role.is_singular:
-                self.count["R1_delete"] += sign
+        count = self.count
+        if _is_kink(p, q):
+            count["R1_delete"] += sign
+        if x == y or x in self.fixed or y in self.fixed:
             return
-        if x in self.fixed or y in self.fixed:
-            return
-        if x > y:
-            x, y = y, x
-        key = (x, y)
-        pairs, partners = self.pairs, self.partners
-        held = pairs.get(key, [])
+        x_pairs, y_pairs = self.pairs.setdefault(x, {}), self.pairs.setdefault(y, {})
+        held = x_pairs.get(y, [])
         if sign < 0:
             del held[next(n for n, a in enumerate(held) if a[0] is p and a[1] is q)]
             if not held:
-                del pairs[key]
-                partners[x].discard(y)
-                partners[y].discard(x)
-        count = self.count
-        count["R2_delete"] += sign * sum(
-            _apart(adj, a) and _r2_pair_ok(p, q, a[0], a[1]) for a in held)
-        for z in partners.get(x, set()) & partners.get(y, set()):
-            count["R3"] += sign * sum(
-                _apart(adj, a, b) and _is_triangle((adj, a, b), _TRIP)
-                for a in pairs[(x, z) if x < z else (z, x)]
-                for b in pairs[(y, z) if y < z else (z, y)])
+                del x_pairs[y], y_pairs[x]
+        count["R2_delete"] += sign * sum(_r2_pair_ok(p, q, a[0], a[1]) for a in held)
+        for z in x_pairs.keys() & y_pairs.keys():
+            count["R3"] += sign * sum(_is_triangle((p, q, a[0], a[1], b[0], b[1]))
+                                      for a in x_pairs[z] for b in y_pairs[z])
         if k == 0 and (p.preferred or q.preferred):
             # a switch of the preferred chord s with a flat chord o uses two
             # adjacencies on the open component: s's tail with o's head and
-            # o's tail with s's head
+            # o's tail with s's head. Of the pairs of one passage of s and one
+            # of o, only those two mix a tail and a head.
             s, o = (p, q) if p.preferred else (q, p)
             if o.role.is_flat and s.role.is_tail != o.role.is_tail:
-                count["PreferredSwitch"] += sign * any(a[2] == 0 and _apart(adj, a) for a in held)
+                count["PreferredSwitch"] += sign * any(
+                    a[2] == 0 and a[0].role.is_tail != a[1].role.is_tail for a in held)
         if sign > 0:
             if not held:
-                pairs[key] = held
-                partners.setdefault(x, set()).add(y)
-                partners.setdefault(y, set()).add(x)
+                x_pairs[y] = y_pairs[x] = held
             held.append(adj)
 
 
@@ -679,13 +653,12 @@ def _unkinked(comps):
     for k, comp in enumerate(comps):
         stack = []
         for p in comp:
-            if stack and stack[-1].chord == p.chord and not p.role.is_singular:
+            if stack and _is_kink(stack[-1], p):
                 stack.pop()
             else:
                 stack.append(p)
         lo, hi = 0, len(stack)
-        while k and hi - lo > 1 and stack[lo].chord == stack[hi - 1].chord \
-                and not stack[lo].role.is_singular:
+        while k and hi - lo > 1 and _is_kink(stack[hi - 1], stack[lo]):
             lo, hi = lo + 1, hi - 1
         out.append(_rotate_canonical(tuple(stack[lo:hi])) if k else tuple(stack))
     return tuple(out)
@@ -703,8 +676,7 @@ def _simplified(comps):
         first = min(_r2_deletes(comps, index), key=MoveInstance.sort_key, default=None)
         if first is None:
             return comps, index
-        comps = _deleted(comps, {(k, (i + d) % len(comps[k]))
-                                 for k, i in first.sites for d in (0, 1)})
+        comps = _apply_r2_delete(comps, first)
 
 
 def simplify(code: KnotoidCode) -> KnotoidCode:

@@ -1136,10 +1136,28 @@ def test_triangle_rule_matches_table_on_every_configuration():
         for order in sorted(set(itertools.permutations((1, 1, 2, 2, 3, 3)))):
             codes = list(_six_passage_codes(fam, order))
             assert len(set(codes)) == per_order
-            got = [M._is_triangle(code.components, trip) for code in codes]
+            got = [M._is_triangle(tuple(code.components[k][n] for k, i, j in trip for n in (i, j)))
+                   for code in codes]
             assert got == [_table_accepts(code, trip, fam) for code in codes], (fam, order)
             count += sum(got) if order in triangles else 0
         assert count == accepted
+
+
+def test_rules_refuse_sites_that_share_a_passage():
+    # the closed component's pairs (0, 1) and (1, 0) hold the same two passages
+    code = K.parse("B1 A2 / A1 B2")
+    closed = code.components[1]
+    assert not M._r2_pair_ok(closed[0], closed[1], closed[1], closed[0])
+    assert [mv.sites for mv in enumerate_moves(code, rules=("R2_delete",))] == \
+        [((0, 0), (1, 0)), ((0, 0), (1, 1))]
+    for sites in (((1, 0), (1, 1)), ((1, 1), (1, 0)), ((1, 0), (1, 0))):
+        with pytest.raises(StaleMoveError):
+            K.apply_move(code, MoveInstance("R2_delete", sites))
+    # a triangle's lower passage of chord 1 stands in for its upper one: the
+    # tail bits read only the lower passages, so only distinctness refuses it
+    spots = K.parse("A1 A2 B1 A3 B2 B3").components[0]
+    assert M._is_triangle(spots)
+    assert not M._is_triangle(spots[:2] + spots[:1] + spots[3:])
 
 
 def test_r3_refuses_sites_the_table_refused():
