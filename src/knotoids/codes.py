@@ -9,26 +9,14 @@ carry the crossing's local data:
 * singular chords: likewise directed, SingTail / SingHead, optionally marked
   preferred (at most one preferred chord per code, starred on both passages).
 
-Geometric conventions (see CONVENTIONS.md): the arrow tail of a flat crossing is
-the passage whose strand sees the other strand cross from right to left.
-Flattening a classical crossing therefore sends the Over passage to the tail for
-positive crossings and to the head for negative ones; orientation reversal keeps
-every arrow's tail and head in place. `_is_tail` holds that rule; `recast`
-uses it to take a passage to the same side of a chord of another kind, and
-`flat_passage` to flatten one. Both run per passage, so they stay out of
-`__all__` (and of span tracers).
-
-Text grammar (whitespace separated, components joined by "/"):
+Which passage is a tail is CONVENTIONS.md, "Flat arrows": `_is_tail` holds the
+rule and `recast` applies it, per passage, so both stay out of `__all__` (and
+of span tracers). A code is validated once, when its `KnotoidCode` is built;
+`parse` adds only the text grammar (whitespace separated, components joined by
+"/"), and closed components serialize from their least (chord id, role) pair:
 
     component := "E" | passage+
     passage   := ("O"|"U") id ("+"|"-") | ("A"|"B") id | ("SA"|"SB") id ["*"]
-
-Closed components serialize starting at their passage with the smallest
-(chord id, role) pair, so equal diagrams serialize identically.
-
-A `Passage` is a plain record. A code is validated once, when its `KnotoidCode`
-is built, by one pass over its passages and chords; `parse` adds only the text
-grammar on top.
 """
 from __future__ import annotations
 
@@ -103,18 +91,15 @@ class Passage:
 
 
 def _is_tail(role: Role, sign: int | None) -> bool:
-    """The flattening rule: whether a passage is its chord's arrow tail. A
-    positive crossing's Over passage is the tail, a negative crossing's Under
-    passage; a flat or singular passage is the tail when its role is."""
+    """Whether a passage is its chord's arrow tail, by the flattening rule of
+    CONVENTIONS.md, "Flat arrows"."""
     return _ROLE_KIND[role][1] != ((sign or 0) < 0)
 
 
 def recast(p: Passage, kind: Role, sign: int | None = None, preferred: bool = False) -> Passage:
-    """`p` as the passage on the same side (tail or head) of a chord of the kind
-    of role `kind`, with `sign` and `preferred` as given.
-
-    Both sides are read by `_is_tail`: `recast(p, Role.TAIL)` flattens a
-    classical passage, and `sign` picks a classical target's role."""
+    """`p` as the passage on the same side (tail or head, by `_is_tail`) of a
+    chord of the kind of role `kind`, with `sign` and `preferred` as given:
+    `recast(p, Role.TAIL)` flattens a classical passage."""
     first, second = _KIND_ROLES[_ROLE_KIND[kind][0]]
     role = first if _is_tail(first, sign) == _is_tail(p.role, p.sign) else second
     return Passage(p.chord, role, sign, preferred)
@@ -132,17 +117,11 @@ def _rotate_canonical(comp: tuple[Passage, ...]) -> tuple[Passage, ...]:
 
 @dataclass(frozen=True)
 class KnotoidCode:
-    """One open component plus zero or more closed ones; validated on creation.
-
-    `_validate` is the one check pass: each passage's types, id, sign and star,
-    then each chord's two passages, paired through `_ROLE_KIND`. It builds the
-    private chord table every chord query reads: chord id -> (sign, tail
-    component, tail position, head component, head position), sorted by chord
-    id, sign 0 on non-classical chords. A classical chord's tail is its
-    flattened tail: the Over passage when the sign is positive, the Under
-    passage otherwise. The sorted classical, flat and singular chord ids and
-    the preferred chord are kept beside it. Equality, hashing and repr see
-    `components` only."""
+    """One open component plus zero or more closed ones, closed components
+    stored rotated; a malformed code raises ValidityError. Every chord query
+    reads the chord table `_validate` builds: chord id -> (sign, tail
+    component, tail position, head component, head position), sign 0 on
+    non-classical chords. Equality, hashing and repr see `components` only."""
 
     components: tuple[tuple[Passage, ...], ...]
 
@@ -152,10 +131,13 @@ class KnotoidCode:
         self._validate()
 
     def _validate(self):
+        try:
+            comps = [tuple(comp) for comp in self.components]
+        except TypeError:
+            raise ValidityError(f"components must be sequences, got {self.components!r}") from None
         seen: dict[int, list] = {}
         rotated = []
-        for k, comp in enumerate(self.components):
-            comp = tuple(comp)
+        for k, comp in enumerate(comps):
             for p in comp:
                 if type(p) is not Passage:
                     raise ValidityError(f"a code holds Passage records, got {p!r}")

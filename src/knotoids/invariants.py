@@ -1,17 +1,8 @@
-"""Exact integer invariants of Gauss codes, most read from the open component's
-arc labels.
-
-Only the open component is labelled: the label starts at 0 and steps +1 at an
-arrow head and -1 at an arrow tail (classical passages through their
-flattening, `codes._is_tail`), one running sum over the passages. A crossing's
-flat weight is
-
-    W+(c) = label entering the tail passage - (label entering the head passage + 1)
-
-and the classical weight is W_D(c) = sgn(c) * W+(c). These feed the affine index
-polynomial P, the n-th writhes, and the flat writhes f_n with their polynomial
-Q. The intersection index of an ordered two-component flat code needs no
-labels: it counts the chords joining the components.
+"""Exact integer invariants of Gauss codes: the open component's arc labels,
+the writhes, the affine index polynomial P, the flat writhes f_n and their
+polynomial Q, read from the labels, and the intersection index of an ordered
+two-component flat code (CONVENTIONS.md, "Arc labeling" and "Intersection
+index").
 """
 from __future__ import annotations
 
@@ -130,9 +121,8 @@ class LaurentPoly(IntegerCombination):
 
 
 def _entering(comp):
-    """(passage, is tail, label entering it) along the open component `comp`:
-    the label is a running sum from 0 that steps -1 at a tail and +1 at a
-    head, classical passages through their flattening (`codes._is_tail`)."""
+    """(passage, is tail, label entering it) along the open component `comp`
+    (CONVENTIONS.md, "Arc labeling")."""
     label = 0
     for p in comp:
         tail = _is_tail(p.role, p.sign)
@@ -249,10 +239,8 @@ def flat_affine_polynomial(code: KnotoidCode) -> LaurentPoly:
 
 
 def intersection_index(view: OrderedTwoComponent) -> int:
-    """Signed count of chords joining the two components.
-
-    A joining chord counts +1 when its arrow tail lies on the first component
-    and -1 otherwise; swapping the ordering negates the result."""
+    """Signed count of chords joining the two components (CONVENTIONS.md,
+    "Intersection index")."""
     total = _tail_balance(view.code.components)
     return total if view.ell1 == 0 else -total
 

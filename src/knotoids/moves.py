@@ -1,48 +1,12 @@
-"""Reidemeister-type rewrites on Gauss codes.
+"""Reidemeister-type rewrites on Gauss codes: kink (R1) and poke (R2) inserts
+and deletions, triangle slides (R3) and the preferred-singularity slide
+(PreferredSwitch), listed, applied, walked at random and deleted greedily.
+Virtual-crossing moves act trivially on Gauss codes, so none is represented.
 
-Implemented rule families:
-
-* kink insert/delete (R1)
-* poke insert/delete (R2)
-* triangle slide (R3), decided from its sites by one closed-form rule
-  (`_is_triangle`; CONVENTIONS.md, "Triangle slides", proves it)
-* the preferred-singularity slide on flat singular codes (PreferredSwitch)
-
-Virtual-crossing moves act trivially on Gauss codes (virtual crossings are not
-recorded) and are therefore not represented.
-
-Moves never connect the open component's two ends: adjacency is linear on the
-open component and cyclic on closed ones.
-
-Enumeration is driven by one table, `_FAMILIES`, of the rule families in
-rule-name order, which is the (rule, sites, variant) order. The scanned families
-read one index of adjacent passage pairs keyed by their chord pair {x, y}: poke
-deletions pair up two entries of one key, triangle slides join the keys {x,y},
-{x,z}, {y,z}. The insert families are counted in closed form and decoded by
-index, so `random_walk` samples a move without listing the O(n) kink and O(n^2)
-poke inserts. A family that does not match the code's chords (classical moves
-on flat arrows or the reverse) is a ValidityError.
-
-Application is checked once, at entry: `apply_move`'s site gate checks the rule
-and the count, shape and components of its sites, then hands the move to the one
-applier of its family, which checks its pattern there and rewrites the
-components tuple; `apply_move` builds the checked code from it. Kink and poke
-inserts share one applier that reads their passages from site-pattern tables. A
-move that does not fit is a StaleMoveError. A triangle slide has one swap rule,
-`_slid`, which the R3 applier runs after its gate and the flat orbit search
-(`vassiliev._minimized`) runs on slides that `_r3_moves` has just listed.
-
-Every lister and applier reads a components tuple alone, with no chord table,
-and each rule has one function that reads passages, not positions: `_is_kink`,
-`_r2_pair_ok` and `_is_triangle`; the last two refuse sites that share a
-passage record (CONVENTIONS.md, "Flat minimization"). `_family`,
-`_fixed_chords` and `_preferred_switches` read the passages' roles.
-`random_walk` carries the tuple from step to step, with the counts of the
-scanned families moved locally on insert steps (`_ScannedCounts`), and builds
-one checked code at the end (CONVENTIONS.md, "Random walks"). `_simplified`
-deletes every kink in one pass (CONVENTIONS.md, "Kink deletion"), then the
-first poke pair, until none is left; `simplify` wraps it and builds at most
-one `KnotoidCode`, the flat orbit search none.
+Every lister and applier reads a components tuple alone, and each rule is one
+function on passages: `_is_kink`, `_r2_pair_ok` and `_is_triangle`. The rules
+and drivers rest on CONVENTIONS.md, "Kink deletion", "Triangle slides",
+"Flat minimization", "Preferred-singularity slide" and "Random walks".
 """
 from __future__ import annotations
 
@@ -113,9 +77,8 @@ def _fixed_chords(comps, fam: str) -> set[int]:
 
 def _pair_index(comps, fixed=frozenset()) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
     """Adjacent pairs (comp, i, j) of two different chords, neither `fixed`, keyed
-    by the sorted chord pair (x, y); each key's pairs come in adjacency order.
-
-    A chord has two passages, so a key holds at most four pairs."""
+    by the sorted chord pair (x, y); each key's pairs, at most four, come in
+    adjacency order."""
     index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for k, i, j in _adjacent_pairs(comps):
         a, b = comps[k][i].chord, comps[k][j].chord
@@ -129,11 +92,9 @@ def _pair_index(comps, fixed=frozenset()) -> dict[tuple[int, int], list[tuple[in
 
 def enumerate_moves(code: KnotoidCode, family: str | None = None,
                     rules: tuple[str, ...] | None = None) -> list[MoveInstance]:
-    """All applicable moves, sorted by (rule, sites, variant).
-
-    `rules` restricts which rule families are generated (all by default). The
-    wanted families of `_FAMILIES` are joined in table order, each sorted on its
-    own. Raises ValidityError when `family` does not match the code's chords."""
+    """All applicable moves, sorted by (rule, sites, variant); `rules` restricts
+    the rule families (all by default). Raises ValidityError when `family` does
+    not match the code's chords."""
     comps = code.components
     fam = _family(comps, family)
     index = _pair_index(comps, _fixed_chords(comps, fam))
@@ -164,11 +125,9 @@ def _is_kink(p, q) -> bool:
 
 def _r2_pair_ok(a1, a2, b1, b2) -> bool:
     """Do passages (a1,a2) at one site and (b1,b2) at the other form a poke pair?
-    Two sites that share a passage record never do (a record occurs once in a
-    code; CONVENTIONS.md, "Flat minimization"). A code never mixes classical
-    and flat chords, so a1 tells which rule holds; a chord's two passages are
-    of one kind, and b1, b2 carry a1's and a2's chords, so a1 and a2 tell
-    whether a singular chord is involved."""
+    Sites that share a passage record never do (CONVENTIONS.md, "Flat
+    minimization"). A code never mixes classical and flat chords, and b1, b2
+    carry a1's and a2's chords, so a1 and a2 tell which rule holds."""
     x, y = a1.chord, a2.chord
     if x == y or {b1.chord, b2.chord} != {x, y}:
         return False
@@ -289,13 +248,8 @@ def _r3_moves(comps, index):
 
 
 def _is_triangle(spots) -> bool:
-    """Do the six passages `spots`, the three adjacent pairs numbered 0-2 in
-    pair order, bound a triangle? The six records are distinct, every chord
-    lies in two pairs, every chord gives the same bit (its tail, by
-    `_is_tail`, is in its lower pair) ^ (it is first there) ^ (it is first in
-    its other pair) ^ (it joins pairs 0 and 2), the triangle's orientation,
-    and on classical passages some pair holds two Over passages (an acyclic
-    sheet order); see CONVENTIONS.md, "Triangle slides"."""
+    """Do the six passages `spots`, three adjacent pairs in pair order, bound a
+    triangle (CONVENTIONS.md, "Triangle slides")?"""
     if len({id(p) for p in spots}) != 6:
         return False
     # spot n is in pair n // 2, first in it when n is even
@@ -345,12 +299,12 @@ def _preferred_switches(comps):
     return moves
 
 
-# The rule families in rule-name order, which is the (rule, sites, variant)
-# order: (rule, find, at). A scanned family (`at` None) lists its instances,
-# unsorted, with find(comps, index); an insert family counts them in closed
-# form with find(comps, fam) and decodes the idx-th in sort order with
-# at(comps, fam, idx). Only the inserts read the family. Classical moves leave
-# no flat chord to switch with, so the switch lister finds none under them.
+# The rule families as (rule, find, at), in rule-name order, which is the
+# (rule, sites, variant) order. A scanned family (`at` None) lists its
+# instances, unsorted, with find(comps, index); an insert family counts them
+# in closed form with find(comps, fam) and decodes the idx-th in sort order
+# with at(comps, fam, idx). Classical moves leave no flat chord to switch
+# with, so only the inserts read the family.
 _FAMILIES = (
     ("PreferredSwitch", lambda comps, index: _preferred_switches(comps), None),
     ("R1_delete", lambda comps, index: _r1_deletes(comps), None),
@@ -364,13 +318,10 @@ _FAMILIES = (
 # -- application -------------------------------------------------------------
 
 def apply_move(code: KnotoidCode, move: MoveInstance) -> KnotoidCode:
-    """Apply one move, or raise StaleMoveError.
-
-    The site gate runs first: the rule must be known and `sites` a tuple of as
-    many (component, position) int pairs as `_APPLIERS` gives the rule, each
-    component an index of `code.components`. The rule's applier then checks the
-    pattern it expects at those sites (inserts read theirs from `_INSERTS`) and
-    rewrites the components tuple, from which the checked code is built."""
+    """Apply one move and return the checked code. StaleMoveError for an
+    unknown rule, `sites` that are not a tuple of as many (component,
+    position) int pairs as the rule takes, each component an index of
+    `code.components`, or a pattern that the rule does not find there."""
     count, applier = _APPLIERS.get(move.rule if isinstance(move.rule, str) else None, (0, None))
     if applier is None:
         raise StaleMoveError(f"unknown rule {move.rule!r}")
@@ -495,25 +446,11 @@ _APPLIERS = {
 
 def random_walk(code: KnotoidCode, steps: int, seed: int,
                 family: str | None = None) -> KnotoidCode:
-    """Apply `steps` uniformly chosen applicable moves; deterministic in `seed`.
-
-    The walk gives the code that `steps` times applying
-    `rng.choice(enumerate_moves(code, family))` gives, with `rng` seeded by
-    `seed`, but runs on the components tuple. It counts the kink and poke
-    inserts in closed form (O(n) and O(n^2) instances) and takes the counts of
-    the scanned families of `_FAMILIES` from a `_ScannedCounts`, built from
-    the listers on the first step and after every step that is not an insert,
-    and moved locally by each insert. The drawn index is decoded in the family
-    it falls in: an insert by index, a scanned family listed from the tuple
-    and sorted. The step runs that family's applier, an insert with the
-    fresh chord id the counts carry (`_ScannedCounts.fresh`, so no insert
-    step scans the passages for it), and rotates the closed components it
-    touched as `KnotoidCode` stores them. A listed move fits
-    its tuple, so no step builds or validates a code (CONVENTIONS.md, "Random
-    walks"); one checked `KnotoidCode` is built at the end.
-
-    `steps` and `seed` must be ints (not bools) and `steps` >= 0, or it is a
-    ValidityError; zero steps return `code` itself."""
+    """The code that `steps` rounds of `apply_move(c, rng.choice(enumerate_moves(c,
+    family)))` give, with `rng = random.Random(seed)`, walked on components
+    tuples (CONVENTIONS.md, "Random walks"). `steps` and `seed` must be ints
+    (not bools) and `steps` >= 0, or it is a ValidityError; zero steps return
+    `code` itself."""
     for name, value in (("steps", steps), ("seed", seed)):
         if type(value) is not int:
             raise ValidityError(f"{name} must be an int, got {value!r}")
@@ -557,17 +494,11 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
 
 
 class _ScannedCounts:
-    """How many instances each scanned family of `_FAMILIES` has on a walk's
-    components tuple, kept across insert steps by the locality lemma
-    (CONVENTIONS.md, "Random walks").
-
-    It is built from the listers' own lists and the pair index of one tuple.
-    `pairs` maps chord x to partner chord y to the adjacent pairs of the key
-    {x, y}, each named by its passages as (p, q, k) with q after p on
-    component k; one list is stored under both orders. `inserted` cuts the
-    adjacencies an insert broke and joins those it added. `fresh` is the
-    tuple's fresh chord id, scanned once at the build; an insert of one fresh
-    chord per site raises it by its site count."""
+    """The instance count of each scanned family of `_FAMILIES` on a walk's
+    components tuple, its pair index `pairs` (chord x -> partner chord y -> the
+    named pairs (p, q, k) of the key {x, y}) and its fresh chord id `fresh`,
+    built from the listers' lists and moved across inserts by the locality
+    lemma (CONVENTIONS.md, "Random walks")."""
 
     def __init__(self, comps, fixed, index, found):
         self.fixed = fixed
@@ -582,8 +513,7 @@ class _ScannedCounts:
     def inserted(self, comps, moved, sites) -> bool:
         """Update the counts from `comps` to `moved`, which the insert at gaps
         `sites` made before any rotation; False, with the counts left stale,
-        when a gap is on an empty closed component or a closed kink, where the
-        local rule does not hold."""
+        at the closed-kink exception."""
         cut, joined = [], []
         for k in {k for k, _ in sites}:
             comp, new = comps[k], moved[k]
@@ -629,10 +559,7 @@ class _ScannedCounts:
             count["R3"] += sign * sum(_is_triangle((p, q, a[0], a[1], b[0], b[1]))
                                       for a in x_pairs[z] for b in y_pairs[z])
         if k == 0 and (p.preferred or q.preferred):
-            # a switch of the preferred chord s with a flat chord o uses two
-            # adjacencies on the open component: s's tail with o's head and
-            # o's tail with s's head. Of the pairs of one passage of s and one
-            # of o, only those two mix a tail and a head.
+            # a switch's two pairs mix a tail and a head (CONVENTIONS.md, "Random walks")
             s, o = (p, q) if p.preferred else (q, p)
             if o.role.is_flat and s.role.is_tail != o.role.is_tail:
                 count["PreferredSwitch"] += sign * any(
@@ -644,11 +571,9 @@ class _ScannedCounts:
 
 
 def _unkinked(comps):
-    """`comps` with every kink deleted, closed components rotated as
-    `KnotoidCode` stores them: one stack pass per component, then on a closed
-    one its matching ends stripped. Singular kinks stay. Kink deletion is
-    confluent (CONVENTIONS.md, "Kink deletion"), so this is where deleting the
-    first kink until none is left ends."""
+    """`comps` with every kink but the singular ones deleted, in one pass
+    (CONVENTIONS.md, "Kink deletion"), closed components rotated as
+    `KnotoidCode` stores them."""
     out = []
     for k, comp in enumerate(comps):
         stack = []
@@ -665,11 +590,9 @@ def _unkinked(comps):
 
 
 def _simplified(comps):
-    """`comps` after deleting every kink (`_unkinked`), then the first poke
-    pair, until neither is left, with the pair index of the result; closed
-    components come out rotated as `KnotoidCode` stores them. No family is
-    read and no chord is fixed: `_r2_pair_ok` refuses singular passages, and a
-    singular kink stays."""
+    """`comps` after deleting every kink, then the first poke pair, until
+    neither is left, with the pair index of the result; closed components come
+    out rotated as `KnotoidCode` stores them (CONVENTIONS.md, "Kink deletion")."""
     while True:
         comps = _unkinked(comps)
         index = _pair_index(comps)
@@ -680,14 +603,9 @@ def _simplified(comps):
 
 
 def simplify(code: KnotoidCode) -> KnotoidCode:
-    """Greedily delete kinks and poke pairs until none applies.
-
-    The result is that of always applying the first deletion in (rule, sites)
-    order, so it is reproducible; no canonical-form claim is made. Kinks come
-    first in that order and deleting them is confluent, so `_simplified`
-    deletes every kink at once, then the first poke pair, on the raw
-    component tuples. One `KnotoidCode` is built at the end; when nothing
-    deletes, `code` itself is returned."""
+    """Delete kinks and poke pairs greedily: the code that applying the first
+    deletion in (rule, sites) order until none applies gives, reproducible but
+    not a canonical form. When nothing deletes, `code` itself is returned."""
     comps, _ = _simplified(code.components)
     if sum(map(len, comps)) == sum(map(len, code.components)):
         return code

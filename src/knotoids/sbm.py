@@ -1,78 +1,12 @@
-"""Singular based matrices for flat singular open strings.
+"""Singular based matrices (SBMs) of flat singular open strings: the build,
+elementary extensions, reduction to a primitive, canonical form, homology, and
+the class form of the singular fingerprint.
 
-An SBM is a finite labelled set with two marked elements s and d and a
-skew-symmetric integer pairing b. Built from a flat singular code with exactly
-one preferred chord:
-
-* Rule 1: b(e, s) is the intersection index of the ordered two-component code
-  obtained by 1-smoothing at e, taking first the component carrying the arc that
-  leaves e's tail passage. It equals e's flat weight W+(e), the tails minus
-  the heads of the arrows with an end inside e's arc, and is read that way.
-* Rule 2: b(e, f) counts arrows with tails interior to e's arc and heads
-  interior to f's arc, minus the opposite count, plus a linking sign: +1 when
-  the endpoints interleave as (tail e, tail f, head e, head f) cyclically, -1
-  for (tail e, head f, head e, tail f), 0 when they do not interleave. Arcs run
-  from tail to head along the orientation and pass through the string's
-  endpoints when the tail sits after the head.
-
-The element classes (zero rows, copies of row s, complementary pairs) come
-from one index of the unmarked rows by value, in O(k n) for k unmarked rows of
-n entries: g's partners are the rows equal to row(s) - row(g). Primitivity,
-reduction and the inverse moves read it. The elements complementary to d,
-which the switch N, the markings walk and the closure read, have one rule:
-one scan of the unmarked rows for row(s) - row(d) (`_switches`).
-A reduction step compares its candidates as the indices they keep and builds
-only the one it chooses; every matrix that is built is a checked `SBM`.
-
-A view (m, d, unmarked) stands for `_take(m, [0, *unmarked, d])` without
-building it: s, the index d and the unmarked indices of an SBM m. The
-markings walk, the closure and the canonical form run on views, which is
-sound when every index left out has a zero column or a copy of column s (the
-view lemma in CONVENTIONS.md): a switch re-marks d, a drop leaves an index
-out, and a glue of `G` leaves out the kink, whose column is zero.
-
-The canonical form, the lex-smallest flattened matrix over orders of the
-unmarked elements, is found by ordered partition refinement under a search-node
-budget, not by trying every order, and stops once one prefix survives with a
-discrete partition, which forces the rest (CONVENTIONS.md gives the argument).
-`_form` runs it on a view, from the `_Rows` its base holds: each row's twin
-class and each entry's text, made once per SBM, so the result's bytes are
-joined once from the winning order.
-Its first row is row s with the unmarked entries sorted, then b(s, d), so
-`_leading_key` reads that row's bytes, a prefix of the canonical form, with
-no search; of SBMs of one size, only those with the least key can have the
-least form (the leading-row lemma in CONVENTIONS.md). `isomorphic`,
-`homologous` and `_class_form` search only where the keys allow.
-
-Homology is generated by the elementary extensions (adding an all-zero row, a
-copy of row s, or a complementary pair of rows) and the singularity switch N
-(re-marking d to an element complementary to it). Two primitive SBMs are
-homologous exactly when one is the other's image under an isomorphism,
-optionally composed with a single N, delete-zero-row . N . add-s-copy, or
-delete-s-copy . N . add-zero-row move; `homologous` decides that directly.
-`_special_closure` lists a primitive with those single-move relatives, and
-both `homologous` and `_class_form`, the singular fingerprint's class form,
-read that one walk, as views.
-When rows s and d are nonzero and differ, the relatives are the switches
-alone and no extension is built (the closure lemma in CONVENTIONS.md);
-otherwise M2(p) and M1(p) are built once each, and their markings and drops
-are views of them. Any primitive of a
-class has the same closure forms (the shared reduction lemma in
-CONVENTIONS.md), so a class form takes plain inverse extensions
-(`_plain_reduction`) before `reduce_to_primitive` (`_string_form`), and
-`_kink_forms` reduces the kinked matrix of `G` once: the result, with the
-kink or any chord it keeps as d, is already a primitive. A glue whose chord
-the reduction deletes as a zero row or a copy of row s has the kink's class
-form, and the two glues of a pair it deletes have one form, so only one
-glue per deleted pair is reduced on its own (the deleted-glue lemma).
-
-Reversing the string's orientation changes its SBM by a fixed transform of
-the rows, `_reversed`: b(x, s) negates and b(x, y) becomes b(x, y) - b(x, s)
-+ b(y, s). It commutes with switches and drops and swaps zero rows with
-copies of row s, so it maps the closure of a primitive onto the closure of
-the reversed string's primitive (CONVENTIONS.md gives the proof), and the
-reversal of a view is the same view of the reversed rows, which each SBM
-holds once read, as it holds its own (`_Rows`).
+CONVENTIONS.md, "Based matrices" defines the matrix, its homology and its
+reversal, and proves the closure, gluing, shared reduction and deleted-glue
+lemmas; "Canonical form of a based matrix" gives the search and the
+leading-row and view lemmas. A view (m, d, unmarked) stands for
+`_take(m, [0, *unmarked, d])` without building it.
 """
 from __future__ import annotations
 
@@ -98,21 +32,28 @@ __all__ = [
     "homologous",
 ]
 
-# most search nodes (element placements) `canonical_form` visits before it
-# raises SizeLimitError. The level-by-level search visits at most
-# sum(k!/(k-i)!, i = 1..k) nodes on k unmarked elements, 986409 for k = 9, so
-# no input with 9 or fewer is refused.
+# search nodes (element placements) `canonical_form` visits before it raises
+# SizeLimitError; no input of 9 or fewer unmarked elements needs more
+# (CONVENTIONS.md, "Canonical form of a based matrix")
 _NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
 class SBM:
-    """Elements are stored with s first and d last; the matrix is b[i][j]."""
+    """A based matrix: the elements with s first and d last, and the pairing
+    b[i][j]. Sequences are stored as tuples. Fewer than two elements, repeated
+    labels, a matrix that is not n x n, an entry that is not an int (a bool
+    included) or a pairing that is not skew-symmetric raise ValidityError."""
 
     elements: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # copied only when needed: a copy of every checked matrix costs time and memory
+        if type(self.elements) is not tuple or type(self.matrix) is not tuple \
+                or not {tuple}.issuperset(map(type, self.matrix)):
+            object.__setattr__(self, "elements", tuple(self.elements))
+            object.__setattr__(self, "matrix", tuple(map(tuple, self.matrix)))
         n = len(self.elements)
         if n < 2:
             raise ValidityError("an SBM needs the two marked elements")
@@ -120,8 +61,10 @@ class SBM:
             raise ValidityError("element labels must be distinct")
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
             raise ValidityError("matrix shape must match the element count")
-        # each entry plus its transpose entry, the diagonal included, in one C-level pass
         entries = itertools.chain.from_iterable
+        if not {int}.issuperset(map(type, entries(self.matrix))):  # bools and floats refused
+            raise ValidityError("matrix entries must be integers")
+        # each entry plus its transpose entry, the diagonal included, in one C-level pass
         if any(map(operator.add, entries(self.matrix), entries(zip(*self.matrix)))):
             raise ValidityError("pairing must be skew-symmetric")
 
@@ -143,9 +86,8 @@ class SBM:
     def row(self, i: int) -> tuple[int, ...]:
         return self.matrix[i]
 
-    # the `_Rows` that `_form` searches, of the matrix and of its reversal,
-    # each built on first read; they are not fields, so ==, hash and repr
-    # ignore them
+    # the `_Rows` of the matrix and of its reversal, built on first read; they
+    # are not fields, so ==, hash and repr ignore them
     @functools.cached_property
     def _search_rows(self) -> _Rows:
         return _Rows(self.matrix)
@@ -195,11 +137,8 @@ def _take(m: SBM, order) -> SBM:
 
 
 def _reversed(mat) -> tuple[tuple[int, ...], ...]:
-    """The rows of the reversed string's SBM, from the rows of the SBM of a flat
-    singular string, element order kept: b(x, s) negates, and for x, y other
-    than s, b(x, y) becomes b(x, y) - b(x, s) + b(y, s) (CONVENTIONS.md gives
-    the proof). It reads only column s, so it commutes with switches and
-    drops: the reversal of a view is the same view of these rows."""
+    """The rows of the reversed string's SBM from the rows `mat` of a flat
+    singular string's, element order kept (the reversal lemma)."""
     col = [r[0] for r in mat]  # b(x, s)
     rows = [tuple([-v for v in mat[0]])]
     rows += [tuple([-cx] + [v - cx + cy for v, cy in zip(r[1:], col[1:])])
@@ -215,9 +154,10 @@ def _fresh_label(taken):
 
 
 def build_sbm(code: KnotoidCode) -> SBM:
-    """SBM of a flat singular code with a single open component and exactly one
-    preferred chord; elements are s, the plain arrows by id, then the preferred
-    arrow as d."""
+    """SBM of a flat singular code: s, the plain arrows by id, then the
+    preferred arrow as d. A code that is not one open component without
+    classical chords raises NotFlatSingularError, one without a preferred chord
+    NoPreferredError."""
     if len(code.components) != 1:
         raise NotFlatSingularError("the string must be a single open component")
     if code.classical_chords():
@@ -231,9 +171,7 @@ def build_sbm(code: KnotoidCode) -> SBM:
     tail_bit, head_bit = [0] * n, [0] * n  # bit k (element index) at each end of element k
     for k, (t, h) in enumerate(ends, 1):
         tail_bit[t] = head_bit[h] = 1 << k
-    # before_t[i] / before_h[i]: the tails / heads at positions below i. The ends
-    # strictly inside arc(e), from tail t to head h, are before[h] ^ before[t + 1];
-    # an arc that wraps past the string's ends (t > h) also takes the full mask.
+    # the arc masks of CONVENTIONS.md, "Based matrices"
     before_t = list(itertools.accumulate(tail_bit, operator.or_, initial=0))
     before_h = list(itertools.accumulate(head_bit, operator.or_, initial=0))
     full = before_t[n]
@@ -245,12 +183,11 @@ def build_sbm(code: KnotoidCode) -> SBM:
     size = len(chords) + 1
     mat = [[0] * size for _ in range(size)]
     for i in range(1, size):
-        # Rule 1 is tau(A_e): the tails minus the heads inside arc(e)
+        # Rule 1
         mat[i][0] = tails[i].bit_count() - heads[i].bit_count()
         mat[0][i] = -mat[i][0]
         for j in range(i + 1, size):
-            # an arc holds neither end of its own chord, so e and f drop out of
-            # the counts; the linking sign is which end of f lies inside arc(e)
+            # Rule 2; the linking sign is which end of f lies inside arc(e)
             b = ((tails[i] & heads[j]).bit_count() - (tails[j] & heads[i]).bit_count()
                  + (tails[i] >> j & 1) - (heads[i] >> j & 1))
             mat[i][j], mat[j][i] = b, -b
@@ -384,12 +321,9 @@ def apply_ext_inverse(m: SBM, move: tuple) -> SBM:
 # -- primitivity and reduction -------------------------------------------------
 
 def _markings(m: SBM):
-    """Every marking of m reachable by singularity switches (`_switches`), m's
-    own first, each as its d, its unmarked indices and their `_classes`. A
-    switch to g makes g the d and appends the old d to the unmarked indices,
-    as `_remark` orders them, so a marking is `_take(m, [0, *unmarked, d])`;
-    markings with equal matrices are one, and only their matrices are built,
-    as rows of m."""
+    """Every marking of m, m's own first, each as its d, its unmarked indices,
+    in the order `_remark` gives them, and their `_classes`; markings with
+    equal matrices are one."""
     mat = m.matrix
     seen = {mat: (m.d, m.unmarked())}
     frontier = [seen[mat]]
@@ -419,12 +353,8 @@ def _reductions(m: SBM):
 
 
 def reduce_to_primitive(m: SBM) -> SBM:
-    """Shrink by inverse extensions (exploring switch markings) until primitive.
-
-    Each step keeps the least reduction by (size, matrix), the first one
-    generated on ties, so the result is a function of the input alone; a state
-    with no reduction in any marking is primitive by definition. Only the
-    chosen reduction is built."""
+    """A primitive homologous to m, by the rule of CONVENTIONS.md, "Based
+    matrices"; only the chosen reduction of each step is built."""
     def key(kept):
         take = operator.itemgetter(*kept)
         return len(kept), list(map(take, take(m.matrix)))
@@ -435,12 +365,9 @@ def reduce_to_primitive(m: SBM) -> SBM:
 
 
 def _plain_reduction(m: SBM) -> tuple[SBM, dict[str, str]]:
-    """m with its unmarked zero rows, copies of row s and complementary pairs
-    deleted until none is left, d kept and never switched, and the partner
-    of each label deleted in a pair, both ways. Each pass deletes a disjoint
-    batch from one `_classes` index: a zero row, a copy or a pair stays one
-    when other elements are dropped, so the batch is a chain of inverse
-    extensions and the result is homologous to m."""
+    """m after plain steps until none is left, d never switched, and the
+    partner of each label deleted in a pair, both ways (the shared reduction
+    lemma). Each pass deletes a disjoint batch read from one `_classes`."""
     partner = {}
     while True:
         ann, core, pairs = _classes(m.matrix, m.unmarked())
@@ -458,14 +385,9 @@ def _plain_reduction(m: SBM) -> tuple[SBM, dict[str, str]]:
 # -- canonical form, isomorphism, homology -------------------------------------
 
 def canonical_form(m: SBM) -> bytes:
-    """The lex-smallest flattened matrix over orders of the unmarked elements
-    (s first, d last), serialized.
-
-    Labels are ignored (isomorphisms only fix s and d). The search goes level
-    by level: it keeps every order prefix whose rows so far are least, places
-    one element per twin class from the first cell next, and refines the other
-    cells by its row (see CONVENTIONS.md). Raises SizeLimitError past
-    _NODE_BUDGET placements."""
+    """The repr bytes of the lex-smallest flattened matrix of m over orders of
+    its unmarked elements, s first and d last; labels are ignored. Raises
+    SizeLimitError past `_NODE_BUDGET` search nodes."""
     return _form(_whole(m))
 
 
@@ -486,11 +408,8 @@ class _Rows:
 
 def _form(view, flip: bool = False) -> bytes:
     """`canonical_form` of the view (m, d, unmarked), or of its reversal if
-    flip: the SBM with row s (index 0), d and the unmarked indices of m, read
-    from the rows m holds. Every other row must have a zero column or a copy
-    of column s, so that two rows equal on the view are equal in full (the
-    view lemma in CONVENTIONS.md); the form does not depend on the order of
-    the unmarked indices. The bytes are joined once, from the winning order."""
+    flip, read from the rows m holds. Every index outside the view must have a
+    zero column or a copy of column s (the view lemma)."""
     m, d, unmarked = view
     rows = m._reversed_rows if flip else m._search_rows
     mat, twin, k = rows.mat, rows.twin, len(unmarked)
@@ -498,8 +417,7 @@ def _form(view, flip: bool = False) -> bytes:
     nodes = 0
     for level in range(k):
         if len(states) == 1 and len(states[0][1]) == k - level:
-            # every cell is a singleton: the rest of the order is forced, and
-            # it counts as the one node per level the search would visit
+            # a discrete partition forces the rest, one node per level
             prefix, cells = states[0]
             nodes += len(cells)
             if nodes > _NODE_BUDGET:
@@ -515,8 +433,7 @@ def _form(view, flip: bool = False) -> bytes:
                     raise _over_budget(k)
                 row = mat[c]
                 refined = _split([[g for g in first if g != c], *cells[1:]], row)
-                # the row of c in the least order: its entries before c are the
-                # same for every candidate, so the rest decides
+                # the entries of row c before c are the same for every candidate
                 key = [row[g] for cell in refined for g in cell]
                 key.append(row[d])
                 if best is None or key < best:
@@ -531,11 +448,8 @@ def _form(view, flip: bool = False) -> bytes:
 
 def _leading_key(view, flip: bool = False) -> bytes:
     """The first row of the canonical form of a view, or of its reversal if
-    flip (which negates row s), as the prefix of the canonical form's bytes
-    through that row's last comma: 0, the unmarked entries sorted ascending,
-    then b(s, d) (the leading-row lemma in CONVENTIONS.md). Of two SBMs of one
-    size, a smaller key means a smaller canonical form; equal keys decide
-    nothing."""
+    flip, as the form's bytes through that row's last comma (the leading-row
+    lemma)."""
     m, d, unmarked = view
     sign, srow = -1 if flip else 1, m.matrix[0]
     return repr((0, *sorted([sign * srow[g] for g in unmarked]),
@@ -574,14 +488,9 @@ def _whole(m: SBM) -> tuple:
 
 
 def _special_closure(view) -> list[tuple[tuple, str]]:
-    """The primitive view (m, d, unmarked) of an SBM m and its single-move
-    relatives, each as a view (base, d, unmarked) with its move name, the
-    primitive first: a switch re-marks d, and a drop leaves an index out.
-
-    Any two homologous primitives are related by an isomorphism alone or by an
-    isomorphism with exactly one of these moves, so the canonical forms of this
-    list cover the whole homology class of the primitive at the primitive
-    level."""
+    """The special closure of the primitive view (m, d, unmarked), each member
+    a view with its move name, the primitive first, then its switches, then
+    the drops (CONVENTIONS.md, "Based matrices")."""
     m, d, unmarked = view
     mat = m.matrix
     out = [(view, "identity")]
@@ -589,11 +498,9 @@ def _special_closure(view) -> list[tuple[tuple, str]]:
             for g in _switches(mat, d, unmarked)]
     srow, drow = mat[0], mat[d]
     if any(srow) and any(drow) and drow != srow:
-        # no marking of either extension has a row to drop (the closure lemma
-        # in CONVENTIONS.md)
+        # the closure lemma
         return out
-    # add an s-copy, switch, then delete a zero row; and the other way round.
-    # Each extension is built once, and its markings and drops are views of it
+    # each extension is built once, and its markings and drops are views of it
     p = m if d == m.d and len(unmarked) == m.size - 2 else _take(m, [0, *unmarked, d])
     for ext, cls, name in (("M2", 0, "M2;N;M1_inverse"), ("M1", 1, "M1;N;M2_inverse")):
         x = apply_ext(p, (ext,))
@@ -603,9 +510,9 @@ def _special_closure(view) -> list[tuple[tuple, str]]:
 
 
 def homologous(m1: SBM, m2: SBM) -> tuple[bool, str]:
-    """Decide homology; the certificate names the first closure member, in
-    closure order, isomorphic to m2's primitive. Only the members whose leading
-    row is that primitive's are searched (the leading-row lemma)."""
+    """Whether m1 and m2 are homologous, with a certificate: "isomorphism" or
+    the move of the first member of the special closure of m1's primitive
+    isomorphic to m2's primitive, and "none" when there is none."""
     p2 = reduce_to_primitive(m2)
     key, form = _leading_key(_whole(p2)), canonical_form(p2)
     for x, via in _special_closure(_whole(reduce_to_primitive(m1))):
@@ -615,12 +522,8 @@ def homologous(m1: SBM, m2: SBM) -> tuple[bool, str]:
 
 
 def _class_form(view) -> bytes:
-    """The least canonical form over the closure of the primitive view and the
-    reversal of each member: the class form of the singular fingerprint. It
-    does not depend on which primitive of the class (the shared reduction
-    lemma), and the reversed string's closure is the reversal of this one,
-    so one walk serves both orientations. Only the candidates with the least
-    leading-row key are searched (the leading-row lemma)."""
+    """The class form of the singular fingerprint from the primitive view
+    (CONVENTIONS.md, "Fingerprints and the invariants")."""
     keyed = [(_leading_key(x, flip), x, flip)
              for x, _ in _special_closure(view) for flip in (False, True)]
     least = min(key for key, _, _ in keyed)
@@ -635,14 +538,8 @@ def _string_form(m: SBM) -> bytes:
 
 def _kink_forms(kinked: SBM):
     """The class forms of every glue of a code, in chord order, then of its
-    singular kink, from the kink's SBM (s, the chords, the kink as d). A glue
-    is kinked with its chord as d and the kink left out (the gluing lemma in
-    CONVENTIONS.md). One plain reduction serves the kink and every glue whose
-    chord it keeps, each a view of it: the kink's column is zero, so the view
-    is sound. A glue whose chord it deleted as a zero row or a copy of row s
-    has the kink's form, and the two glues of a pair it deleted share one
-    form, reduced once (the deleted-glue lemma). The kink's form is found
-    once, when first read."""
+    singular kink, from the kink's SBM `kinked` (s, the chords, the kink as
+    d), by the gluing, shared reduction and deleted-glue lemmas."""
     shared, partner = _plain_reduction(kinked)  # s, the chords kept, the kink
     kept = shared.unmarked()
     at = {label: g for g, label in enumerate(shared.elements)}

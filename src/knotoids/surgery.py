@@ -1,14 +1,8 @@
 """Crossing surgeries: 0/1-smoothings, gluing, singular kinks, and resolution.
 
-All smoothing and gluing outputs are flat: each surgery reads the surgered
-chord's positions from the input's chord table (`KnotoidCode.ends`) and
-flattens passage by passage while it builds its result. The flattening rule,
-like the same-side re-kinding of gluing and resolution, is `codes.recast`.
-The reconnection rules of the two smoothings and the ordered view of a
-1-smoothing are in CONVENTIONS.md, "Smoothings" and "Intersection index".
-Each public surgery checks its input and builds one `KnotoidCode`;
-`zero_smooth` builds it from the components tuple of its core,
-`_zero_smoothed`, which `invariant_F` fingerprints with no code built.
+Smoothing and gluing outputs are flat, flattened passage by passage by
+`codes.recast` (CONVENTIONS.md, "Flat arrows", "Smoothings" and "Intersection
+index"). Each public surgery checks its input and builds one `KnotoidCode`.
 """
 from __future__ import annotations
 
@@ -83,8 +77,7 @@ def glue(code: KnotoidCode, cid: int) -> KnotoidCode:
 
 def singular_kink(code: KnotoidCode, gap: int = 0) -> KnotoidCode:
     """Flatten and insert an adjacent preferred singular kink at `gap` in the
-    open component. The based-matrix certificate of the result does not depend
-    on the gap chosen."""
+    open component; every gap gives one based matrix (the gluing lemma)."""
     comp = code.open_component
     if not 0 <= gap <= len(comp):
         raise NotFoundError(f"gap {gap} out of range")
@@ -96,12 +89,9 @@ def singular_kink(code: KnotoidCode, gap: int = 0) -> KnotoidCode:
 
 
 def resolve(code: KnotoidCode, cid: int, sign: int) -> KnotoidCode:
-    """Replace singular chord `cid` by a crossing of the given sign.
-
-    On classical (or purely singular) codes this inverts the flattening rule:
-    a positive crossing puts Over at the arrow tail, a negative one puts Under
-    there. On flat singular codes over/under data cannot be carried, so the
-    chord becomes the flat arrow both resolutions flatten to."""
+    """Replace singular chord `cid` by a crossing of the given sign that
+    flattens to its arrow (CONVENTIONS.md, "Flat arrows"), or, on a code with
+    flat chords, by that flat arrow."""
     if sign not in (1, -1):
         raise ValidityError("sign must be +1 or -1")
     if cid not in code.singular_chords():

@@ -1,31 +1,9 @@
-"""Class fingerprints, formal sums, and the smoothing/gluing invariants.
+"""Class fingerprints, formal sums, the smoothing and gluing invariants F, L
+and G, their derivatives and order checks, and seeded random codes.
 
-A fingerprint is a sound, computable stand-in for the non-oriented flat class of
-a diagram: move-equivalent diagrams always get equal fingerprints, while unequal
-fingerprints certify inequivalence (the converse is not claimed).
-
-* one open component, flat: the flat affine polynomial canonicalized over the
-  two orientations, plus the chord count of a move-minimized representative;
-* two components, flat: the absolute intersection index plus the per-component
-  chord profile of a move-minimized representative;
-* flat singular with one preferred chord: the class form of its based matrix
-  (`sbm._string_form`), the least canonical form over the single-move
-  homology closure of a primitive, for both orientations.
-
-Both flat fingerprints are read from a components tuple (CONVENTIONS.md,
-"Smoothings" and "Flat minimization"). The invariants sum fingerprints of
-surgered diagrams with crossing signs:
-
-    F(D) = sum_c sgn(c) [0-smoothing at c]  - w(D) [flattening]
-    L(D) = sum_c sgn(c) [1-smoothing at c]  - w(D) [flattening + unknot]
-    G(D) = sum_c sgn(c) [gluing at c]       - w(D) [singular kink]
-
-`derivative` reads the alternating sum over all resolutions in closed form
-(CONVENTIONS.md, "Resolution lemma"); `order_check` evaluates it on every
-resolution. G reads every term from the singular kink's based matrix, reduced
-once (`sbm._kink_forms`; CONVENTIONS.md, "Based matrices"), and refuses,
-before building any matrix, a code whose payload bound passes
-`_PAYLOAD_BUDGET` matrix entries.
+CONVENTIONS.md, "Fingerprints and the invariants" defines the fingerprints and
+the invariants; "Smoothings", "Flat minimization" and "Based matrices" say how
+their terms are read, and "Resolution lemma" gives the derivatives.
 """
 from __future__ import annotations
 
@@ -104,11 +82,9 @@ _ORBIT_CAP = 400
 
 
 def _minimized(comps) -> tuple:
-    """The components of the smallest representative of the components tuple
-    `comps` reachable by deletions and triangle slides, searched on tuples
-    with at most `_ORBIT_CAP` orbit states per root (CONVENTIONS.md, "Flat
-    minimization"). The frontier carries each state with its pair index,
-    which lists both its deletions and its slides."""
+    """The move-minimized representative of the components tuple `comps`
+    (CONVENTIONS.md, "Flat minimization"). The frontier carries each state
+    with its pair index, which lists both its deletions and its slides."""
     root, index = _simplified(comps)
     seen, frontier = {tuple(map(id, chain(*root)))}, [(root, index)]
     while frontier and len(seen) <= _ORBIT_CAP:
@@ -140,11 +116,8 @@ def _flat_fingerprint(comps) -> Fingerprint:
     singular chord, read from its components tuple; the checks are the
     caller's."""
     if len(comps) == 1:
-        # reversal keeps every arrow and negates every W+, so Q(reverse) = -Q
+        # min(Q, -Q) by the reversal lemma; n_min because Q misses some classes
         q = _open_q(comps[0])
-        # the polynomial alone misses some small nontrivial classes (it vanishes
-        # on the two-crossing interleaved knotoid), so carry the size of a
-        # move-minimized representative as well
         n_min = len(_minimized(comps)[0]) // 2
         neg = {n: -v for n, v in q.items()}
         return Fingerprint(1, b"Q:" + min(_q_bytes(q), _q_bytes(neg)) + b"|n%d" % n_min)
@@ -155,7 +128,9 @@ def _flat_fingerprint(comps) -> Fingerprint:
 
 def fingerprint(code: KnotoidCode) -> Fingerprint:
     """Orientation-insensitive class fingerprint of a flat (multi-)knotoid or a
-    flat singular knotoid with one preferred chord."""
+    flat singular knotoid with one preferred chord. UnsupportedError for
+    classical chords, more than two components, or singular chords off a
+    single open component."""
     if code.classical_chords():
         raise UnsupportedError("fingerprints are defined on flat data; flatten first")
     ncomp = len(code.components)
@@ -193,9 +168,8 @@ def _signed_sum(code: KnotoidCode, terms) -> FormalSum:
 
 def _smoothings(code: KnotoidCode, smooth, correction):
     """The fingerprints of the components tuples smooth(flat, c) at every
-    chord c, then of correction(flat), where flat is `code` flattened once:
-    flattening moves no passage, so every smoothing reads its chord's
-    positions from it."""
+    chord c, then of correction(flat), with flat the one flattening of `code`
+    (CONVENTIONS.md, "Smoothings")."""
     flat = flatten(code)
     for c in code.classical_chords():
         yield _flat_fingerprint(smooth(flat, c))
@@ -204,10 +178,8 @@ def _smoothings(code: KnotoidCode, smooth, correction):
 
 def _glued(code: KnotoidCode):
     """The fingerprints of every glue of code, in chord order, then of its
-    singular kink, all read from the kink's based matrix (`sbm._kink_forms`).
-
-    More than `_PAYLOAD_BUDGET` matrix entries in the payload bound raise
-    SizeLimitError before any matrix is built."""
+    singular kink. SizeLimitError past `_PAYLOAD_BUDGET`, before any matrix
+    is built."""
     n = code.chord_count()
     if (bound := (n + 1) * (n + 2) ** 2) > _PAYLOAD_BUDGET:
         raise SizeLimitError(f"G on {n} crossings may hold {bound} matrix entries, past "
@@ -247,29 +219,18 @@ _HANDLES = {
 }
 INVARIANTS = {handle: fn for handle, (fn, surgery, _) in _HANDLES.items() if surgery}
 
-# most matrix entries in the bound (n + 1)(n + 2)^2 on `G`'s payload at n
-# crossings (n + 1 terms, each a canonical matrix of at most n + 2 elements).
-# 2^24 admits 254 crossings; the payload, and G's memory, grow as n^3
+# most matrix entries in the bound on `G`'s payload; the payload and G's memory
+# grow as n^3 (CONVENTIONS.md, "Fingerprints and the invariants")
 _PAYLOAD_BUDGET = 1 << 24
 
 
 def derivative(inv, code: KnotoidCode):
     """Alternating sum of the invariant `inv` over all 2^k resolutions of the k
-    singular crossings, read in closed form (the resolution lemma in
-    CONVENTIONS.md).
-
-    `inv` is a handle of `_HANDLES` ("f", "l", "g", or "p" for the affine
-    index polynomial); anything else raises ValidityError. With D+ the code
-    with every singular chord resolved + (D- at k = 1 with s resolved -), the
-    invariant's checks run as on D+, and:
-
-    * k = 0: the invariant's value;
-    * k = 1, `F`, `L`, `G`: 2 [surgery of D+ at s] - 2 [correction of D+], two
-      fingerprints (`G`'s payload budget bounds its n + 1 terms, not these);
-    * k = 1, `P`: P(D+) - P(D-), since P's term at s depends on its sign;
-    * k >= 2: zero, with no chord resolved and no surgery made. Resolving
-      moves no passage, so the checks read the code itself, and P of the
-      code serves as `P`'s."""
+    singular crossings of `code`, read in closed form by the resolution lemma;
+    the invariant's value at k = 0. `inv` is a handle of `_HANDLES` ("f", "l",
+    "g", or "p" for the affine index polynomial), or it is a ValidityError.
+    The invariant's checks run as on the code with every singular chord
+    resolved; `G`'s payload budget does not apply."""
     fn, surgery, correction = _handle(inv)
     sing = code.singular_chords()
     if not sing:
@@ -296,10 +257,8 @@ def _handle(inv):
 
 
 def _resolution_sum(fn, code: KnotoidCode):
-    """The derivative of `fn` by its definition: the alternating sum of `fn`
-    over all 2^k resolutions of the k singular chords, evaluated on each one
-    by a recursion on the last singular chord, with no use of the resolution
-    lemma."""
+    """The derivative of `fn` by its definition, `fn` evaluated on all 2^k
+    resolutions of the k singular chords by a recursion on the last one."""
     sing = code.singular_chords()
     if not sing:
         return fn(code)
@@ -312,17 +271,12 @@ _ORDER_CHECK_SINGULAR = 6
 
 
 def order_check(inv, n: int, samples: int, seed: int) -> dict:
-    """Evaluate the derivative by its definition on random codes with n+1
-    singular crossings.
-
-    Each sampled code's derivative is the alternating sum of the invariant
-    itself over its 2^(n+1) resolutions (`_resolution_sum`), not the closed
-    form of `derivative`, which vanishes past one singular chord whatever the
-    invariant. Reports whether every sampled derivative vanished; for an
-    invariant of order n they all must. `n`, `samples` and `seed` must be
-    ints (not bools), samples >= 1 and n >= 0, or it is a ValidityError, as
-    is an unknown handle; n + 1 past `_ORDER_CHECK_SINGULAR` is a
-    SizeLimitError."""
+    """Report whether the derivative of the invariant `inv`, by its definition
+    (`_resolution_sum`), vanished (`all_zero`) on `samples` random codes with
+    n + 1 singular crossings, as it must for an invariant of order n, and the
+    `counterexamples`. `n`, `samples` and `seed` must be ints (not bools),
+    samples >= 1 and n >= 0, and `inv` a known handle, or it is a
+    ValidityError; n + 1 past `_ORDER_CHECK_SINGULAR` is a SizeLimitError."""
     for name, value in (("n", n), ("samples", samples), ("seed", seed)):
         if type(value) is not int:
             raise ValidityError(f"{name} must be an int, got {value!r}")

@@ -292,8 +292,11 @@ def test_chord_table_outside_equality_hash_repr():
     ((Passage(1, Role.OVER, "+"), Passage(1, Role.UNDER, "+")),),
     ((Passage(1, Role.TAIL, 1.0), Passage(1, Role.HEAD, 1.0)),),
     ((Passage(1, Role.STAIL, None, 1), Passage(1, Role.SHEAD, None, 1)),),
+    (5,),
+    5,
 ], ids=("entry-not-passage", "role-not-role", "str-chord", "bool-chord", "float-chord",
-        "float-sign", "bool-sign", "str-sign", "float-sign-on-arrow", "int-preferred"))
+        "float-sign", "bool-sign", "str-sign", "float-sign-on-arrow", "int-preferred",
+        "int-component", "int-components"))
 def test_constructor_refuses_malformed_passages(components):
     with pytest.raises(ValidityError):
         K.KnotoidCode(components)

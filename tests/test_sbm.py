@@ -69,8 +69,13 @@ def test_skew_symmetry_everywhere():
     (("s", "d"), ((0, 1, 0), (-1, 0, 0)), "matrix shape must match the element count"),
     (("s", "a", "d"), ((0, 1, 0), (-1, 0, 2), (0, 2, 0)), "pairing must be skew-symmetric"),
     (("s", "a", "d"), ((0, 1, 0), (-1, 3, 0), (0, 0, 0)), "pairing must be skew-symmetric"),
+    (("s", "d"), ((0, 0.5), (-0.5, 0)), "matrix entries must be integers"),
+    (("s", "d"), ((0.0, 0), (0, 0)), "matrix entries must be integers"),
+    (("s", "d"), ((0, True), (-1, 0)), "matrix entries must be integers"),
+    (("s", "d"), ((False, False), (False, False)), "matrix entries must be integers"),
 ], ids=("empty", "one-element", "repeated-label", "ragged", "extra-row", "wide-rows",
-        "asymmetric-pair", "nonzero-diagonal"))
+        "asymmetric-pair", "nonzero-diagonal", "float-entries", "float-zero", "bool-entry",
+        "bool-zeros"))
 def test_constructor_refuses_malformed_matrices(elements, matrix, message):
     with pytest.raises(ValidityError) as info:
         SBM(elements, matrix)
@@ -80,6 +85,14 @@ def test_constructor_refuses_malformed_matrices(elements, matrix, message):
 def test_constructor_accepts_list_rows():
     m = SBM(("s", "a", "d"), [[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
     assert _matrix(m) == [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]
+    built = SBM(("s", "a", "d"), ((0, 1, -2), (-1, 0, 3), (2, -3, 0)))
+    for given in (m, SBM(["s", "a", "d"], [[0, 1, -2], [-1, 0, 3], [2, -3, 0]])):
+        assert given == built and hash(given) == hash(built)
+        assert type(given.elements) is tuple and all(type(r) is tuple for r in given.matrix)
+        assert canonical_form(given) == canonical_form(built)
+        assert is_primitive(given) == is_primitive(built)
+        assert classify(given) == classify(built)
+        assert apply_ext(given, ("M1",)) == apply_ext(built, ("M1",))
 
 
 def test_classification_flags():
