@@ -153,6 +153,29 @@ def _r2_deletes(comps, index):
                 yield MoveInstance("R2_delete", ((ka, ia), (kb, ib)))
 
 
+def _slide_deletes(slid, sites, comps, index) -> bool:
+    """Has the slid orbit member `comps` a kink or a poke pair, given that its
+    parent had neither? Only the adjacencies (i-1, i) and (i+1, i+2) next to
+    each swapped pair (i, i+1) are tested (the slide-locality lemma,
+    CONVENTIONS.md, "Flat minimization"). `slid` is `comps` before its closed
+    components were rotated, `sites` the slide's, `index` the pair index of
+    `comps`."""
+    for k, i in sites:
+        comp = slid[k]
+        n = len(comp)
+        for a in (i - 1, i + 1):
+            if k == 0 and not 0 <= a < n - 1:
+                continue
+            p, q = comp[a % n], comp[(a + 1) % n]
+            if _is_kink(p, q):
+                return True
+            x, y = p.chord, q.chord
+            for kb, ib, jb in index.get((x, y) if x < y else (y, x), ()):
+                if _r2_pair_ok(p, q, comps[kb][ib], comps[kb][jb]):
+                    return True
+    return False
+
+
 # -- inserts: counted in closed form, decoded by index in sort order ----------
 
 # insert patterns: variant -> one site pattern per gap, in site order; entries are
@@ -230,15 +253,14 @@ def _r2_insert_at(comps, fam, idx: int) -> MoveInstance:
 def _r3_moves(comps, index):
     """Triangle slides: for chords x < y < z, one pair from each of the keys
     (x, y), (x, z), (y, z) that `_is_triangle` accepts."""
-    partners: dict[int, set[int]] = {}
+    above: dict[int, set[int]] = {}  # chord x -> the chords y > x of its keys
     for x, y in index:
-        partners.setdefault(x, set()).add(y)
-        partners.setdefault(y, set()).add(x)
+        above.setdefault(x, set()).add(y)
     moves = []
     for (x, y), xy in index.items():
-        for z in partners[x] & partners[y]:
-            if z < y:
-                continue
+        if y not in above:
+            continue
+        for z in above[x] & above[y]:
             for trip in itertools.product(xy, index[(x, z)], index[(y, z)]):
                 (k0, i0, j0), (k1, i1, j1), (k2, i2, j2) = trip = sorted(trip)
                 if _is_triangle((comps[k0][i0], comps[k0][j0], comps[k1][i1], comps[k1][j1],

@@ -41,9 +41,10 @@ _NODE_BUDGET = 1_000_000
 @dataclass(frozen=True)
 class SBM:
     """A based matrix: the elements with s first and d last, and the pairing
-    b[i][j]. Sequences are stored as tuples. Fewer than two elements, repeated
-    labels, a matrix that is not n x n, an entry that is not an int (a bool
-    included) or a pairing that is not skew-symmetric raise ValidityError."""
+    b[i][j]. Sequences are stored as tuples. Fewer than two elements, a label
+    that is not a str, repeated labels, a matrix that is not n x n, an entry
+    that is not an int (a bool included) or a pairing that is not
+    skew-symmetric raise ValidityError."""
 
     elements: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
@@ -57,6 +58,9 @@ class SBM:
         n = len(self.elements)
         if n < 2:
             raise ValidityError("an SBM needs the two marked elements")
+        # moves name elements by str(label), so every label is a str
+        if not {str}.issuperset(map(type, self.elements)):
+            raise ValidityError("element labels must be strings")
         if len(set(self.elements)) != n:
             raise ValidityError("element labels must be distinct")
         if len(self.matrix) != n or any(len(r) != n for r in self.matrix):

@@ -16,8 +16,7 @@ from .codes import (_CLASSICAL, _FLAT, _KIND_ROLES, _SINGULAR, KnotoidCode, Pass
 from .errors import SizeLimitError, UnsupportedError, ValidityError
 from .invariants import (IntegerCombination, LaurentPoly, _open_q, _tail_balance,
                          affine_index_polynomial, writhe)
-from .moves import (MoveInstance, _pair_index, _r1_deletes, _r2_deletes, _r3_moves, _simplified,
-                    _slid)
+from .moves import MoveInstance, _pair_index, _r3_moves, _simplified, _slid, _slide_deletes
 from .sbm import _kink_forms, _string_form, build_sbm
 from .surgery import _zero_smoothed, glue, one_smooth, resolve, singular_kink, zero_smooth
 
@@ -84,7 +83,8 @@ _ORBIT_CAP = 400
 def _minimized(comps) -> tuple:
     """The move-minimized representative of the components tuple `comps`
     (CONVENTIONS.md, "Flat minimization"). The frontier carries each state
-    with its pair index, which lists both its deletions and its slides."""
+    with its pair index, which lists its slides; a new member is tested for
+    deletions by the slide-locality lemma."""
     root, index = _simplified(comps)
     seen, frontier = {tuple(map(id, chain(*root)))}, [(root, index)]
     while frontier and len(seen) <= _ORBIT_CAP:
@@ -96,7 +96,7 @@ def _minimized(comps) -> tuple:
             if state in seen:
                 continue
             nxt_index = _pair_index(nxt)
-            if any(_r1_deletes(nxt)) or any(_r2_deletes(nxt, nxt_index)):
+            if _slide_deletes(slid, mv.sites, nxt, nxt_index):
                 root, index = _simplified(nxt)
                 seen, frontier = {tuple(map(id, chain(*root)))}, [(root, index)]
                 break

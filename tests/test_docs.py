@@ -1,6 +1,8 @@
 """Every pointer into CONVENTIONS.md from the package's docstrings and comments,
-and from README, names a section or a lemma that CONVENTIONS.md has."""
+and from README, names a section or a lemma that CONVENTIONS.md has, and every
+code reference in CONVENTIONS.md and README names an attribute the package has."""
 import ast
+import importlib
 import io
 import re
 import tokenize
@@ -16,6 +18,11 @@ HEADINGS = {h.strip() for h in re.findall(r"^## (.+)$", CONVENTIONS, re.M)}
 TITLES = re.findall(r"\*\*([A-Z][\w -]*?) lemma\b[^*\n]*\*\*", CONVENTIONS)
 LEMMAS = ({t.lower() for t in TITLES}
           | {h[:-len(" lemma")].lower() for h in HEADINGS if h.endswith(" lemma")})
+
+# `moves._is_kink`, `sbm.SBM.row`, `sbm._form(rows, d, U)`: a module of the
+# package, then the attribute path read up to the closing backtick or a call
+CODE_REF = re.compile(r"`(codes|invariants|moves|sbm|surgery|vassiliev|cli|corpus|errors)"
+                      r"((?:\.\w+)+)[`(]")
 
 # `CONVENTIONS.md, "A"`, `CONVENTIONS.md, "A" and "B"`, `CONVENTIONS.md, "A", "B" and "C"`
 SECTION_REF = re.compile(r'CONVENTIONS\.md, ("[^"]+"(?:(?:, |,? and )"[^"]+")*)')
@@ -72,4 +79,18 @@ def test_lemma_pointers_name_lemmas():
 
 def test_every_lemma_has_a_title():
     assert {"closure", "gluing", "shared reduction", "deleted-glue", "leading-row", "view",
-            "locality", "resolution", "reversal"} <= LEMMAS
+            "locality", "slide-locality", "resolution", "reversal"} <= LEMMAS
+
+
+def test_code_references_resolve():
+    refs = {(path.name, module, attrs) for path in (ROOT / "CONVENTIONS.md", ROOT / "README.md")
+            for module, attrs in CODE_REF.findall(path.read_text())}
+    assert len(refs) >= 30
+    absent, missing = object(), []
+    for where, module, attrs in sorted(refs):
+        obj = importlib.import_module(f"knotoids.{module}")
+        for name in attrs[1:].split("."):
+            obj = getattr(obj, name, absent)
+        if obj is absent:
+            missing.append((where, module + attrs))
+    assert not missing, f"no such attribute: {missing}"

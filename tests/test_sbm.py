@@ -64,6 +64,8 @@ def test_skew_symmetry_everywhere():
     ((), (), "an SBM needs the two marked elements"),
     (("s",), ((0,),), "an SBM needs the two marked elements"),
     (("s", "a", "s"), ((0, 0, 0),) * 3, "element labels must be distinct"),
+    ((0, 1, 2), ((0, 0, 0),) * 3, "element labels must be strings"),
+    (("s", 1, "d"), ((0, 0, 0),) * 3, "element labels must be strings"),
     (("s", "d"), ((0, 1), (-1,)), "matrix shape must match the element count"),
     (("s", "d"), ((0, 1), (-1, 0), (0, 0)), "matrix shape must match the element count"),
     (("s", "d"), ((0, 1, 0), (-1, 0, 0)), "matrix shape must match the element count"),
@@ -73,9 +75,9 @@ def test_skew_symmetry_everywhere():
     (("s", "d"), ((0.0, 0), (0, 0)), "matrix entries must be integers"),
     (("s", "d"), ((0, True), (-1, 0)), "matrix entries must be integers"),
     (("s", "d"), ((False, False), (False, False)), "matrix entries must be integers"),
-], ids=("empty", "one-element", "repeated-label", "ragged", "extra-row", "wide-rows",
-        "asymmetric-pair", "nonzero-diagonal", "float-entries", "float-zero", "bool-entry",
-        "bool-zeros"))
+], ids=("empty", "one-element", "repeated-label", "int-labels", "mixed-labels", "ragged",
+        "extra-row", "wide-rows", "asymmetric-pair", "nonzero-diagonal", "float-entries",
+        "float-zero", "bool-entry", "bool-zeros"))
 def test_constructor_refuses_malformed_matrices(elements, matrix, message):
     with pytest.raises(ValidityError) as info:
         SBM(elements, matrix)

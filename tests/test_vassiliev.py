@@ -847,6 +847,49 @@ def test_minimized_builds_no_code(monkeypatch):
     assert members >= 80 and restarts >= 10, (members, restarts)
 
 
+def test_slide_deletes_match_full_scan():
+    # the slide-locality lemma: on every slid member of a deletion-free state,
+    # the junction test equals the full kink and poke scan. Orbits are searched
+    # to the end, and the first member with a deletion is simplified into the
+    # next root, as `_minimized` does. The inputs are the cases above, the 0-
+    # and 1-smoothings of 10-16-crossing classical codes, and two codes with
+    # two closed components, the only inputs here with a poke that a wrapped
+    # junction alone sees
+    rng = random.Random(337)
+    terms = [code.components for code in _minimized_cases()]
+    terms += [K.parse(text).components for text in (
+        "B2 B1 A5 / A3 B4 B5 / A1 A4 A2 B3",
+        "A6 A7 A8 B5 / A1 B7 A2 B1 A4 B3 B4 / B2 B6 A5 A3 B8")]
+    for _ in range(40):
+        code = random_classical_code(rng.randrange(10, 17), rng)
+        flat = K.flatten(code)
+        for c in code.classical_chords():
+            terms += [K.zero_smooth(code, c).components, K.one_smooth(flat, c)[0].components]
+    tested = {False: 0, True: 0}
+    for comps in terms:
+        while comps is not None:
+            root, index = moves._simplified(comps)
+            seen, frontier, comps = {root}, [(root, index)], None
+            while frontier and len(seen) <= 400:
+                cur, index = frontier.pop(0)
+                for mv in moves._r3_moves(cur, index):
+                    slid = moves._slid(cur, mv.sites)
+                    nxt = (slid[0], *map(K.codes._rotate_canonical, slid[1:]))
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    nxt_index = moves._pair_index(nxt)
+                    full = any(moves._r1_deletes(nxt)) or any(moves._r2_deletes(nxt, nxt_index))
+                    assert moves._slide_deletes(slid, mv.sites, nxt, nxt_index) == full, \
+                        (nxt, mv.sites)
+                    tested[full] += 1
+                    if not full:
+                        frontier.append((nxt, nxt_index))
+                    elif comps is None:
+                        comps = nxt
+    assert tested[False] >= 400 and tested[True] >= 20, tested
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
