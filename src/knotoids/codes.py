@@ -110,6 +110,11 @@ def flat_passage(p: Passage) -> Passage:
     return recast(p, Role.TAIL) if p.role.is_classical else p
 
 
+def _fresh_id(comps) -> int:
+    """One more than the largest chord id of a components tuple, 1 when it has none."""
+    return max((p.chord for comp in comps for p in comp), default=0) + 1
+
+
 def _rotate_canonical(comp: tuple[Passage, ...]) -> tuple[Passage, ...]:
     k = min(range(len(comp)), key=lambda i: (comp[i].chord, _ROLE_ORDER[comp[i].role]), default=0)
     return comp[k:] + comp[:k]
@@ -252,7 +257,7 @@ class KnotoidCode:
         return not self._classical
 
     def fresh_chord_id(self) -> int:
-        return next(reversed(self._chords), 0) + 1
+        return _fresh_id(self.components)
 
     def __str__(self) -> str:
         return serialize(self)

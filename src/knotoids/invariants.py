@@ -87,13 +87,6 @@ class LaurentPoly(IntegerCombination):
     def coeff(self, exp: int) -> int:
         return self._c.get(exp, 0)
 
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
-        return LaurentPoly(c)
-
     def substituted_reciprocal(self) -> "LaurentPoly":
         """p(t) -> p(1/t)."""
         return LaurentPoly({-e: v for e, v in self._c.items()})

@@ -4,7 +4,8 @@ and deletions, triangle slides (R3) and the preferred-singularity slide
 Virtual-crossing moves act trivially on Gauss codes, so none is represented.
 
 Every lister and applier reads a components tuple alone, and each rule is one
-function on passages: `_is_kink`, `_r2_pair_ok` and `_is_triangle`. The rules
+function on passages: `_is_kink`, `_r2_pair_ok`, `_is_triangle` and
+`_is_switch`; `_pair_starts` is the one adjacency range. The rules
 and drivers rest on CONVENTIONS.md, "Kink deletion", "Triangle slides",
 "Flat minimization", "Preferred-singularity slide" and "Random walks".
 """
@@ -15,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .codes import KnotoidCode, Passage, Role, _is_tail, _rotate_canonical, recast
+from .codes import KnotoidCode, Passage, Role, _fresh_id, _is_tail, _rotate_canonical, recast
 from .errors import StaleMoveError, ValidityError
 
 __all__ = ["MoveInstance", "enumerate_moves", "apply_move", "random_walk", "simplify"]
@@ -48,22 +49,25 @@ def _family(comps, family: str | None) -> str:
     return family
 
 
+def _pair_starts(comps, k: int) -> range:
+    """The positions i of component k that start an adjacent pair (i, i+1
+    cyclic): none below two passages, and none at the open component's last."""
+    n = len(comps[k])
+    return range(0 if n < 2 else n - 1 if k == 0 else n)
+
+
 def _adjacent_pairs(comps):
-    """All (comp, i) with the pair (i, i+1 cyclic); linear on the open component."""
+    """All (comp, i, j) with the pair (i, j = i+1 cyclic), in adjacency order."""
     for k, comp in enumerate(comps):
         n = len(comp)
-        if n < 2:
-            continue
-        last = n - 1 if k == 0 else n
-        for i in range(last):
+        for i in _pair_starts(comps, k):
             yield k, i, (i + 1) % n
 
 
 def _pair_positions(comps, comp: int, i: int) -> tuple[int, int]:
-    n = len(comps[comp])
-    if not 0 <= i < (n - 1 if comp == 0 else n):
+    if i not in _pair_starts(comps, comp):
         raise StaleMoveError("site out of range")
-    return i, (i + 1) % n
+    return i, (i + 1) % len(comps[comp])
 
 
 def _fixed_chords(comps, fam: str) -> set[int]:
@@ -163,10 +167,11 @@ def _slide_deletes(slid, sites, comps, index) -> bool:
     for k, i in sites:
         comp = slid[k]
         n = len(comp)
-        for a in (i - 1, i + 1):
-            if k == 0 and not 0 <= a < n - 1:
+        starts = _pair_starts(slid, k)
+        for a in ((i - 1) % n, (i + 1) % n):
+            if a not in starts:
                 continue
-            p, q = comp[a % n], comp[(a + 1) % n]
+            p, q = comp[a], comp[(a + 1) % n]
             if _is_kink(p, q):
                 return True
             x, y = p.chord, q.chord
@@ -295,30 +300,30 @@ def _is_triangle(spots) -> bool:
         or Role.OVER is spots[2].role is spots[3].role or Role.OVER is spots[4].role is spots[5].role
 
 
+def _is_switch(p, q) -> bool:
+    """Is the adjacent pair p, q one of a preferred-singularity slide: a passage
+    of the preferred chord and one of a flat chord, one a tail and one a head
+    (CONVENTIONS.md, "Preferred-singularity slide")?"""
+    s, o = (p, q) if p.preferred else (q, p)
+    return s.preferred and o.role.is_flat and s.role.is_tail != o.role.is_tail
+
+
 def _preferred_switches(comps):
-    """Switches of the preferred chord with a flat chord, both with their two
-    ends on the open component, read from its positions; a classical passage
-    is never a tail, so no classical chord is switched with."""
+    """One switch, by chord id, per flat chord that `_is_switch` pairs with the
+    preferred chord both ways on the open component: its head beside the
+    preferred tail, and its tail beside the preferred head."""
     comp = comps[0]
-    pref = next((p.chord for p in comp if p.preferred), None)
-    if pref is None:
-        return []
-    tails, heads = {}, {}
-    for i, p in enumerate(comp):
-        (tails if p.role.is_tail else heads)[p.chord] = i
-    if pref not in tails or pref not in heads:
-        return []
-    pt, ph = tails[pref], heads[pref]
-    moves = []
-    for cid, t in sorted(tails.items()):
-        h = heads.get(cid)
-        if cid == pref or h is None or not comp[t].role.is_flat:
-            continue
-        # every position is an arrow endpoint, so an arc's interior is empty iff
-        # its two ends are adjacent
-        if abs(pt - h) <= 1 and abs(t - ph) <= 1:
-            moves.append(MoveInstance("PreferredSwitch", ((0, pt), (0, t)), f"{pref}->{cid}"))
-    return moves
+    # flat chord -> the tail position of each of its switching pairs, keyed by
+    # whether the tail is its own (True) or the preferred chord's (False)
+    tails: dict[int, dict[bool, int]] = {}
+    for i in _pair_starts(comps, 0):
+        p, q = comp[i], comp[i + 1]
+        if _is_switch(p, q):
+            o = q if p.preferred else p
+            tails.setdefault(o.chord, {})[o.role.is_tail] = i if p.role.is_tail else i + 1
+    return [MoveInstance("PreferredSwitch", ((0, t[False]), (0, t[True])),
+                         f"{comp[t[False]].chord}->{cid}")
+            for cid, t in sorted(tails.items()) if len(t) == 2]
 
 
 # The rule families as (rule, find, at), in rule-name order, which is the
@@ -380,11 +385,6 @@ def _apply_r1_delete(comps, move):
 def _apply_insert(comps, move):
     """`_insert` with the fresh chord id scanned from `comps`."""
     return _insert(comps, move, _fresh_id(comps))
-
-
-def _fresh_id(comps) -> int:
-    """The fresh chord id of a components tuple, as `KnotoidCode.fresh_chord_id` reads it."""
-    return max((p.chord for comp in comps for p in comp), default=0) + 1
 
 
 def _insert(comps, move, cid: int):
@@ -484,13 +484,11 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
     comps = code.components
     counts = None
     for _ in range(steps):
-        found = None
         if counts is None:
             fam = _family(comps, family)
             fixed = _fixed_chords(comps, fam)
             index = _pair_index(comps, fixed)
-            found = [list(find(comps, index)) if at is None else None for _, find, at in _FAMILIES]
-            counts = _ScannedCounts(comps, fixed, index, found)
+            counts = _ScannedCounts(comps, fixed, index)
         sizes = [counts.count[rule] if at is None else find(comps, fam)
                  for rule, find, at in _FAMILIES]
         idx = rng.randrange(sum(sizes))  # the draw rng.choice makes
@@ -500,8 +498,7 @@ def random_walk(code: KnotoidCode, steps: int, seed: int,
             idx -= size
         rule, find, at = _FAMILIES[n]
         if at is None:
-            got = found[n] if found else find(comps, _pair_index(comps, fixed))
-            move = sorted(got, key=MoveInstance.sort_key)[idx]
+            move = sorted(find(comps, _pair_index(comps, fixed)), key=MoveInstance.sort_key)[idx]
         else:
             move = at(comps, fam, idx)
         moved = _APPLIERS[rule][1](comps, move) if at is None else \
@@ -519,13 +516,13 @@ class _ScannedCounts:
     """The instance count of each scanned family of `_FAMILIES` on a walk's
     components tuple, its pair index `pairs` (chord x -> partner chord y -> the
     named pairs (p, q, k) of the key {x, y}) and its fresh chord id `fresh`,
-    built from the listers' lists and moved across inserts by the locality
-    lemma (CONVENTIONS.md, "Random walks")."""
+    counted by the listers from the pair index `index` and moved across
+    inserts by the locality lemma (CONVENTIONS.md, "Random walks")."""
 
-    def __init__(self, comps, fixed, index, found):
+    def __init__(self, comps, fixed, index):
         self.fixed = fixed
         self.fresh = _fresh_id(comps)
-        self.count = {rule: len(got) for (rule, _, at), got in zip(_FAMILIES, found)
+        self.count = {rule: len(list(find(comps, index))) for rule, find, at in _FAMILIES
                       if at is None}
         self.pairs: dict[int, dict[int, list]] = {}
         for (x, y), adj in index.items():
@@ -580,12 +577,9 @@ class _ScannedCounts:
         for z in x_pairs.keys() & y_pairs.keys():
             count["R3"] += sign * sum(_is_triangle((p, q, a[0], a[1], b[0], b[1]))
                                       for a in x_pairs[z] for b in y_pairs[z])
-        if k == 0 and (p.preferred or q.preferred):
-            # a switch's two pairs mix a tail and a head (CONVENTIONS.md, "Random walks")
-            s, o = (p, q) if p.preferred else (q, p)
-            if o.role.is_flat and s.role.is_tail != o.role.is_tail:
-                count["PreferredSwitch"] += sign * any(
-                    a[2] == 0 and a[0].role.is_tail != a[1].role.is_tail for a in held)
+        if k == 0 and _is_switch(p, q):
+            count["PreferredSwitch"] += sign * any(a[2] == 0 and _is_switch(a[0], a[1])
+                                                  for a in held)
         if sign > 0:
             if not held:
                 x_pairs[y] = y_pairs[x] = held

@@ -1070,6 +1070,10 @@ def test_apply_gate_pins_old_defects():
         _ref_apply_move(empty, MoveInstance("R1_delete", ((1, 0),)))
     with pytest.raises(StaleMoveError):
         K.apply_move(empty, MoveInstance("R1_delete", ((1, 0),)))
+    # a site on a closed component of one passage read the pair (0, 0) as a
+    # kink and failed only when the result was validated
+    with pytest.raises(StaleMoveError, match="site out of range"):
+        K.apply_move(K.parse("A1 / B1"), MoveInstance("R1_delete", ((1, 0),)))
     assert K.serialize(K.apply_move(empty, MoveInstance("R1_insert", ((1, 0),), "AB"))) == \
         "A1 B1 / A2 B2"
     # a wrong site count failed to unpack
